@@ -4,8 +4,8 @@
 // free, full, or still being written by a lagging thread.
 //
 // Why this shape: the QueryService admission path is many client threads
-// enqueueing small request objects against one dispatcher draining them in
-// batches. A mutex-protected deque would serialize admission on exactly the
+// enqueueing small request objects against the service workers dequeuing
+// them. A mutex-protected deque would serialize admission on exactly the
 // path whose concurrency the service exists to provide; the Vyukov queue
 // makes enqueue/dequeue one CAS plus one release store each, wait-free for
 // the common uncontended case, and — crucially for a *bounded* service —

@@ -25,6 +25,20 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+/// Clusters of a complete run without canonicalizing: a cluster's id is
+/// its minimum core id, so each cluster has exactly one core labelled with
+/// itself. (ScanResult::num_clusters() builds a std::map to get the same
+/// count.)
+std::uint64_t count_clusters(const ScanResult& result) {
+  std::uint64_t clusters = 0;
+  for (std::size_t u = 0; u < result.roles.size(); ++u) {
+    if (result.roles[u] == Role::Core && result.core_cluster_id[u] == u) {
+      ++clusters;
+    }
+  }
+  return clusters;
+}
+
 }  // namespace
 
 const char* to_string(AdmissionOutcome outcome) {
@@ -46,16 +60,14 @@ QueryService::QueryService(const GsIndex& index, ServiceOptions options)
     throw std::logic_error(
         "QueryService: refusing an aborted index construction");
   }
+  if (options_.num_threads < 1) {
+    throw std::invalid_argument("QueryService: need at least one thread");
+  }
   if (options_.numa == NumaMode::Auto) {
     topo_ = options_.topology != nullptr ? *options_.topology
                                          : detect_topology();
-    executor_ = std::make_unique<Executor>(options_.num_threads, topo_,
-                                           /*pin_workers=*/true);
-  } else {
-    executor_ = std::make_unique<Executor>(options_.num_threads);
+    numa_nodes_ = std::clamp(topo_.num_nodes(), 1, options_.num_threads);
   }
-  // Worker slots 0..N-1 plus the master fallback (current_worker() == -1).
-  scratch_.resize(static_cast<std::size_t>(options_.num_threads) + 1);
   if (options_.flight_capacity > 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(options_.flight_capacity);
     flight_->record(obs::FlightRecorder::EventKind::Lifecycle, "serve.start");
@@ -68,18 +80,20 @@ QueryService::QueryService(const GsIndex& index, ServiceOptions options)
         obs::WindowedLatency(options_.window_horizon, options_.stats_interval);
     last_publish_time_ = start_time_;
   }
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  workers_.reserve(static_cast<std::size_t>(options_.num_threads));
+  for (int w = 0; w < options_.num_threads; ++w) {
+    workers_.emplace_back([this, w] { worker_loop(w); });
+  }
   if (options_.stats_interval.count() > 0) {
     publisher_ = std::thread([this] { publisher_loop(); });
   }
 }
 
 QueryService::~QueryService() {
-  stop();
   // Requests that raced a concurrent submit() past the final drain are
   // destroyed with their promise unfulfilled — the waiter sees
   // broken_promise rather than a hang.
-  executor_.reset();
+  stop();
 }
 
 std::future<QueryResponse> QueryService::submit(const ScanParams& params) {
@@ -104,8 +118,8 @@ bool QueryService::try_submit(const ScanParams& params,
 
 AdmissionResult QueryService::admission_gate(Request& request) {
   // The shed decision reads only what an admission already pays for: the
-  // stats mutex (held by our caller) and one relaxed load of the
-  // dispatcher's last sojourn observation.
+  // stats mutex (held by our caller) and one relaxed load of the workers'
+  // last sojourn observation.
   const auto now = request.submit_time;
   if (options_.breaker_failure_threshold > 0) {
     if (breaker_state_ == BreakerState::Open) {
@@ -295,9 +309,9 @@ std::future<QueryResponse> QueryService::enqueue(Request request) {
       submitted_ -= 1;  // refused after all, not admitted
       throw ServiceStoppedError("QueryService::submit after stop()");
     }
-    // Backpressure: park until the dispatcher drains a batch. The epoch
-    // was read before the failed attempt, so a drain that lands in between
-    // changes the word and the wait returns immediately.
+    // Backpressure: park until a worker dequeues. The epoch was read
+    // before the failed attempt, so a dequeue that lands in between changes
+    // the word and the wait returns immediately.
     drained_epoch_.wait(epoch, std::memory_order_acquire);
   }
   submitted_epoch_.fetch_add(1, std::memory_order_release);
@@ -315,110 +329,78 @@ void QueryService::drain_if_stopped() {
     // If stop() had completed its final drain before our enqueue, this
     // load would see true (the flag is set before the drain): reading
     // false proves the enqueue landed before that drain, so the request
-    // is covered by stop() itself (or by the still-running dispatcher).
+    // is covered by stop() itself (or by the still-running workers).
     return;
   }
   // Serialize with stop(): once we hold stop_mutex_, stop()'s join+drain
-  // has finished and no dispatcher exists — whatever is still queued is
-  // ours to answer, on this thread, exactly like stop()'s own drain.
+  // has finished and no worker exists — whatever is still queued is ours
+  // to answer, on this thread, exactly like stop()'s own drain.
   CheckedLock stop_lock(stop_mutex_);
+  GsIndex::QueryScratch scratch;
   Request request;
-  while (queue_.try_dequeue(&request)) execute(request);
+  while (queue_.try_dequeue(&request)) execute_guarded(request, scratch);
 }
 
-void QueryService::dispatcher_loop() {
-  std::vector<Request> batch;
-  batch.reserve(options_.max_batch);
-  std::vector<TaskRange> tasks(options_.max_batch);
-
+void QueryService::worker_loop(int w) {
+  // Best-effort NUMA pin, the Executor's policy: worker w to node
+  // w mod min(nodes, num_threads). A failed syscall leaves it unpinned.
+  if (options_.numa == NumaMode::Auto && !topo_.nodes.empty()) {
+    pin_thread_to_cpus(
+        topo_.nodes[static_cast<std::size_t>(w % numa_nodes_)].cpus);
+  }
+  GsIndex::QueryScratch scratch;
+  Request request;
   for (;;) {
-    batch.clear();
-    Request request;
-    while (batch.size() < options_.max_batch &&
-           queue_.try_dequeue(&request)) {
-      batch.push_back(std::move(request));
-    }
-    if (batch.empty()) {
+    // Read the park word first: an enqueue that lands after this load
+    // bumps the epoch and the wait falls through (no missed wakeup).
+    const std::uint64_t epoch =
+        submitted_epoch_.load(std::memory_order_acquire);
+    if (!queue_.try_dequeue(&request)) {
       // Queue observed empty: clear the congestion signal so the overload
       // shed never acts on a sojourn from a backlog that already drained.
       queue_sojourn_ns_.store(0, std::memory_order_relaxed);
-      // Read the park word first: an enqueue that lands after this load
-      // bumps the epoch and the wait falls through (no missed wakeup).
-      const std::uint64_t epoch =
-          submitted_epoch_.load(std::memory_order_acquire);
-      if (queue_.try_dequeue(&request)) {
-        batch.push_back(std::move(request));
-      } else if (stop_requested_.load(std::memory_order_acquire)) {
-        return;
-      } else {
-        submitted_epoch_.wait(epoch, std::memory_order_acquire);
-        continue;
-      }
+      if (stop_requested_.load(std::memory_order_acquire)) return;
+      submitted_epoch_.wait(epoch, std::memory_order_acquire);
+      continue;
     }
-    // CoDel signal: the wait of the oldest request just drained is what a
-    // newly admitted request should expect to sojourn (one observation per
-    // batch; admission compares it against shed_target_delay).
+    // CoDel signal: this request's wait is what a newly admitted request
+    // should expect to sojourn (admission compares it against
+    // shed_target_delay).
     queue_sojourn_ns_.store(
-        ns_between(batch.front().submit_time,
-                   std::chrono::steady_clock::now()),
+        ns_between(request.submit_time, std::chrono::steady_clock::now()),
         std::memory_order_relaxed);
     // Space freed: release any producer parked on backpressure.
     drained_epoch_.fetch_add(1, std::memory_order_release);
     drained_epoch_.notify_all();
-
-    // Per-query span progression: one dispatch mark per drained request
-    // (a single stats acquisition per batch keeps this off the admission
-    // lock's critical path when tracing is off).
-    if (options_.trace != nullptr) {
-      CheckedLock lock(stats_mutex_);
-      for (const Request& r : batch) {
-        trace_query_locked(obs::TraceEventKind::Mark, "serve.query.dispatch",
-                           r.id);
-      }
-    }
-
-    // One task per request; the work-stealing executor balances the batch
-    // across workers (this thread is the executor's master and parks in
-    // run()'s barrier).
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto v = static_cast<VertexId>(i);
-      tasks[i] = TaskRange{v, static_cast<VertexId>(v + 1)};
-    }
-    auto body = [&](VertexId beg, VertexId end) {
-      for (VertexId i = beg; i < end; ++i) execute(batch[i]);
-    };
-    // Dispatcher firewall: execute() contains per-query exceptions itself,
-    // but the executor's ungoverned barrier rethrows anything that escapes
-    // a task body (a fault at the executor.task site, a scratch-resize
-    // bad_alloc outside execute's try). The dispatcher must outlive any
-    // single batch, so catch here, answer every request the aborted run
-    // left unfulfilled with a classified failure, and keep serving.
-    try {
-      PPSCAN_FAULT_POINT("serve.dispatcher");
-      executor_->run(tasks.data(), batch.size(), body);
-    } catch (const std::exception& e) {
-      for (Request& r : batch) {
-        if (r.responded) continue;
-        Delivery delivery;
-        delivery.run = std::make_shared<const ScanRun>(
-            exception_aborted_run("QDispatch", e.what()));
-        delivery.classified = AbortReason::Exception;
-        respond(r, std::move(delivery));
-      }
-    } catch (...) {
-      for (Request& r : batch) {
-        if (r.responded) continue;
-        Delivery delivery;
-        delivery.run = std::make_shared<const ScanRun>(
-            exception_aborted_run("QDispatch", "non-std exception"));
-        delivery.classified = AbortReason::Exception;
-        respond(r, std::move(delivery));
-      }
-    }
+    execute_guarded(request, scratch);
   }
 }
 
-void QueryService::execute(Request& request) {
+void QueryService::execute_guarded(Request& request,
+                                   GsIndex::QueryScratch& scratch) {
+  // Dispatch firewall: execute() contains per-query exceptions from the
+  // index walk itself, but anything else that escapes it (a fault at the
+  // serve.dispatcher site, a bad_alloc outside execute's own try) must
+  // still answer this request, and the worker must keep serving.
+  const auto fail = [&](const char* what) {
+    Delivery delivery;
+    delivery.run = std::make_shared<const ScanRun>(
+        exception_aborted_run("QDispatch", what));
+    delivery.classified = AbortReason::Exception;
+    respond(request, std::move(delivery));
+  };
+  try {
+    PPSCAN_FAULT_POINT("serve.dispatcher");
+    execute(request, scratch);
+  } catch (const std::exception& e) {
+    fail(e.what());
+  } catch (...) {
+    fail("non-std exception");
+  }
+}
+
+void QueryService::execute(Request& request,
+                           GsIndex::QueryScratch& scratch) {
   const auto exec_start = std::chrono::steady_clock::now();
   // Queue wait: submission → execution start. Threaded through every
   // Delivery built here so the metrics rows can split latency into
@@ -429,8 +411,8 @@ void QueryService::execute(Request& request) {
   const CacheKey key{request.params.eps.num, request.params.eps.den,
                      request.params.mu};
   if (options_.cache_results) {
-    // Second probe: an earlier query in this or a previous batch may have
-    // populated the entry since admission.
+    // Second probe: another worker may have populated the entry since
+    // admission.
     if (auto hit = cache_lookup(key)) {
       Delivery delivery;
       delivery.run = std::move(hit->run);
@@ -472,16 +454,12 @@ void QueryService::execute(Request& request) {
     return;
   }
 
-  const int worker = executor_->current_worker();
-  GsIndex::QueryScratch& scratch =
-      scratch_[worker >= 0 ? static_cast<std::size_t>(worker)
-                           : scratch_.size() - 1];
   RunGovernor governor(limits, nullptr);
   // Query-boundary exception firewall: whatever the index walk throws is
   // *this query's* failure, classified through the same governor machinery
   // as a deadline or budget trip (AbortReason::Exception + e.what()), and
-  // delivered to this caller alone. Workers, the dispatcher, and every
-  // other query in the batch continue untouched — the containment test
+  // delivered to this caller alone. The worker and every other in-flight
+  // query continue untouched — the containment test
   // pins that concurrent results stay bit-identical.
   ScanRun result;
   try {
@@ -500,7 +478,10 @@ void QueryService::execute(Request& request) {
       seconds_between(exec_start, std::chrono::steady_clock::now());
   const bool complete = !result.partial();
   const AbortReason classified = result.stats.abort_reason;
-  const std::uint64_t clusters = result.result.num_clusters();
+  // count_clusters() relies on complete labels; partial runs (rare) may
+  // leave cores unlabelled, so they keep num_clusters()'s canonical count.
+  const std::uint64_t clusters = complete ? count_clusters(result.result)
+                                          : result.result.num_clusters();
   const std::uint64_t cores = result.result.num_cores();
   auto run = std::make_shared<const ScanRun>(std::move(result));
   // Only complete runs are memoizable — a partial is an artifact of this
@@ -652,7 +633,6 @@ void QueryService::respond(Request& request, Delivery delivery) {
     // admission history; snapshot it while the evidence is fresh.
     flight_->dump_to_file(options_.flight_dump_path, "breaker-open");
   }
-  request.responded = true;
   // Fulfill outside the lock: the waiting thread may run immediately.
   request.promise.set_value(std::move(response));
 }
@@ -745,16 +725,17 @@ void QueryService::stop() {
   stop_requested_.store(true, std::memory_order_release);
   submitted_epoch_.fetch_add(1, std::memory_order_release);
   submitted_epoch_.notify_all();
-  dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
   // Unblock producers parked on backpressure; their retry observes the
   // stop flag and throws.
   drained_epoch_.fetch_add(1, std::memory_order_release);
   drained_epoch_.notify_all();
   // Lossless shutdown for everything that made it into the queue: requests
-  // the dispatcher never saw are answered here, on the stopping thread
-  // (current_worker() == -1 → master scratch slot, no concurrency left).
+  // no worker took are answered here, on the stopping thread, with its own
+  // scratch (no concurrency left).
+  GsIndex::QueryScratch scratch;
   Request request;
-  while (queue_.try_dequeue(&request)) execute(request);
+  while (queue_.try_dequeue(&request)) execute_guarded(request, scratch);
   if (publisher_.joinable()) {
     {
       CheckedLock pub_lock(publisher_mutex_);
@@ -878,7 +859,7 @@ ServiceSnapshot QueryService::snapshot() const {
   snap.uptime_seconds =
       seconds_between(start_time_, std::chrono::steady_clock::now());
   snap.numa_mode = to_string(options_.numa);
-  snap.numa_nodes = static_cast<std::uint64_t>(executor_->num_nodes());
+  snap.numa_nodes = static_cast<std::uint64_t>(numa_nodes_);
   snap.num_threads = options_.num_threads;
   return snap;
 }

@@ -10,14 +10,14 @@
 //     (mpmc_queue.hpp) and returns a std::future. A full queue blocks the
 //     producer on a futex epoch (backpressure), or try_submit() refuses
 //     without blocking (load shedding, counted as rejected).
-//   * Batched execution — one dispatcher thread drains the queue in batches
-//     of up to max_batch and runs each batch through the work-stealing
-//     Executor, so concurrent queries use the same runtime (and the same
-//     NUMA-aware topology options) as the algorithms themselves.
-//   * Scratch pooling — one GsIndex::QueryScratch per executor worker,
-//     reused across every query that worker executes: steady-state serving
-//     does no full-graph allocations per query (the original motivation for
-//     the QueryScratch refactor in index/gs_index.hpp).
+//   * Run-to-completion execution — num_threads service-owned workers
+//     dequeue from the queue themselves and run each query to completion;
+//     no batch barrier makes a query wait for another's straggler. Under
+//     numa = Auto workers pin to nodes round-robin, the Executor's policy.
+//   * Scratch pooling — one GsIndex::QueryScratch per worker, reused
+//     across every query that worker executes: steady-state serving does
+//     no full-graph allocations per query (the original motivation for the
+//     QueryScratch refactor in index/gs_index.hpp).
 //   * Per-query governance — each request may carry RunLimits; the deadline
 //     is measured from *submission*, so time spent queued counts against
 //     it. A query whose budget is exhausted before it starts is aborted at
@@ -36,10 +36,10 @@
 //   * Fault containment & overload resilience (docs/resilience.md) —
 //     a query whose execution throws becomes a *classified per-query
 //     failure* (AbortReason::Exception, detail = e.what()) delivered to its
-//     own caller; the dispatcher, the workers, and every other in-flight
-//     query are untouched. Under sustained overload the non-blocking
-//     admission path sheds CoDel-style — when the observed queue sojourn
-//     exceeds shed_target_delay, not only when the queue is full — with a
+//     own caller; the workers and every other in-flight query are
+//     untouched. Under sustained overload the non-blocking admission path
+//     sheds CoDel-style — when the observed queue sojourn exceeds
+//     shed_target_delay, not only when the queue is full — with a
 //     retry-after hint; a consecutive-exception circuit breaker
 //     (closed → open → half-open probe → closed) fails fast when execution
 //     itself is broken; and, when enabled, a degradation ladder answers a
@@ -47,8 +47,8 @@
 //     `degraded` before falling back to the classified partial.
 //
 // Threading contract: submit()/try_submit() are safe from any thread.
-// snapshot() is safe from any thread. stop() drains queued requests, joins
-// the dispatcher, and is idempotent; submit()/try_submit() after stop()
+// snapshot() is safe from any thread. stop() joins the workers, drains
+// queued requests, and is idempotent; submit()/try_submit() after stop()
 // throw ServiceStoppedError — including producers that were *parked on
 // backpressure* when stop() landed (they are woken, and any request a
 // racing producer slips past the final drain is executed by that producer
@@ -69,7 +69,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "concurrent/executor.hpp"
 #include "concurrent/run_governor.hpp"
 #include "concurrent/topology.hpp"
 #include "index/gs_index.hpp"
@@ -94,12 +93,10 @@ class ServiceStoppedError : public std::runtime_error {
 };
 
 struct ServiceOptions {
-  /// Executor workers answering queries (the dispatcher is separate).
+  /// Service workers answering queries, each running one query at a time.
   int num_threads = 1;
   /// Bounded admission queue capacity (rounded up to a power of two).
   std::size_t queue_capacity = 1024;
-  /// Max requests drained into one executor batch.
-  std::size_t max_batch = 32;
   /// Memoize completed runs under their exact (ε num/den, µ) key.
   bool cache_results = true;
   /// Distinct parameter combinations kept before the cache is wholesale
@@ -110,13 +107,13 @@ struct ServiceOptions {
   RunLimits default_limits;
   /// Per-query records kept for snapshot() (a ring of the most recent).
   std::size_t max_recorded_queries = 1024;
-  /// Executor topology policy, mirroring core/ppscan.hpp: Auto detects the
-  /// topology (or uses `topology` when non-null) and pins workers;
-  /// Off/Interleave run the uniform executor.
+  /// Worker topology policy, mirroring core/ppscan.hpp: Auto detects the
+  /// topology (or uses `topology` when non-null) and pins worker w to node
+  /// w mod min(nodes, num_threads); Off/Interleave leave workers unpinned.
   NumaMode numa = NumaMode::Off;
   const NumaTopology* topology = nullptr;
-  /// CoDel-style adaptive shedding (0 = off): when the queue sojourn the
-  /// dispatcher last observed (wait of the oldest request it drained)
+  /// CoDel-style adaptive shedding (0 = off): when the queue sojourn a
+  /// worker last observed (the wait of the request it last dequeued)
   /// exceeds this target, try_submit()/try_submit_ex() refuse with
   /// Overloaded + a retry-after hint *before* the queue is full — bounding
   /// the queueing delay of accepted requests instead of letting a standing
@@ -144,7 +141,7 @@ struct ServiceOptions {
   /// worker count fits. The collector must outlive the service. With a
   /// collector installed the service also emits per-query `serve.query`
   /// async spans (SpanBegin at admission, SpanEnd at delivery, arg =
-  /// query id) plus dispatch marks, so the Perfetto export shows one
+  /// query id) plus execution-start marks, so the Perfetto export shows one
   /// swimlane per in-flight query (docs/observability.md).
   obs::TraceCollector* trace = nullptr;
   /// Live-telemetry publisher cadence (docs/observability.md, "Live
@@ -316,7 +313,7 @@ class QueryService {
                                 const RunLimits& limits,
                                 std::future<QueryResponse>* out);
 
-  /// Drains every queued request, joins the dispatcher, idempotent.
+  /// Joins the workers, drains every queued request, idempotent.
   void stop() PPSCAN_EXCLUDES(stop_mutex_);
 
   [[nodiscard]] ServiceSnapshot snapshot() const
@@ -336,11 +333,6 @@ class QueryService {
     std::chrono::steady_clock::time_point submit_time;
     std::uint64_t id = 0;
     std::promise<QueryResponse> promise;
-    /// Set by respond(). Plain bool: a request is touched by one thread at
-    /// a time (executing worker, then — strictly after the run() barrier —
-    /// the dispatcher's firewall sweep, which uses it to find batch
-    /// entries a thrown executor run left unanswered).
-    bool responded = false;
     /// This request is the circuit breaker's half-open probe; its outcome
     /// decides closed vs re-open.
     bool breaker_probe = false;
@@ -383,8 +375,14 @@ class QueryService {
   };
 
   std::future<QueryResponse> enqueue(Request request);
-  void dispatcher_loop();
-  void execute(Request& request);
+  /// Worker w: dequeue, execute to completion, repeat; parks on
+  /// submitted_epoch_ when the queue is empty and returns once it finds the
+  /// queue empty after stop().
+  void worker_loop(int w);
+  /// Dispatch firewall: runs execute() and answers the request with a
+  /// "QDispatch"-classified failure if anything escapes it.
+  void execute_guarded(Request& request, GsIndex::QueryScratch& scratch);
+  void execute(Request& request, GsIndex::QueryScratch& scratch);
   /// Delivers the response: records stats + breaker feedback under the
   /// mutex, then fulfills the promise (after the lock — the waiter may run
   /// immediately).
@@ -441,31 +439,31 @@ class QueryService {
   const ServiceOptions options_;
   const std::chrono::steady_clock::time_point start_time_;
   NumaTopology topo_;
+  /// Nodes the workers are spread over: min(topology nodes, num_threads)
+  /// under numa = Auto, else 1.
+  int numa_nodes_ = 1;
 
   MpmcQueue<Request> queue_;
-  std::unique_ptr<Executor> executor_;
-  /// One scratch per executor worker plus the trailing master slot (the
-  /// dispatcher executes tasks too when the executor runs it inline).
-  std::vector<GsIndex::QueryScratch> scratch_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 
   // protocol: relaxed-counter — dense query ids, order has no consumers.
   std::atomic<std::uint64_t> next_id_{0};
-  // protocol: futex-epoch — bumped per enqueue; the dispatcher's park word.
+  // protocol: futex-epoch — bumped per enqueue; the idle workers' park
+  // word.
   std::atomic<std::uint64_t> submitted_epoch_{0};
-  // protocol: futex-epoch — bumped per drained batch; blocked producers'
-  // park word (backpressure release).
+  // protocol: futex-epoch — bumped per dequeued request; blocked
+  // producers' park word (backpressure release).
   std::atomic<std::uint64_t> drained_epoch_{0};
   // protocol: release-acquire — set once by stop(); consumers are the
-  // dispatcher's drain loop and submit()'s admission check.
+  // workers' empty-queue exit check and submit()'s admission check.
   std::atomic<bool> stop_requested_{false};
-  // Queue sojourn the dispatcher last observed (ns): the wait of the
-  // oldest request in the batch it just drained, 0 whenever it finds the
-  // queue empty. Admission compares it against shed_target_delay — the
-  // CoDel-style congestion signal.
-  // protocol: relaxed-guarded — single writer (dispatcher), advisory
-  // readers (admission); a stale read merely sheds or admits one request
-  // on old congestion data, which the next batch corrects.
+  // Queue sojourn a worker last observed (ns): the wait of the request it
+  // just dequeued, 0 whenever a worker finds the queue empty. Admission
+  // compares it against shed_target_delay — the CoDel-style congestion
+  // signal.
+  // protocol: relaxed-guarded — N writers (the workers, last store wins),
+  // advisory readers (admission); a stale read merely sheds or admits one
+  // request on old congestion data, which the next dequeue corrects.
   std::atomic<std::uint64_t> queue_sojourn_ns_{0};
 
   // guards: cache_ — the memoized-results map.

@@ -19,7 +19,7 @@ namespace ppscan::fault {
 namespace {
 
 // One armed site. `hits`/`fires` are atomic because maybe_fire() runs on
-// worker/dispatcher threads concurrently; the Spec and Rng are protected by
+// worker threads concurrently; the Spec and Rng are protected by
 // the per-site mutex (a fault path is never hot, so a mutex is fine — the
 // cold path only exists in PPSCAN_FAULTS=ON builds to begin with).
 struct Site {

@@ -35,7 +35,8 @@
 // Sites currently compiled in:
 //   executor.task       before each claimed task body runs
 //   serve.admission     submit()/try_submit() admission
-//   serve.dispatcher    dispatcher batch loop (sleep = queue stall)
+//   serve.dispatcher    per dequeued request, inside the QueryService
+//                       dispatch firewall (throw = "QDispatch" failure)
 //   serve.execute       QueryService::execute before the index walk
 //   index.qcoretest / index.qcorecluster / index.qlabelcores /
 //   index.qmembership   top of each GS*-Index query phase body

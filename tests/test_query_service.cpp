@@ -1,19 +1,21 @@
 // Concurrency and correctness tests for serve::QueryService: N client
 // threads hammering one shared immutable index must each get answers
 // bit-identical to a fresh single-threaded GsIndex::query — the serving
-// layer adds batching, pooled scratch and caching but must never change a
-// result. Runs under TSan in CI (the `serve` label), so the submission
+// layer adds worker threads, pooled scratch and caching but must never
+// change a result. Runs under TSan in CI (the `serve` label), so the submission
 // queue, the futex epochs and the stats mutex are exercised adversarially.
 #include "serve/query_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "concurrent/topology.hpp"
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
 
@@ -74,7 +76,7 @@ TEST(QueryService, ConcurrentMixedQueriesMatchSingleThreadedQuery) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int round = 0; round < kRounds; ++round) {
-        // Stagger the sweep so concurrent batches mix parameters.
+        // Stagger the sweep so concurrent workers mix parameters.
         for (std::size_t i = 0; i < grid.size(); ++i) {
           const auto& params = grid[(i + static_cast<std::size_t>(c)) %
                                     grid.size()];
@@ -224,7 +226,6 @@ TEST(QueryService, TrySubmitShedsLoadWhenSaturated) {
   ServiceOptions options;
   options.num_threads = 1;
   options.queue_capacity = 2;
-  options.max_batch = 1;
   options.cache_results = false;
   QueryService service(index, options);
 
@@ -284,6 +285,103 @@ TEST(QueryService, StopDrainsQueuedRequestsAndRefusesNewOnes) {
   const auto snap = service.snapshot();
   EXPECT_EQ(snap.submitted, 16u);
   EXPECT_EQ(snap.completed, 16u);
+}
+
+// The record ring's cluster count skips ScanResult::num_clusters()'s
+// canonicalization on complete runs (it counts cores labelled with their
+// own id); it must agree with the canonical count on every grid point.
+TEST(QueryService, RecordedClusterCountsMatchCanonicalCounts) {
+  const auto g = erdos_renyi(1500, 12000, 31);
+  const GsIndex index(g);
+  ServiceOptions options;
+  options.cache_results = false;
+  QueryService service(index, options);
+
+  const auto grid = mixed_workload();
+  std::map<std::uint64_t, ScanParams> by_id;
+  for (const auto& p : grid) {
+    const QueryResponse r = service.submit(p).get();
+    ASSERT_FALSE(r.run->partial());
+    by_id[r.id] = p;
+  }
+  const auto snap = service.snapshot();
+  ASSERT_EQ(snap.recent.size(), grid.size());
+  std::size_t with_clusters = 0;
+  for (const auto& record : snap.recent) {
+    const ScanResult want = index.query(by_id.at(record.id)).result;
+    EXPECT_EQ(record.num_clusters, want.num_clusters()) << record.eps;
+    EXPECT_EQ(record.num_cores, want.num_cores()) << record.eps;
+    if (record.num_clusters > 0) ++with_clusters;
+  }
+  EXPECT_GT(with_clusters, 0u);  // the grid is not all-noise
+}
+
+// Lossless stop() with several workers and several blocking producers in
+// flight: every admitted future resolves, nothing is counted twice or
+// lost, and nothing hangs (ctest's TIMEOUT turns a hang into a failure).
+TEST(QueryService, StopMidStreamWithFourWorkersIsLossless) {
+  const auto g = erdos_renyi(3000, 30000, 37);
+  const GsIndex index(g);
+  ServiceOptions options;
+  options.num_threads = 4;
+  options.queue_capacity = 8;  // small: producers also park on backpressure
+  options.cache_results = false;
+  QueryService service(index, options);
+
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 200;
+  std::atomic<int> delivered{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> submitters;
+  for (int c = 0; c < kSubmitters; ++c) {
+    submitters.emplace_back([&, c] {
+      std::vector<std::future<QueryResponse>> futures;
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        ScanParams p;
+        p.eps = EpsRational{static_cast<std::uint64_t>((c + i) % 9) + 1, 10};
+        p.mu = 2 + static_cast<std::uint32_t>(i % 3);
+        try {
+          futures.push_back(service.submit(p));
+          admitted.fetch_add(1);
+        } catch (const serve::ServiceStoppedError&) {
+          refused.fetch_add(1);
+        }
+      }
+      for (auto& f : futures) {
+        if (f.get().run != nullptr) delivered.fetch_add(1);
+      }
+    });
+  }
+  // Land stop() once the stream is flowing but long before it is done.
+  while (admitted.load() < 16) std::this_thread::yield();
+  service.stop();
+  for (auto& t : submitters) t.join();
+
+  EXPECT_EQ(delivered.load(), admitted.load());
+  EXPECT_EQ(delivered.load() + refused.load(), kSubmitters * kPerSubmitter);
+  EXPECT_GT(refused.load(), 0);  // stop() really landed mid-stream
+  const auto snap = service.snapshot();
+  EXPECT_EQ(snap.completed, static_cast<std::uint64_t>(delivered.load()));
+  EXPECT_EQ(snap.submitted, static_cast<std::uint64_t>(delivered.load()));
+}
+
+TEST(QueryService, NumaAutoSpreadsWorkersOverEmulatedNodes) {
+  const auto g = erdos_renyi(1000, 8000, 41);
+  const GsIndex index(g);
+  const NumaTopology topo = emulated_topology(2, affinity_cpus());
+  ServiceOptions options;
+  options.num_threads = 4;
+  options.numa = NumaMode::Auto;
+  options.topology = &topo;
+  QueryService service(index, options);
+
+  const auto p = ScanParams::make("0.5", 3);
+  const QueryResponse r = service.submit(p).get();
+  expect_identical(r.run->result, index.query(p).result, p);
+  const auto snap = service.snapshot();
+  EXPECT_EQ(snap.numa_mode, "auto");
+  EXPECT_EQ(snap.numa_nodes, 2u);
 }
 
 TEST(QueryService, RefusesAnAbortedIndexConstruction) {

@@ -186,7 +186,6 @@ TEST(QueryServiceResilience, ParkedProducerIsWokenByStop) {
   ServiceOptions options;
   options.num_threads = 1;
   options.queue_capacity = 2;
-  options.max_batch = 1;
   options.cache_results = false;
   QueryService service(index, options);
 
@@ -225,7 +224,6 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   const GsIndex index(g);
   ServiceOptions options;
   options.num_threads = 1;
-  options.max_batch = 1;
   options.cache_results = false;
   options.shed_target_delay = std::chrono::milliseconds(1);
   obs::TraceCollector trace(options.num_threads);
@@ -233,7 +231,7 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   QueryService service(index, options);
 
   // Feed faster than one worker can drain, pausing briefly every few
-  // submissions so the dispatcher gets to drain *something* and publish
+  // submissions so the worker gets to dequeue *something* and publish
   // the observed sojourn — the signal the CoDel gate sheds on. (A pure
   // burst would hit queue-full before the first sojourn update.)
   std::vector<std::future<QueryResponse>> admitted;
@@ -329,7 +327,7 @@ TEST(QueryServiceResilience, DegradationLadderServesNearestCachedRun) {
                    ScanParams::make("0.45", 3));
 
   // The substitution also left a trace event (read after stop() joins the
-  // dispatcher — the snapshot's required happens-before edge).
+  // workers — the snapshot's required happens-before edge).
   service.stop();
   bool degraded_mark = false;
   for (const auto& e : trace.buffer(trace.master_slot()).snapshot()) {
@@ -442,7 +440,7 @@ TEST_F(FaultArmed, OnePoisonedQueryFailsAloneInEachPhase) {
     expected[{num, 2}] = index.query(p).result;
   }
 
-  const char* kSites[] = {"executor.task",      "serve.execute",
+  const char* kSites[] = {"serve.dispatcher",   "serve.execute",
                           "index.qcoretest",    "index.qcorecluster",
                           "index.qlabelcores",  "index.qmembership"};
   for (const char* site : kSites) {
@@ -563,8 +561,7 @@ TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
   const auto g = erdos_renyi(400, 3200, 67);
   const GsIndex index(g);
   ServiceOptions options;
-  options.num_threads = 1;
-  options.max_batch = 1;  // the dispatcher serializes: warm, then probe
+  options.num_threads = 1;  // the one worker serializes: warm, then probe
   options.cache_results = true;
   options.breaker_failure_threshold = 1;
   options.breaker_cooldown = std::chrono::milliseconds(25);
@@ -585,7 +582,7 @@ TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
   fault::reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // Occupy the dispatcher with a slow *blocking* query (submit() bypasses
+  // Occupy the worker with a slow *blocking* query (submit() bypasses
   // the breaker by contract) for a fresh (ε, µ)...
   {
     fault::Spec slow;
@@ -598,7 +595,7 @@ TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
   // ...and admit the same parameters non-blocking while it runs. This
   // admission misses the cache (the warm run has not finished yet), so it
   // passes the gate and becomes the half-open probe — but by the time the
-  // dispatcher executes it the warm run has been cached, so the probe
+  // worker executes it the warm run has been cached, so the probe
   // resolves as a cache hit.
   std::future<QueryResponse> probe;
   ASSERT_TRUE(
@@ -618,6 +615,42 @@ TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
   EXPECT_TRUE(result.admitted()) << to_string(result.outcome);
   EXPECT_EQ(next.get().classified_reason, AbortReason::None);
   EXPECT_EQ(service.snapshot().breaker_state, "closed");
+}
+
+// Head-of-line regression: one slow query must not hold up the queries
+// admitted behind it while another worker is free. With a batch barrier B
+// and C would each wait in the queue until A's 300 ms sleep ends.
+TEST_F(FaultArmed, SlowQueryDoesNotBlockTheQueueBehindIt) {
+  const auto g = erdos_renyi(800, 6400, 71);
+  const GsIndex index(g);
+  ServiceOptions options;
+  options.num_threads = 2;
+  options.cache_results = false;
+  QueryService service(index, options);
+
+  fault::Spec slow;
+  slow.action = fault::Action::Sleep;
+  slow.sleep_ms = 300;
+  slow.max_fires = 1;
+  fault::arm("serve.execute", slow);
+  auto a = service.submit(ScanParams::make("0.5", 2));
+  // A is asleep inside execute() once its fault has fired.
+  while (fault::fire_count("serve.execute") == 0) std::this_thread::yield();
+
+  std::vector<QueryResponse> behind;
+  std::thread client([&] {
+    behind.push_back(service.submit(ScanParams::make("0.4", 3)).get());
+    behind.push_back(service.submit(ScanParams::make("0.6", 2)).get());
+  });
+  client.join();
+  // B and C really overlapped A's sleep.
+  EXPECT_EQ(a.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  for (const QueryResponse& r : behind) {
+    EXPECT_EQ(r.classified_reason, AbortReason::None);
+    EXPECT_LT(r.queue_seconds, 0.050);
+    EXPECT_LT(r.latency_seconds, 0.150);
+  }
+  EXPECT_EQ(a.get().classified_reason, AbortReason::None);
 }
 
 // Probabilistic soak: several sites armed at low probability (from

@@ -526,7 +526,6 @@ int cmd_serve(const Flags& flags) {
   options.num_threads = threads;
   options.queue_capacity =
       static_cast<std::size_t>(flags.get_int("queue", 1024));
-  options.max_batch = static_cast<std::size_t>(flags.get_int("batch", 32));
   options.cache_results = !flags.get_bool("no-cache", false);
   options.default_limits = parse_limits(flags);
   options.shed_target_delay =
@@ -727,7 +726,7 @@ void usage() {
          "  validate <graph>                 (check CSR invariants)\n"
          "  validate <graph> <result> [--eps E] [--mu M] [--partial]\n"
          "  query <graph> [--eps list] [--mu list] [--timeout-ms T]\n"
-         "  serve <graph> [--threads N] [--queue C] [--batch B] [--no-cache]\n"
+         "  serve <graph> [--threads N] [--queue C] [--no-cache]\n"
          "        [--timeout-ms T] [--numa auto|off|interleave]\n"
          "        [--metrics-json file]   (reads \"<eps> <mu>\" per stdin\n"
          "        line; concurrent QueryService over one GS*-Index)\n"
