@@ -17,29 +17,13 @@ namespace {
 
 using U128 = unsigned __int128;
 
-/// Exact comparison σ(a) > σ(b) for two arcs of the same source vertex:
-/// cn_a²·P_b > cn_b²·P_a where P = (d_u+1)(d_v+1). Ties break by neighbor
-/// id so the order (and thus every query) is deterministic.
-struct SigmaGreater {
-  const CsrGraph& graph;
-  const std::vector<std::uint32_t>& overlap;
-  VertexId u;
+inline std::uint64_t degree_plus_one(const CsrGraph& graph, VertexId v) {
+  return std::uint64_t{graph.degree(v)} + 1;
+}
 
-  bool operator()(EdgeId a, EdgeId b) const {
-    const VertexId va = graph.dst()[a];
-    const VertexId vb = graph.dst()[b];
-    const U128 pa = U128(graph.degree(u) + 1) * (graph.degree(va) + 1);
-    const U128 pb = U128(graph.degree(u) + 1) * (graph.degree(vb) + 1);
-    const U128 lhs = U128(overlap[a]) * overlap[a] * pb;
-    const U128 rhs = U128(overlap[b]) * overlap[b] * pa;
-    if (lhs != rhs) return lhs > rhs;
-    return va < vb;
-  }
-};
-
-/// cn²·b² ≥ a²·P with the precomputed degree product — the same decision as
-/// similarity_holds() (setops/similarity.cpp), byte for byte: P fits u64
-/// because degrees are 32-bit, and the comparison is 128-bit either way.
+/// cn²·b² ≥ a²·P — the same decision as similarity_holds()
+/// (setops/similarity.cpp), byte for byte: P fits u64 because degrees are
+/// 32-bit, and the comparison is 128-bit either way.
 inline bool sim_from_key(const EpsRational& eps, std::uint32_t cn,
                          std::uint64_t pk) {
   const U128 lhs = U128(cn) * cn * eps.den * eps.den;
@@ -47,10 +31,9 @@ inline bool sim_from_key(const EpsRational& eps, std::uint32_t cn,
   return lhs >= rhs;
 }
 
-/// How often the sequential query loops read the governor's clock: every
-/// vertex polls the token implicitly via the stride check, every 256th pays
-/// the deadline's clock read.
-constexpr VertexId kGovernPollStride = 256;
+/// How often the query reads the governor's clock: once every this many
+/// pops of the clustering walk, so even one giant component is polled.
+constexpr std::uint64_t kGovernPollStride = 256;
 
 }  // namespace
 
@@ -58,25 +41,35 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
     : graph_(graph) {
   WallTimer timer;
   RunGovernor governor(options.limits, options.cancel);
+  const VertexId n = graph.num_vertices();
+  VertexId max_degree = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    max_degree = std::max(max_degree, graph.degree(u));
+  }
   // Charge the index arrays against the memory budget before allocating —
   // the construction footprint is the cost the paper argues makes indexing
-  // prohibitive, so it is the natural thing to bound. The slot permutation
-  // is transient (only the sort needs arc ids) and is uncharged again below.
+  // prohibitive, so it is the natural thing to bound. The core-order sort
+  // buffers (vertices by degree, plus per worker a cn and P per vertex and
+  // the bucket counts) are transient and uncharged again below.
   const auto arcs = static_cast<std::uint64_t>(graph.num_arcs());
   const std::uint64_t index_bytes =
-      arcs * (sizeof(std::uint32_t) + sizeof(VertexId) +
-              sizeof(std::uint32_t) + sizeof(std::uint64_t));
-  const std::uint64_t sort_bytes = arcs * sizeof(EdgeId);
-  std::vector<EdgeId> sort_slots;
+      arcs * (sizeof(Entry) + sizeof(VertexId)) +
+      (std::uint64_t{max_degree} + 1) * sizeof(EdgeId);
+  const auto workers = static_cast<std::size_t>(options.num_threads) + 1;
+  const std::uint64_t sort_bytes =
+      std::uint64_t{n} * sizeof(VertexId) +
+      workers * (std::uint64_t{n} *
+                     (sizeof(std::uint32_t) + sizeof(std::uint64_t)) +
+                 (std::uint64_t{n} + 1) * sizeof(std::uint32_t));
+  std::vector<VertexId> by_degree;
   bool alloc_ok = governor.try_charge(index_bytes + sort_bytes,
                                       "gs-index arrays");
   if (alloc_ok) {
     try {
-      overlap_.assign(graph.num_arcs(), 0);
-      ordered_dst_.assign(graph.num_arcs(), 0);
-      ordered_cn_.assign(graph.num_arcs(), 0);
-      ordered_pk_.assign(graph.num_arcs(), 0);
-      sort_slots.assign(graph.num_arcs(), 0);
+      order_.assign(graph.num_arcs(), Entry{0, 0});
+      core_order_.assign(graph.num_arcs(), 0);
+      core_offset_.assign(std::size_t{max_degree} + 1, 0);
+      by_degree.assign(n, 0);
     } catch (const std::bad_alloc&) {
       governor.record_alloc_failure(index_bytes + sort_bytes,
                                     "gs-index arrays");
@@ -87,10 +80,14 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
   Executor pool(options.num_threads);
   pool.install_governor(&governor);
   if (options.trace != nullptr) pool.install_trace(options.trace);
-  // Per-worker counter slots (workers 0..N-1, last = master fallback);
-  // merged serially after the final phase barrier.
-  obs::CounterSlots counters(static_cast<std::size_t>(options.num_threads) +
-                             1);
+  // Per-worker slots (workers 0..N-1, last = master fallback): counters
+  // merged serially after the final phase barrier, and core-order buffers.
+  obs::CounterSlots counters(workers);
+  std::vector<CoreOrderBuffers> core_buffers(workers);
+  const auto worker_slot = [&] {
+    const int w = pool.current_worker();
+    return w >= 0 ? static_cast<std::size_t>(w) : workers - 1;
+  };
   SchedulerOptions sched;
   sched.governor = &governor;
   const CountFn count = count_fn(options.count_kernel);
@@ -116,15 +113,14 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
 
   if (alloc_ok) {
     // Exhaustive similarity: the u < v owner computes each edge once and
-    // mirrors the overlap to the reverse arc (no readers until the barrier).
+    // writes the overlap into both arcs' slots, still in CSR order (no
+    // readers until the barrier).
     phase("Overlap", [&] {
       schedule_vertex_tasks(
-          pool, graph_.num_vertices(), degree_of, all,
+          pool, n, degree_of, all,
           [&](VertexId u) {
             std::uint64_t local = 0;
-            const int w = pool.current_worker();
-            obs::AlgoCounters& c = counters.slot(
-                w >= 0 ? static_cast<std::size_t>(w) : counters.size() - 1);
+            obs::AlgoCounters& c = counters.slot(worker_slot());
             for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
                  ++e) {
               const VertexId v = graph_.dst()[e];
@@ -132,8 +128,8 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
               const auto cn = static_cast<std::uint32_t>(
                   count(graph_.neighbors(u), graph_.neighbors(v)) + 2);
               ++local;
-              overlap_[e] = cn;
-              overlap_[graph_.reverse_arc(u, e)] = cn;
+              order_[e].cn = cn;
+              order_[graph_.reverse_arc(u, e)].cn = cn;
               // Exhaustive build: one intersection per u < v edge decides
               // both directions (computed arc + mirrored reused arc).
               c.arcs_touched += 2;
@@ -145,35 +141,70 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
           sched);
     });
 
-    // Neighbor order: per-vertex arc slots sorted by σ descending, then
-    // flattened into the (dst, cn, P) query arrays so prefix walks never
-    // chase arc ids again. Each vertex owns its window — no races.
+    // Neighbor order: each vertex sorts its own window in place by σ
+    // descending — cn_a²·P_b > cn_b²·P_a, where the common factor d_u+1
+    // cancels — with ties broken by neighbor id so the order (and thus
+    // every query) is deterministic.
     phase("NeighborOrder", [&] {
       schedule_vertex_tasks(
-          pool, graph_.num_vertices(), degree_of, all,
+          pool, n, degree_of, all,
           [&](VertexId u) {
             const EdgeId begin = graph_.offset_begin(u);
             const EdgeId end = graph_.offset_end(u);
-            for (EdgeId e = begin; e < end; ++e) sort_slots[e] = e;
-            std::sort(
-                sort_slots.begin() + static_cast<std::ptrdiff_t>(begin),
-                sort_slots.begin() + static_cast<std::ptrdiff_t>(end),
-                SigmaGreater{graph_, overlap_, u});
-            const std::uint64_t du1 = std::uint64_t{graph_.degree(u)} + 1;
             for (EdgeId e = begin; e < end; ++e) {
-              const EdgeId arc = sort_slots[e];
-              const VertexId v = graph_.dst()[arc];
-              ordered_dst_[e] = v;
-              ordered_cn_[e] = overlap_[arc];
-              ordered_pk_[e] = du1 * (std::uint64_t{graph_.degree(v)} + 1);
+              order_[e].dst = graph_.dst()[e];
             }
+            std::sort(order_.begin() + static_cast<std::ptrdiff_t>(begin),
+                      order_.begin() + static_cast<std::ptrdiff_t>(end),
+                      [&](const Entry& a, const Entry& b) {
+                        const U128 lhs = U128(a.cn) * a.cn *
+                                         degree_plus_one(graph_, b.dst);
+                        const U128 rhs = U128(b.cn) * b.cn *
+                                         degree_plus_one(graph_, a.dst);
+                        if (lhs != rhs) return lhs > rhs;
+                        return a.dst < b.dst;
+                      });
           },
           sched);
     });
+
+    // Core orders: the vertices of degree ≥ µ are a prefix of the vertices
+    // by degree descending, so one counting sort lays out every µ's member
+    // list; then one executor task per µ sorts its list (µ = 1 has the
+    // longest list and goes first).
+    phase("CoreOrder", [&] {
+      // at_least[d]: the number of vertices of degree ≥ d.
+      std::vector<EdgeId> at_least(std::size_t{max_degree} + 2, 0);
+      for (VertexId u = 0; u < n; ++u) ++at_least[graph_.degree(u)];
+      for (VertexId d = max_degree; d-- > 0;) at_least[d] += at_least[d + 1];
+      for (VertexId mu = 1; mu <= max_degree; ++mu) {
+        core_offset_[mu] = core_offset_[mu - 1] + at_least[mu];
+      }
+      // Degree d's vertices start after the at_least[d + 1] of higher degree.
+      std::vector<EdgeId> next(at_least.begin() + 1, at_least.end());
+      for (VertexId u = 0; u < n; ++u) by_degree[next[graph_.degree(u)]++] = u;
+
+      std::vector<TaskRange> tasks;
+      tasks.reserve(max_degree);
+      for (VertexId mu = 1; mu <= max_degree; ++mu) {
+        tasks.push_back({mu, mu + 1});
+      }
+      pool.run(tasks.data(), tasks.size(), [&](VertexId beg, VertexId end) {
+        CoreOrderBuffers& buf = core_buffers[worker_slot()];
+        if (buf.cn.empty()) {
+          buf.cn.resize(n);
+          buf.p.resize(n);
+        }
+        for (VertexId mu = beg; mu < end; ++mu) {
+          sort_core_order(mu, by_degree.data(), at_least[mu], buf);
+        }
+      });
+    });
   }
 
-  if (!sort_slots.empty()) {
-    sort_slots = std::vector<EdgeId>();
+  if (alloc_ok) {
+    by_degree = std::vector<VertexId>();
+    core_buffers.clear();
     governor.uncharge(sort_bytes);
   }
 
@@ -185,8 +216,76 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
   build_stats_.abort = governor.abort_info();
 }
 
-bool GsIndex::entry_similar(const EpsRational& eps, EdgeId slot) const {
-  return sim_from_key(eps, ordered_cn_[slot], ordered_pk_[slot]);
+void GsIndex::sort_core_order(std::uint32_t mu, const VertexId* members,
+                              std::size_t count, CoreOrderBuffers& buf) {
+  VertexId* out = core_order_.data() + core_offset_[mu - 1];
+  // σ² = cn²/P of each member's µ-th entry, gathered per vertex so the
+  // sort compares without reaching back into the neighbor order.
+  for (std::size_t i = 0; i < count; ++i) {
+    const VertexId u = members[i];
+    const Entry e = order_[graph_.offset_begin(u) + mu - 1];
+    buf.cn[u] = e.cn;
+    buf.p[u] = degree_plus_one(graph_, u) * degree_plus_one(graph_, e.dst);
+  }
+  const auto greater = [&](VertexId a, VertexId b) {
+    const U128 lhs = U128(std::uint64_t{buf.cn[a]} * buf.cn[a]) * buf.p[b];
+    const U128 rhs = U128(std::uint64_t{buf.cn[b]} * buf.cn[b]) * buf.p[a];
+    if (lhs != rhs) return lhs > rhs;
+    return a < b;
+  };
+  // One counting pass on a bucket key monotone in σ², so buckets in
+  // descending key order are already in σ order and only members sharing
+  // a bucket need the exact comparison sort. The key is σ² rounded to
+  // double, mapped from the list's [lo, hi] onto about one bucket per
+  // member: below degree 2^26, cn² ≤ P and P are exact doubles, so the
+  // correctly rounded quotient is monotone in σ. Above it every member
+  // shares bucket 0.
+  const auto sigma2 = [&](VertexId u) {
+    return static_cast<double>(std::uint64_t{buf.cn[u]} * buf.cn[u]) /
+           static_cast<double>(buf.p[u]);
+  };
+  double lo = 1;
+  double hi = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    lo = std::min(lo, sigma2(members[i]));
+    hi = std::max(hi, sigma2(members[i]));
+  }
+  const bool rounded_is_monotone =
+      core_offset_.size() <= (std::size_t{1} << 26);
+  const std::size_t top = rounded_is_monotone && hi > lo ? count : 0;
+  const double scale = top == 0 ? 0.0 : static_cast<double>(top) / (hi - lo);
+  const auto key_of = [&](VertexId u) {
+    return top == 0 ? 0
+                    : std::min(top, static_cast<std::size_t>(
+                                        (sigma2(u) - lo) * scale));
+  };
+  buf.buckets.assign(top + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) ++buf.buckets[key_of(members[i])];
+  // Bucket starts, highest key first.
+  std::uint32_t start = 0;
+  for (std::size_t key = top + 1; key-- > 0;) {
+    const std::uint32_t size = buf.buckets[key];
+    buf.buckets[key] = start;
+    start += size;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    out[buf.buckets[key_of(members[i])]++] = members[i];
+  }
+  // buckets[key] is now each bucket's end; the highest key's starts at 0.
+  std::uint32_t begin = 0;
+  for (std::size_t key = top + 1; key-- > 0;) {
+    const std::uint32_t end = buf.buckets[key];
+    if (end - begin > 1) std::sort(out + begin, out + end, greater);
+    begin = end;
+  }
+}
+
+bool GsIndex::entry_similar(const EpsRational& eps, VertexId u,
+                            EdgeId slot) const {
+  const Entry entry = order_[slot];
+  return sim_from_key(eps, entry.cn,
+                      degree_plus_one(graph_, u) *
+                          degree_plus_one(graph_, entry.dst));
 }
 
 EdgeId GsIndex::prefix_boundary(const EpsRational& eps, VertexId u,
@@ -198,7 +297,7 @@ EdgeId GsIndex::prefix_boundary(const EpsRational& eps, VertexId u,
     const EdgeId mid = lo + (hi - lo) / 2;
     qc.arcs_touched += 1;
     qc.sims_reused += 1;
-    if (entry_similar(eps, mid)) {
+    if (entry_similar(eps, u, mid)) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -218,17 +317,27 @@ ScanRun GsIndex::query(const ScanParams& params, QueryScratch& scratch,
     throw std::logic_error("GsIndex::query on aborted construction (" +
                            build_stats_.abort.describe() + ")");
   }
+  if (params.mu == 0) {
+    throw std::invalid_argument("GsIndex::query: mu must be at least 1");
+  }
   WallTimer timer;
   const VertexId n = graph_.num_vertices();
   ScanRun run;
   obs::AlgoCounters& qc = run.stats.counters;
+  std::vector<Role>& roles = run.result.roles;
+  std::vector<VertexId>& cluster = run.result.core_cluster_id;
   // Partial-result semantics (scan_common.hpp): roles start Unknown and the
-  // core-test phase finalizes each vertex, so a governed trip leaves the
-  // undecided suffix classified as Unknown rather than silently NonCore.
-  run.result.roles.assign(n, Role::Unknown);
-  run.result.core_cluster_id.assign(n, kInvalidVertex);
-  scratch.uf.reset(n);
-  scratch.prefix_end.assign(n, 0);
+  // core-test phase finalizes them, so a governed trip before it leaves
+  // every vertex classified as Unknown rather than silently NonCore.
+  roles.assign(n, Role::Unknown);
+  cluster.assign(n, kInvalidVertex);
+  const std::uint64_t result_bytes =
+      std::uint64_t{n} * (sizeof(Role) + sizeof(VertexId));
+  if (governor != nullptr &&
+      !governor->try_charge(result_bytes, "gs-index query arrays")) {
+    record_governance(*governor, run.stats);
+    return run;
+  }
 
   // Sequential-phase plumbing mirroring the governed algorithms: enter,
   // re-check (cancel_at_phase trips on entry), run, count the barrier only
@@ -244,87 +353,70 @@ ScanRun GsIndex::query(const ScanParams& params, QueryScratch& scratch,
     body();
     if (!governor->should_stop()) governor->finish_phase();
   };
-  const auto tripped = [&](VertexId u) {
-    return governor != nullptr && (u % kGovernPollStride) == 0 &&
-           governor->poll_deadline();
-  };
 
-  // Core test: the µ-th most similar neighbor decides (O(1) per vertex).
-  // The consulted entry is one stored-similarity decision: touched+reused.
+  // Core test: the µ-th core order lists the vertices of degree ≥ µ by the
+  // σ of their µ-th most similar neighbor, descending, so the cores are its
+  // prefix with σ ≥ ε. Each binary-search probe is one stored-similarity
+  // decision: touched+reused.
   phase("QCoreTest", [&] {
     PPSCAN_FAULT_POINT("index.qcoretest");
-    for (VertexId u = 0; u < n; ++u) {
-      if (tripped(u)) return;
-      if (graph_.degree(u) < params.mu) {
-        run.result.roles[u] = Role::NonCore;
-        continue;
-      }
-      const EdgeId slot = graph_.offset_begin(u) + params.mu - 1;
+    std::fill(roles.begin(), roles.end(), Role::NonCore);
+    if (params.mu >= core_offset_.size()) return;  // µ > max degree
+    const VertexId* first = core_order_.data() + core_offset_[params.mu - 1];
+    const VertexId* last = core_order_.data() + core_offset_[params.mu];
+    while (first < last) {
+      const VertexId* mid = first + (last - first) / 2;
       qc.arcs_touched += 1;
       qc.sims_reused += 1;
-      run.result.roles[u] =
-          entry_similar(params.eps, slot) ? Role::Core : Role::NonCore;
-    }
-  });
-
-  // Core clustering: binary-search each core's ε-prefix boundary (the order
-  // is σ-descending, so the boundary is the partition point), then union
-  // along core–core prefix entries. Each consumed prefix entry is a stored
-  // similarity the query relies on — counted as touched+reused, which is
-  // what makes the funnel invariant meaningful for index queries.
-  phase("QCoreCluster", [&] {
-    PPSCAN_FAULT_POINT("index.qcorecluster");
-    for (VertexId u = 0; u < n; ++u) {
-      if (tripped(u)) return;
-      if (run.result.roles[u] != Role::Core) continue;
-      const EdgeId begin = graph_.offset_begin(u);
-      const EdgeId pe = prefix_boundary(params.eps, u, params.mu, qc);
-      scratch.prefix_end[u] = pe;
-      qc.arcs_touched += pe - begin;
-      qc.sims_reused += pe - begin;
-      for (EdgeId slot = begin; slot < pe; ++slot) {
-        const VertexId v = ordered_dst_[slot];
-        if (u < v && run.result.roles[v] == Role::Core) {
-          qc.uf_unions += scratch.uf.unite(u, v) ? 1 : 0;
-        }
+      if (entry_similar(params.eps, *mid,
+                        graph_.offset_begin(*mid) + params.mu - 1)) {
+        first = mid + 1;
+      } else {
+        last = mid;
       }
     }
-  });
-
-  // Cluster ids: the smallest core id in each set, the convention every
-  // algorithm in the library shares.
-  phase("QLabelCores", [&] {
-    PPSCAN_FAULT_POINT("index.qlabelcores");
-    scratch.cluster_label.assign(n, kInvalidVertex);
-    for (VertexId u = 0; u < n; ++u) {
-      if (tripped(u)) return;
-      if (run.result.roles[u] != Role::Core) continue;
-      qc.uf_finds += 1;
-      const VertexId root = scratch.uf.find_counted(u, &qc.uf_find_steps);
-      scratch.cluster_label[root] =
-          std::min(scratch.cluster_label[root], u);
+    for (const VertexId* p = core_order_.data() + core_offset_[params.mu - 1];
+         p < first; ++p) {
+      roles[*p] = Role::Core;
     }
   });
 
-  // Membership: label each core and attach its ε-similar non-core prefix
-  // neighbors. The cluster id is resolved once per core — the per-neighbor
-  // uf.find() this loop used to make was both redundant (same root as two
-  // lines above) and invisible to the uf_finds/uf_find_steps funnel.
-  phase("QMembership", [&] {
-    PPSCAN_FAULT_POINT("index.qmembership");
-    for (VertexId u = 0; u < n; ++u) {
-      if (tripped(u)) return;
-      if (run.result.roles[u] != Role::Core) continue;
-      qc.uf_finds += 1;
-      const VertexId cid =
-          scratch
-              .cluster_label[scratch.uf.find_counted(u, &qc.uf_find_steps)];
-      run.result.core_cluster_id[u] = cid;
-      for (EdgeId slot = graph_.offset_begin(u);
-           slot < scratch.prefix_end[u]; ++slot) {
-        const VertexId v = ordered_dst_[slot];
-        if (run.result.roles[v] != Role::Core) {
-          run.result.noncore_memberships.emplace_back(v, cid);
+  // Core clustering in one walk: from each unlabelled core r, in id order,
+  // a stack walk over ε-similar prefixes (the order is σ-descending, so the
+  // boundary is the partition point) labels every reachable core with r —
+  // the smallest core id of its cluster, the convention every algorithm in
+  // the library shares — and records every non-core it passes as a member
+  // of r. A label is final once assigned, so a trip mid-walk leaves a
+  // valid partial run. Each consumed prefix entry is a stored similarity
+  // the query relies on — counted as touched+reused, which is what makes
+  // the funnel invariant meaningful for index queries.
+  phase("QCoreCluster", [&] {
+    PPSCAN_FAULT_POINT("index.qcorecluster");
+    std::vector<VertexId>& stack = scratch.stack;
+    std::uint64_t pops = 0;
+    for (VertexId r = 0; r < n; ++r) {
+      if (roles[r] != Role::Core || cluster[r] != kInvalidVertex) continue;
+      cluster[r] = r;
+      stack.assign(1, r);
+      while (!stack.empty()) {
+        if (governor != nullptr && ++pops % kGovernPollStride == 0 &&
+            governor->poll_deadline()) {
+          return;
+        }
+        const VertexId u = stack.back();
+        stack.pop_back();
+        const EdgeId begin = graph_.offset_begin(u);
+        const EdgeId end = prefix_boundary(params.eps, u, params.mu, qc);
+        qc.arcs_touched += end - begin;
+        qc.sims_reused += end - begin;
+        for (EdgeId slot = begin; slot < end; ++slot) {
+          const VertexId v = order_[slot].dst;
+          if (roles[v] != Role::Core) {
+            run.result.noncore_memberships.emplace_back(v, r);
+          } else if (cluster[v] == kInvalidVertex) {
+            cluster[v] = r;
+            stack.push_back(v);
+          }
         }
       }
     }
@@ -336,11 +428,18 @@ ScanRun GsIndex::query(const ScanParams& params, QueryScratch& scratch,
   return run;
 }
 
+std::uint32_t GsIndex::overlap(VertexId u, VertexId v) const {
+  for (EdgeId slot = graph_.offset_begin(u); slot < graph_.offset_end(u);
+       ++slot) {
+    if (order_[slot].dst == v) return order_[slot].cn;
+  }
+  return 0;
+}
+
 std::uint64_t GsIndex::memory_bytes() const {
-  return overlap_.size() * sizeof(std::uint32_t) +
-         ordered_dst_.size() * sizeof(VertexId) +
-         ordered_cn_.size() * sizeof(std::uint32_t) +
-         ordered_pk_.size() * sizeof(std::uint64_t);
+  return order_.size() * sizeof(Entry) +
+         core_order_.size() * sizeof(VertexId) +
+         core_offset_.size() * sizeof(EdgeId);
 }
 
 }  // namespace ppscan

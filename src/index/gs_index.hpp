@@ -8,28 +8,31 @@
 // graphs. This module implements the index so that trade-off can be
 // measured rather than asserted (bench_index_vs_online, serve/):
 //
-//   * Construction intersects every edge once (parallel, SIMD exact count)
-//     and sorts each vertex's neighbors by similarity descending
-//     ("neighbor order").
-//   * A query decides coreness in O(1) per vertex — the µ-th most similar
-//     neighbor's σ against ε — and walks only ε-similar prefixes of the
-//     neighbor orders for the clustering, so query time scales with the
-//     result size rather than with |E|. Because the neighbor order is
-//     sorted by σ descending, the ε-prefix boundary of each core is found
-//     by binary search (O(log d) exact tests) instead of testing every
-//     prefix entry.
+//   * Construction intersects every edge once (parallel, SIMD exact count),
+//     sorts each vertex's neighbors by similarity descending ("neighbor
+//     order"), and for every µ sorts the vertices of degree ≥ µ by the σ of
+//     their µ-th neighbor-order entry, descending ("core order").
+//   * A query finds the cores of (ε, µ) as a prefix of the µ-th core order
+//     by one binary search, then clusters them in one walk over the cores'
+//     ε-similar neighbor-order prefixes, each prefix boundary found by
+//     binary search (O(log d) exact tests). The walk starts from each
+//     unlabelled core in id order, so the root is the smallest core id of
+//     its cluster; non-cores met on the way become memberships. Query work
+//     scales with the cores and their prefixes, not with |E|.
 //
-// Similarities are kept exact: per neighbor-order slot we store the
-// closed-neighborhood overlap cn = |Γ(u)∩Γ(v)| and the product
-// P = (d_u+1)(d_v+1), and σ(u,v) ≥ a/b is evaluated as cn²b² ≥ a²P in
+// Storage is 12 B per arc plus one offset per µ: the neighbor order keeps
+// {neighbor, cn} per arc, where cn = |Γ(u)∩Γ(v)| is the closed-neighborhood
+// overlap, and the core orders hold one vertex id per arc (Σ_µ |{u : d(u) ≥
+// µ}| = Σ_u d(u)). Similarities are kept exact: σ(u,v) ≥ a/b is evaluated
+// as cn²b² ≥ a²P with P = (d_u+1)(d_v+1) recomputed from the degrees, in
 // 128-bit arithmetic — identical decisions to every other algorithm in the
 // library.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "concurrent/union_find.hpp"
 #include "graph/csr_graph.hpp"
 #include "scan/scan_common.hpp"
 #include "setops/intersect.hpp"
@@ -63,40 +66,34 @@ class GsIndex {
     RunAborted abort;
   };
 
-  /// Reusable per-caller query state. A fresh query() call used to allocate
-  /// a full-graph union-find plus label/boundary arrays every time; a
-  /// long-lived caller (serve::QueryService keeps one per executor worker)
-  /// passes the same scratch to every query so the buffers are reset, not
-  /// reallocated. A default-constructed scratch is valid for any graph —
-  /// query() sizes it on entry.
+  /// Reusable per-caller query state: the clustering walk's stack. A
+  /// long-lived caller (serve::QueryService keeps one per worker) passes
+  /// the same scratch to every query so the stack is reused, not
+  /// reallocated. A default-constructed scratch is valid for any graph.
   struct QueryScratch {
-    UnionFind uf;
-    /// Per-vertex one-past-the-end neighbor-order slot of the ε-similar
-    /// prefix; written for cores during the clustering phase and reused by
-    /// the membership phase. Meaningless for non-cores.
-    std::vector<EdgeId> prefix_end;
-    /// Per-root minimum core id, the cluster-id convention shared with the
-    /// other algorithms.
-    std::vector<VertexId> cluster_label;
+    std::vector<VertexId> stack;
   };
 
-  /// Builds the index: one exact intersection per edge plus the per-vertex
-  /// similarity sort. The referenced graph must outlive the index.
+  /// Builds the index: one exact intersection per edge, the per-vertex
+  /// similarity sort, and the per-µ core orders. The referenced graph must
+  /// outlive the index.
   GsIndex(const CsrGraph& graph, const BuildOptions& options);
   explicit GsIndex(const CsrGraph& graph) : GsIndex(graph, BuildOptions{}) {}
 
   /// Answers a SCAN query; the result is bit-identical to running any of
   /// the library's SCAN algorithms with the same parameters. Throws
   /// std::logic_error when the construction was aborted (an incomplete
-  /// neighbor order would answer queries wrongly, not partially).
+  /// index would answer queries wrongly, not partially), and
+  /// std::invalid_argument when µ is 0.
   [[nodiscard]] ScanRun query(const ScanParams& params) const;
 
-  /// Governed query: same answers, but scratch buffers are caller-pooled
-  /// and an optional per-query governor applies the library's partial-result
+  /// Governed query: same answers, but the scratch is caller-pooled and an
+  /// optional per-query governor applies the library's partial-result
   /// semantics (scan_common.hpp) to the query itself — a deadline or
   /// cancel trip returns a labeled partial run whose decided portion is
   /// final. Phases, in cancel_at_phase ordinal order: QCoreTest,
-  /// QCoreCluster, QLabelCores, QMembership. `governor` may be null.
+  /// QCoreCluster. The query charges its per-vertex result arrays against
+  /// the memory budget. `governor` may be null.
   [[nodiscard]] ScanRun query(const ScanParams& params, QueryScratch& scratch,
                               RunGovernor* governor) const;
 
@@ -109,18 +106,25 @@ class GsIndex {
   /// The graph this index answers queries for.
   [[nodiscard]] const CsrGraph& graph() const { return graph_; }
 
-  /// Index memory footprint (overlap + neighbor-order arrays), for the
-  /// construction cost discussion.
+  /// Index memory footprint (neighbor order + core orders + per-µ
+  /// offsets), for the construction cost discussion.
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
-  /// Exact closed-neighborhood overlap |Γ(u)∩Γ(v)| of arc `e` (testing).
-  [[nodiscard]] std::uint32_t arc_overlap(EdgeId e) const {
-    return overlap_[e];
-  }
+  /// Exact closed-neighborhood overlap |Γ(u)∩Γ(v)| of edge (u, v), read
+  /// from u's neighbor order; 0 when u and v are not adjacent. O(d(u)),
+  /// for tests.
+  [[nodiscard]] std::uint32_t overlap(VertexId u, VertexId v) const;
 
  private:
-  /// σ(neighbor-order entry `slot`) ≥ ε via the stored (cn, P) key.
-  [[nodiscard]] bool entry_similar(const EpsRational& eps, EdgeId slot) const;
+  /// One neighbor-order slot: the neighbor and the overlap cn of the arc.
+  struct Entry {
+    VertexId dst;
+    std::uint32_t cn;
+  };
+
+  /// σ(u, order_[slot].dst) ≥ ε, with `slot` in u's window.
+  [[nodiscard]] bool entry_similar(const EpsRational& eps, VertexId u,
+                                   EdgeId slot) const;
 
   /// One-past-the-end slot of core `u`'s ε-similar prefix, by binary search
   /// over the σ-descending neighbor order. Entries [begin, begin+µ) are
@@ -131,17 +135,30 @@ class GsIndex {
                                        std::uint32_t mu,
                                        obs::AlgoCounters& qc) const;
 
+  /// One construction worker's reusable core-order sort buffers: the cn
+  /// and P of each member's µ-th entry, indexed by vertex, and the bucket
+  /// counts.
+  struct CoreOrderBuffers {
+    std::vector<std::uint32_t> cn;
+    std::vector<std::uint64_t> p;
+    std::vector<std::uint32_t> buckets;
+  };
+
+  /// Writes the core order of one µ from its `count` members, the vertices
+  /// of degree ≥ µ.
+  void sort_core_order(std::uint32_t mu, const VertexId* members,
+                       std::size_t count, CoreOrderBuffers& buf);
+
   const CsrGraph& graph_;
-  /// cn per directed arc, aligned with the CSR dst array (arc_overlap()).
-  std::vector<std::uint32_t> overlap_;
-  /// Neighbor order, one entry per arc slot, each vertex's window re-ordered
-  /// by σ descending. Three parallel arrays so a prefix walk is sequential
-  /// loads with no indirection back through the CSR: the neighbor itself,
-  /// its overlap cn, and the degree product P = (d_u+1)(d_v+1) that
-  /// entry_similar needs.
-  std::vector<VertexId> ordered_dst_;
-  std::vector<std::uint32_t> ordered_cn_;
-  std::vector<std::uint64_t> ordered_pk_;
+  /// Neighbor order, one entry per arc slot, each vertex's window ordered
+  /// by σ descending (ties by neighbor id), so a prefix walk is sequential
+  /// loads with no indirection back through the CSR.
+  std::vector<Entry> order_;
+  /// Core orders, concatenated by µ: [core_offset_[µ-1], core_offset_[µ])
+  /// holds the vertices of degree ≥ µ by σ of their µ-th entry descending
+  /// (ties by id). core_offset_ has max degree + 1 entries.
+  std::vector<VertexId> core_order_;
+  std::vector<EdgeId> core_offset_;
   BuildStats build_stats_;
   bool complete_ = false;
 };

@@ -38,8 +38,8 @@
 //   serve.dispatcher    per dequeued request, inside the QueryService
 //                       dispatch firewall (throw = "QDispatch" failure)
 //   serve.execute       QueryService::execute before the index walk
-//   index.qcoretest / index.qcorecluster / index.qlabelcores /
-//   index.qmembership   top of each GS*-Index query phase body
+//   index.qcoretest / index.qcorecluster
+//                       top of each GS*-Index query phase body
 #pragma once
 
 #include <cstdint>

@@ -2,18 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "core/ppscan.hpp"
 #include "graph/fixtures.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_builder.hpp"
+#include "scan/validate_result.hpp"
 #include "support/random_graphs.hpp"
 #include "support/reference_scan.hpp"
+#include "util/rng.hpp"
 
 namespace ppscan {
 namespace {
 
 using testing::property_test_graphs;
 using testing::reference_scan;
+
+/// ⌈log2(x)⌉ for x >= 1: the most probes a binary search over x − 1
+/// entries makes.
+std::uint64_t ceil_log2(std::uint64_t x) {
+  std::uint64_t bits = 0;
+  while ((std::uint64_t{1} << bits) < x) ++bits;
+  return bits;
+}
 
 TEST(GsIndex, QueryMatchesReferenceAcrossTheGrid) {
   for (const auto& g : property_test_graphs(6001, 2)) {
@@ -54,7 +72,7 @@ TEST(GsIndex, CountKernelChoiceDoesNotChangeTheIndex) {
         const VertexId v = g.dst()[e];
         const auto expected = static_cast<std::uint32_t>(
             intersect_count_merge(g.neighbors(u), g.neighbors(v)) + 2);
-        ASSERT_EQ(index.arc_overlap(e), expected)
+        ASSERT_EQ(index.overlap(u, v), expected)
             << to_string(kind) << " arc (" << u << "," << v << ")";
       }
     }
@@ -71,11 +89,17 @@ TEST(GsIndex, ConstructionDoesOneIntersectionPerEdge) {
 TEST(GsIndex, MemoryFootprintIsPerArc) {
   const auto g = erdos_renyi(100, 600, 31);
   const GsIndex index(g);
-  // overlap (u32) + neighbor-order dst (u32) + cn (u32) + degree product
-  // (u64) per arc slot; the sort-time slot permutation is transient.
+  // Neighbor-order dst (u32) + cn (u32) per arc slot, one core-order
+  // entry (u32) per arc, and one offset per µ ∈ [0, max degree]; the
+  // construction's sort buffers are transient.
+  VertexId max_degree = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    max_degree = std::max(max_degree, g.degree(u));
+  }
   EXPECT_EQ(index.memory_bytes(),
-            g.num_arcs() * (sizeof(std::uint32_t) + sizeof(VertexId) +
-                            sizeof(std::uint32_t) + sizeof(std::uint64_t)));
+            g.num_arcs() * (sizeof(VertexId) + sizeof(std::uint32_t) +
+                            sizeof(VertexId)) +
+                (std::uint64_t{max_degree} + 1) * sizeof(EdgeId));
 }
 
 TEST(GsIndex, QueryCountsThePruningFunnel) {
@@ -93,12 +117,30 @@ TEST(GsIndex, QueryCountsThePruningFunnel) {
         << "eps=" << params.eps.to_double() << " mu=" << params.mu;
     EXPECT_EQ(c.sims_computed, 0u);
     EXPECT_EQ(c.arcs_predicate_pruned, 0u);
-    // Every vertex with degree >= mu pays at least the core-test entry.
+    // The core test probes the core order whenever some vertex has degree
+    // >= mu.
     EXPECT_GT(c.arcs_touched, 0u);
-    if (run.result.num_cores() > 0) {
-      EXPECT_GT(c.uf_finds, 0u);
-      EXPECT_EQ(c.uf_finds, 2 * run.result.num_cores());
+    // One-walk clustering: no union-find at all.
+    EXPECT_EQ(c.uf_unions, 0u);
+    EXPECT_EQ(c.uf_finds, 0u);
+    EXPECT_EQ(c.uf_find_steps, 0u);
+    // Output sensitivity: one binary search over the |V_µ| vertices of
+    // degree >= µ, then per core its ε-similar prefix plus one binary
+    // search over the d − µ entries past the µ known-similar ones.
+    std::uint64_t v_mu = 0;
+    std::uint64_t bound = 0;
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      if (g.degree(u) >= params.mu) ++v_mu;
+      if (run.result.roles[u] != Role::Core) continue;
+      std::uint64_t prefix = 0;
+      for (const VertexId v : g.neighbors(u)) {
+        prefix += testing::reference_similar(g, params, u, v) ? 1 : 0;
+      }
+      bound += prefix + ceil_log2(g.degree(u) - params.mu + 1);
     }
+    bound += ceil_log2(v_mu + 1);
+    EXPECT_LE(c.arcs_touched, bound)
+        << "eps=" << params.eps.to_double() << " mu=" << params.mu;
   }
 }
 
@@ -190,6 +232,8 @@ TEST(GsIndex, CliqueAndPathEdgeCases) {
   const GsIndex clique_index(clique);
   const auto run = clique_index.query(ScanParams::make("0.5", 2));
   EXPECT_EQ(run.result.num_clusters(), 1u);
+  EXPECT_THROW((void)clique_index.query(ScanParams::make("0.5", 0)),
+               std::invalid_argument);
 
   const auto path = make_path(8);
   const GsIndex path_index(path);
@@ -203,6 +247,104 @@ TEST(GsIndex, EmptyGraph) {
   const auto run = index.query(ScanParams::make("0.5", 1));
   EXPECT_EQ(run.result.num_clusters(), 0u);
   EXPECT_EQ(run.result.num_cores(), 0u);
+}
+
+TEST(GsIndex, DeadlineTripsInsideTheClusteringWalk) {
+  // A cycle: every vertex is a core (σ = 2/3 to both neighbors) and they
+  // form one giant cluster, so the walk polls the governor only from
+  // inside a single component. The deadline has already passed when the
+  // query starts; the core test never polls, and the walk's first poll
+  // comes after 256 pops, long before the walk reaches the far side.
+  const auto g = make_cycle(3000);
+  const GsIndex index(g);
+  const auto params = ScanParams::make("0.5", 2);
+  const auto full = index.query(params);
+  ASSERT_GT(full.result.num_cores(), 1000u);
+  ASSERT_EQ(full.result.num_clusters(), 1u);
+
+  RunLimits limits;
+  limits.deadline = std::chrono::milliseconds(1);
+  RunGovernor governor(limits, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  GsIndex::QueryScratch scratch;
+  const auto run = index.query(params, scratch, &governor);
+  ASSERT_TRUE(run.partial());
+  EXPECT_EQ(run.stats.abort_reason, AbortReason::DeadlineExpired);
+  EXPECT_EQ(run.stats.abort_phase, "QCoreCluster");
+  EXPECT_EQ(run.stats.phases_completed, 1u);
+  std::uint64_t labelled = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (run.result.core_cluster_id[u] != kInvalidVertex) ++labelled;
+  }
+  EXPECT_GT(labelled, 0u);
+  EXPECT_LT(labelled, full.result.num_cores());
+  const auto report = validate_scan_result(g, params, run.result,
+                                           ValidateMode::Partial);
+  EXPECT_TRUE(report.ok) << report.first_error;
+}
+
+TEST(GsIndex, DifferentialOracleAcrossGraphFamiliesAndEdgeParameters) {
+  // Every index answer must equal the from-definitions oracle and pass the
+  // independent validator, on random graph families and the degenerate
+  // shapes, at random rational ε (plus ε = 1) and at the µ edge cases:
+  // 1, 2, random, max degree and max degree + 1 (no cores).
+  Rng rng(0x65a1d3);
+  std::vector<std::pair<std::string, CsrGraph>> graphs;
+  graphs.emplace_back("empty", GraphBuilder::from_edges({}, 7));
+  graphs.emplace_back("single edge", GraphBuilder::from_edges({{0, 1}}, 2));
+  graphs.emplace_back("star", make_star(9));
+  for (int i = 0; i < 4; ++i) {
+    const auto n = static_cast<VertexId>(30 + rng.next_below(170));
+    const EdgeId m = n + rng.next_below(std::uint64_t{n} * 5);
+    graphs.emplace_back("er", erdos_renyi(n, m, rng.next_u64()));
+    RmatParams rp;
+    rp.scale = 6 + static_cast<int>(rng.next_below(3));
+    rp.edge_factor = 2 + static_cast<double>(rng.next_below(6));
+    graphs.emplace_back("rmat", rmat(rp, rng.next_u64()));
+    LfrParams lp;
+    lp.n = static_cast<VertexId>(80 + rng.next_below(150));
+    lp.avg_degree = 4 + static_cast<double>(rng.next_below(12));
+    lp.min_community = 5;
+    lp.max_community = 40;
+    graphs.emplace_back("lfr", lfr_like(lp, rng.next_u64()));
+  }
+  for (const auto& [family, g] : graphs) {
+    GsIndex::BuildOptions options;
+    options.num_threads = 1 + static_cast<int>(rng.next_below(4));
+    const GsIndex index(g, options);
+    VertexId max_degree = 0;
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      max_degree = std::max(max_degree, g.degree(u));
+    }
+    std::vector<std::uint32_t> mus = {
+        1, 2, std::max<VertexId>(max_degree, 1), max_degree + 1,
+        1 + static_cast<std::uint32_t>(rng.next_below(max_degree + 1))};
+    std::vector<EpsRational> epsilons = {{1, 1}};
+    for (int i = 0; i < 4; ++i) {
+      const std::uint64_t den = 2 + rng.next_below(999);
+      epsilons.push_back({1 + rng.next_below(den), den});
+    }
+    for (const auto& eps : epsilons) {
+      for (const std::uint32_t mu : mus) {
+        const ScanParams params{eps, mu};
+        const std::string context =
+            family + " |V|=" + std::to_string(g.num_vertices()) +
+            " |E|=" + std::to_string(g.num_edges()) + " eps=" +
+            std::to_string(eps.num) + "/" + std::to_string(eps.den) +
+            " mu=" + std::to_string(mu);
+        const auto run = index.query(params);
+        const auto report = validate_scan_result(g, params, run.result);
+        ASSERT_TRUE(report.ok) << context << ": " << report.first_error;
+        const auto expected = reference_scan(g, params);
+        ASSERT_TRUE(results_equivalent(expected, run.result))
+            << context << ": "
+            << describe_result_difference(expected, run.result);
+        if (mu > max_degree) {
+          ASSERT_EQ(run.result.num_cores(), 0u) << context;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

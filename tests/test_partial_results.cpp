@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "bench_support/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -25,10 +26,22 @@ struct AlgorithmPhases {
 };
 
 // Phase counts match the enter_phase() calls in each implementation.
+// "GsIndex" is a governed query against an unconstrained index build.
 constexpr AlgorithmPhases kAlgorithms[] = {
     {"SCAN", 1},     {"pSCAN", 2},  {"anySCAN", 3},
-    {"SCAN-XP", 5},  {"ppSCAN", 7},
+    {"SCAN-XP", 5},  {"ppSCAN", 7}, {"GsIndex", 2},
 };
+
+ScanRun run_governed(const std::string& name, const CsrGraph& graph,
+                     const ScanParams& params, const AlgorithmConfig& config) {
+  if (name != "GsIndex") return run_algorithm(name, graph, params, config);
+  GsIndex::BuildOptions build;
+  build.num_threads = config.num_threads;
+  const GsIndex index(graph, build);
+  RunGovernor governor(config.limits, config.cancel);
+  GsIndex::QueryScratch scratch;
+  return index.query(params, scratch, &governor);
+}
 
 CsrGraph community_graph(std::uint32_t n, std::uint64_t seed) {
   LfrParams lfr;
@@ -59,14 +72,14 @@ TEST(PartialResults, CancelAtEveryPhaseKeepsTheDecidedPrefix) {
     AlgorithmConfig unconstrained;
     unconstrained.num_threads = 4;
     const ScanRun full =
-        run_algorithm(algo.name, graph, params, unconstrained);
+        run_governed(algo.name, graph, params, unconstrained);
     ASSERT_FALSE(full.partial()) << algo.name;
 
     for (int k = 1; k <= algo.phases; ++k) {
       AlgorithmConfig config;
       config.num_threads = 4;
       config.limits.cancel_at_phase = k;
-      const ScanRun run = run_algorithm(algo.name, graph, params, config);
+      const ScanRun run = run_governed(algo.name, graph, params, config);
       const std::string label =
           std::string(algo.name) + " cancelled at phase " +
           std::to_string(k);
@@ -87,7 +100,7 @@ TEST(PartialResults, CancelAtEveryPhaseKeepsTheDecidedPrefix) {
     AlgorithmConfig config;
     config.num_threads = 4;
     config.limits.cancel_at_phase = algo.phases + 1;
-    const ScanRun run = run_algorithm(algo.name, graph, params, config);
+    const ScanRun run = run_governed(algo.name, graph, params, config);
     EXPECT_FALSE(run.partial()) << algo.name;
     EXPECT_TRUE(results_equivalent(run.result, full.result))
         << algo.name << ": "
@@ -102,7 +115,7 @@ TEST(PartialResults, TinyMemoryBudgetAbortsBeforeDecidingAnything) {
     AlgorithmConfig config;
     config.num_threads = 2;
     config.limits.memory_budget_bytes = 1;  // nothing fits
-    const ScanRun run = run_algorithm(algo.name, graph, params, config);
+    const ScanRun run = run_governed(algo.name, graph, params, config);
     EXPECT_TRUE(run.partial()) << algo.name;
     EXPECT_EQ(run.stats.abort_reason, AbortReason::BudgetExceeded)
         << algo.name;
@@ -129,7 +142,7 @@ TEST(PartialResults, PreTrippedExternalTokenReturnsImmediately) {
     AlgorithmConfig config;
     config.num_threads = 2;
     config.cancel = &token;
-    const ScanRun run = run_algorithm(algo.name, graph, params, config);
+    const ScanRun run = run_governed(algo.name, graph, params, config);
     EXPECT_TRUE(run.partial()) << algo.name;
     EXPECT_EQ(run.stats.abort_reason, AbortReason::UserCancelled)
         << algo.name;

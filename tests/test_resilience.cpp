@@ -440,9 +440,8 @@ TEST_F(FaultArmed, OnePoisonedQueryFailsAloneInEachPhase) {
     expected[{num, 2}] = index.query(p).result;
   }
 
-  const char* kSites[] = {"serve.dispatcher",   "serve.execute",
-                          "index.qcoretest",    "index.qcorecluster",
-                          "index.qlabelcores",  "index.qmembership"};
+  const char* kSites[] = {"serve.dispatcher", "serve.execute",
+                          "index.qcoretest", "index.qcorecluster"};
   for (const char* site : kSites) {
     SCOPED_TRACE(site);
     fault::reset();
@@ -664,7 +663,7 @@ TEST_F(FaultArmed, ChaosSoakEveryFutureResolves) {
       (env != nullptr && env[0] != '\0')
           ? env
           : "serve.execute:throw:p=0.10;index.qcoretest:throw:p=0.05;"
-            "index.qmembership:bad-alloc:p=0.05;serve.dispatcher:sleep-ms=1:"
+            "index.qcorecluster:bad-alloc:p=0.05;serve.dispatcher:sleep-ms=1:"
             "p=0.02";
   ASSERT_EQ(fault::arm_from_string(spec), "") << spec;
 
