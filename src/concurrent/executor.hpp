@@ -1,10 +1,10 @@
 // Lock-free work-stealing execution runtime for the phase-structured
 // algorithms (ppSCAN, SCAN-XP, anySCAN, GS*-Index construction).
 //
-// The seed ThreadPool funnels every task through one mutex/condvar-protected
-// std::deque<std::function>: each degree-bundled task pays a heap allocation,
-// a global lock on submit and a second on completion. This executor drives
-// that overhead to near zero:
+// It is the only parallel runtime in the tree. A central mutex/condvar queue
+// of std::function tasks would make each degree-bundled task pay a heap
+// allocation, a global lock on submit and a second on completion; this
+// executor drives that overhead to near zero:
 //
 //   * Persistent workers — spawned once, parked on a futex (C++20
 //     std::atomic::wait) between phases, no condvar and no mutex anywhere.

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "concurrent/executor.hpp"
-#include "concurrent/thread_pool.hpp"
 #include "concurrent/topology.hpp"
 #include "concurrent/union_find.hpp"
 #include "graph/graph_placement.hpp"
@@ -28,31 +27,23 @@ class PpScanRunner {
         kernel_(similar_fn(options.kernel)),
         governor_(options.limits, options.cancel),
         counters_(static_cast<std::size_t>(options.num_threads) + 1) {
-    if (options.scheduler.runtime == RuntimeKind::MutexPool) {
-      pool_ = std::make_unique<ThreadPool>(options.num_threads);
+    if (options.numa == NumaMode::Auto) {
+      // Topology-aware executor: round-robin node assignment, workers
+      // pinned to their node's CPUs, same-node-first steal order. A
+      // single-node detection result degrades to the uniform executor
+      // (the fallback reason lands in the trace, see run()).
+      topo_ = options.topology != nullptr ? *options.topology
+                                          : detect_topology();
+      exec_ = std::make_unique<Executor>(options.num_threads, topo_,
+                                         /*pin_workers=*/true);
     } else {
-      if (options.numa == NumaMode::Auto) {
-        // Topology-aware executor: round-robin node assignment, workers
-        // pinned to their node's CPUs, same-node-first steal order. A
-        // single-node detection result degrades to the uniform executor
-        // (the fallback reason lands in the trace, see run()).
-        topo_ = options.topology != nullptr ? *options.topology
-                                            : detect_topology();
-        exec_ = std::make_unique<Executor>(options.num_threads, topo_,
-                                           /*pin_workers=*/true);
-      } else {
-        exec_ = std::make_unique<Executor>(options.num_threads);
-      }
-      exec_->install_governor(&governor_);
-      if (options.trace != nullptr) exec_->install_trace(options.trace);
+      exec_ = std::make_unique<Executor>(options.num_threads);
     }
+    exec_->install_governor(&governor_);
+    if (options.trace != nullptr) exec_->install_trace(options.trace);
     sched_ = options.scheduler;
     sched_.governor = &governor_;
-    // Static partitions follow the degree mass: every ppSCAN phase's cost
-    // is degree-shaped, so the StaticRange ablation splits by edge count
-    // rather than vertex count (no effect on the default DegreeSum policy).
-    sched_.edge_balanced_static = true;
-    if (exec_ && exec_->num_nodes() > 1) {
+    if (exec_->num_nodes() > 1) {
       // One edge-balanced vertex shard per NUMA node; bundled tasks never
       // cross a shard boundary and node k's workers claim shard k first —
       // the same split apply_placement() used to place the CSR pages.
@@ -81,8 +72,7 @@ class PpScanRunner {
       }
     }
     // One membership buffer per worker plus a trailing slot for the master
-    // (serial fallbacks) — the OpenMP policy's thread ids also land in
-    // [0, num_threads). Padded so concurrent appends never share a line.
+    // (serial fallbacks). Padded so concurrent appends never share a line.
     membership_slots_.resize(
         static_cast<std::size_t>(options.num_threads) + 1);
   }
@@ -144,33 +134,18 @@ class PpScanRunner {
     // serial fallbacks returned), which is the happens-before edge the
     // plain per-worker counters need.
     run.stats.counters = counters_.merged();
-    if (exec_) {
-      run.stats.runtime_kind =
-          options_.scheduler.kind == SchedulerKind::OmpDynamic
-              ? "openmp"
-              : to_string(RuntimeKind::WorkSteal);
-      const ExecutorStats es = exec_->stats();
-      run.stats.tasks_executed = es.tasks_executed;
-      run.stats.steals = es.steals;
-      run.stats.busy_seconds = es.busy_seconds;
-      run.stats.idle_seconds = es.idle_seconds;
-      run.stats.numa_mode = to_string(options_.numa);
-      run.stats.numa_nodes = static_cast<std::uint64_t>(exec_->num_nodes());
-      run.stats.steals_same_node = es.steals_same_node;
-      run.stats.steals_remote = es.steals_remote;
-      run.stats.remote_misses = es.remote_misses;
-      run.stats.per_node = es.per_node;
-    } else {
-      // MutexPool ablation: the legacy pool keeps no per-worker counters,
-      // so the executor block is *explicitly zeroed* — runtime_kind is how
-      // a metrics consumer tells "unmeasured on this runtime" from "ran
-      // with zero steals" (they used to be indistinguishable).
-      run.stats.runtime_kind = to_string(RuntimeKind::MutexPool);
-      run.stats.tasks_executed = 0;
-      run.stats.steals = 0;
-      run.stats.busy_seconds = 0;
-      run.stats.idle_seconds = 0;
-    }
+    run.stats.runtime_kind = "worksteal";
+    const ExecutorStats es = exec_->stats();
+    run.stats.tasks_executed = es.tasks_executed;
+    run.stats.steals = es.steals;
+    run.stats.busy_seconds = es.busy_seconds;
+    run.stats.idle_seconds = es.idle_seconds;
+    run.stats.numa_mode = to_string(options_.numa);
+    run.stats.numa_nodes = static_cast<std::uint64_t>(exec_->num_nodes());
+    run.stats.steals_same_node = es.steals_same_node;
+    run.stats.steals_remote = es.steals_remote;
+    run.stats.remote_misses = es.remote_misses;
+    run.stats.per_node = es.per_node;
     run.stats.total_seconds = total.elapsed_s();
     record_governance(governor_, run.stats);
     return run;
@@ -212,17 +187,10 @@ class PpScanRunner {
   template <typename NeedsWork, typename Work>
   void run_phase(NeedsWork&& needs_work, Work&& work) {
     const auto degree = [this](VertexId u) { return graph_.degree(u); };
-    ScheduleStats st;
-    if (exec_) {
-      st = schedule_vertex_tasks(*exec_, graph_.num_vertices(), degree,
-                                 std::forward<NeedsWork>(needs_work),
-                                 std::forward<Work>(work), sched_,
-                                 &range_scratch_);
-    } else {
-      st = schedule_vertex_tasks(*pool_, graph_.num_vertices(), degree,
-                                 std::forward<NeedsWork>(needs_work),
-                                 std::forward<Work>(work), sched_);
-    }
+    const ScheduleStats st = schedule_vertex_tasks(
+        *exec_, graph_.num_vertices(), degree,
+        std::forward<NeedsWork>(needs_work), std::forward<Work>(work), sched_,
+        &range_scratch_);
     stats_.tasks_submitted += st.tasks_submitted;
   }
 
@@ -437,21 +405,10 @@ class PpScanRunner {
 
   /// Slot the calling thread may write without synchronization (both the
   /// membership buffers and the per-worker counter slots share this
-  /// layout): its worker slot on either runtime, its OpenMP thread slot
-  /// under the omp policy, or the trailing master slot.
+  /// layout): its executor worker slot, or the trailing master slot.
   [[nodiscard]] std::size_t worker_slot() const {
-    if (exec_) {
-      const int w = exec_->current_worker();
-      if (w >= 0) return static_cast<std::size_t>(w);
-    }
-    if (pool_) {
-      const int w = pool_->current_worker();
-      if (w >= 0) return static_cast<std::size_t>(w);
-    }
-    if (omp_in_parallel() != 0) {
-      return static_cast<std::size_t>(omp_get_thread_num()) %
-             membership_slots_.size();
-    }
+    const int w = exec_->current_worker();
+    if (w >= 0) return static_cast<std::size_t>(w);
     return membership_slots_.size() - 1;
   }
 
@@ -508,7 +465,7 @@ class PpScanRunner {
     // duration of the merge instead. The copy moves only already-collected
     // data — bounded, allocation-free memcpy work — so letting it finish
     // under cancellation keeps the drain latency bound intact.
-    if (exec_ && offset[slots] > 0) {
+    if (offset[slots] > 0) {
       exec_->install_governor(nullptr);
       std::vector<TaskRange> copies;
       for (std::size_t i = 0; i < slots; ++i) {
@@ -556,7 +513,7 @@ class PpScanRunner {
   const ScanParams& params_;
   const PpScanOptions& options_;
   SimilarFn kernel_;
-  // Declared before the runtimes so workers (which poll it) are joined
+  // Declared before the executor so workers (which poll it) are joined
   // before the governor is destroyed.
   RunGovernor governor_;
   SchedulerOptions sched_;
@@ -566,7 +523,6 @@ class PpScanRunner {
   NumaTopology topo_;
   std::vector<VertexId> shard_bounds_;
   std::unique_ptr<Executor> exec_;
-  std::unique_ptr<ThreadPool> pool_;  // legacy mutex-queue baseline
   std::vector<TaskRange> range_scratch_;
   ReverseArcIndex reverse_index_;
   ParallelUnionFind uf_;

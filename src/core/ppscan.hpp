@@ -65,7 +65,7 @@ struct PpScanOptions {
   /// must be sized for at least num_threads workers and outlive the run.
   obs::TraceCollector* trace = nullptr;
 
-  /// NUMA execution policy (WorkSteal runtime only; docs/numa.md):
+  /// NUMA execution policy (docs/numa.md):
   ///   Off        — uniform executor, the pre-NUMA behavior.
   ///   Auto       — detect the topology, pin workers round-robin across
   ///                nodes, steal same-node first, and shard every phase's

@@ -43,24 +43,14 @@ void CsrGraph::validate(bool check_symmetry) const {
   checker.finish();
 
   if (!check_symmetry) return;
-  bool symmetric = true;
-#pragma omp parallel for schedule(dynamic, 1024) reduction(&& : symmetric)
+  // Symmetry pass: throws at the first arc, in (u, v) order, whose
+  // reverse is missing.
   for (VertexId u = 0; u < n; ++u) {
     for (const VertexId v : neighbors(u)) {
       if (arc_index(v, u) == kInvalidEdge) {
-        symmetric = false;
-        break;
-      }
-    }
-  }
-  if (!symmetric) {
-    for (VertexId u = 0; u < n; ++u) {
-      for (const VertexId v : neighbors(u)) {
-        if (arc_index(v, u) == kInvalidEdge) {
-          throw GraphIoError(GraphIoErrorKind::kAsymmetricArc,
-                             "arc (" + std::to_string(u) + "," +
-                                 std::to_string(v) + ") has no reverse arc");
-        }
+        throw GraphIoError(GraphIoErrorKind::kAsymmetricArc,
+                           "arc (" + std::to_string(u) + "," +
+                               std::to_string(v) + ") has no reverse arc");
       }
     }
   }

@@ -234,7 +234,7 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
   run.result.normalize();
   // Phase barriers ordered every worker's slot writes before this merge.
   run.stats.counters = counters.merged();
-  run.stats.runtime_kind = to_string(RuntimeKind::WorkSteal);
+  run.stats.runtime_kind = "worksteal";
   const ExecutorStats pool_stats = pool.stats();
   run.stats.tasks_executed = pool_stats.tasks_executed;
   run.stats.steals = pool_stats.steals;

@@ -101,11 +101,11 @@ struct RunStats {
   double stage_core_cluster_seconds = 0;
   double stage_noncore_cluster_seconds = 0;
   std::uint64_t tasks_submitted = 0;
-  /// Work-stealing executor counters (zero on the mutex-pool / OpenMP
-  /// runtimes): ranges actually claimed and run by workers, how many of
-  /// those were taken from another worker's share, and the summed per-worker
-  /// in-task vs mid-phase-waiting time — the load-balance signal the
-  /// scheduler ablation compares policies on.
+  /// Work-stealing executor counters (zero on serial runs): ranges actually
+  /// claimed and run by workers, how many of those were taken from another
+  /// worker's share, and the summed per-worker in-task vs mid-phase-waiting
+  /// time — the load-balance signal the scheduler ablation compares
+  /// policies on.
   std::uint64_t tasks_executed = 0;
   std::uint64_t steals = 0;
   double busy_seconds = 0;
@@ -135,12 +135,10 @@ struct RunStats {
   std::uint32_t phases_completed = 0;
   std::uint64_t peak_governed_bytes = 0;
   /// Which execution runtime produced the executor counters above:
-  /// "worksteal" (the lock-free executor), "mutex" (the
-  /// RuntimeKind::MutexPool ablation), "openmp", or "serial". On every
-  /// runtime except "worksteal" the tasks_executed/steals/busy/idle block
-  /// is *explicitly zero* — those runtimes keep no such counters — so a
-  /// metrics consumer must key off this field rather than read zeros as
-  /// "perfectly balanced".
+  /// "worksteal" (the lock-free executor) or "serial". On a serial run the
+  /// tasks_executed/steals/busy/idle block is *explicitly zero* — no
+  /// executor ran — so a metrics consumer must key off this field rather
+  /// than read zeros as "perfectly balanced".
   std::string runtime_kind = "serial";
   /// The pruning funnel (see obs/counters.hpp for the convention and the
   /// invariant pruned + computed + reused == touched).

@@ -229,7 +229,7 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
   // The executor barrier above ordered every worker's slot writes before
   // this serial merge.
   run.stats.counters = counters.merged();
-  run.stats.runtime_kind = to_string(RuntimeKind::WorkSteal);
+  run.stats.runtime_kind = "worksteal";
   run.stats.compsim_invocations = invocations.load(std::memory_order_relaxed);
   const ExecutorStats es = executor.stats();
   run.stats.tasks_executed = es.tasks_executed;

@@ -135,6 +135,18 @@ TEST(CsrGraph, ValidateRejectsAsymmetricArc) {
   // The structural linear pass (what the loaders run) has no symmetry
   // check, so it accepts this graph.
   EXPECT_NO_THROW(g.validate(/*check_symmetry=*/false));
+
+  // With two asymmetric arcs, (1,3) and (2,3), the error names the first
+  // one in (u, v) order.
+  const CsrGraph two(std::vector<EdgeId>{0, 1, 3, 4, 4},
+                     std::vector<VertexId>{1, 0, 3, 3});
+  try {
+    two.validate();
+    ADD_FAILURE() << "expected a GraphIoError";
+  } catch (const GraphIoError& e) {
+    EXPECT_EQ(e.kind(), GraphIoErrorKind::kAsymmetricArc);
+    EXPECT_EQ(e.detail(), "arc (1,3) has no reverse arc");
+  }
 }
 
 TEST(CsrGraph, ConstructorRejectsMalformedOffsets) {

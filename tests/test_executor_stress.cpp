@@ -1,8 +1,7 @@
 // Stress tests for the work-stealing executor, sized for ThreadSanitizer:
-// they run in the `tsan` CI job (with no OpenMP in the binary — TSan cannot
-// see libgomp's internal synchronization), so iteration counts are chosen to
-// finish in seconds under TSan's ~10x slowdown while still exercising
-// thousands of claim/steal/park transitions.
+// they run in the `tsan` CI job, so iteration counts are chosen to finish
+// in seconds under TSan's ~10x slowdown while still exercising thousands of
+// claim/steal/park transitions.
 #include "concurrent/executor.hpp"
 
 #include <gtest/gtest.h>

@@ -85,7 +85,6 @@ INSTANTIATE_TEST_SUITE_P(
         PpScanConfig{8, IntersectKind::Auto, SchedulerKind::DegreeSum},
         PpScanConfig{4, IntersectKind::Auto, SchedulerKind::StaticRange},
         PpScanConfig{4, IntersectKind::Auto, SchedulerKind::FixedChunk},
-        PpScanConfig{4, IntersectKind::Auto, SchedulerKind::OmpDynamic},
         PpScanConfig{4, IntersectKind::PivotAvx512, SchedulerKind::StaticRange},
         PpScanConfig{3, IntersectKind::PivotAvx2, SchedulerKind::FixedChunk}),
     [](const ::testing::TestParamInfo<PpScanConfig>& info) {

@@ -17,143 +17,6 @@ struct Harness {
 
 TEST(TaskScheduler, VisitsEveryVertexExactlyOnce) {
   constexpr VertexId n = 10000;
-  ThreadPool pool(4);
-  Harness h(n);
-  schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 10; }, [](VertexId) { return true; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); });
-  for (VertexId u = 0; u < n; ++u) {
-    EXPECT_EQ(h.visited[u].load(), 1) << "vertex " << u;
-  }
-}
-
-TEST(TaskScheduler, SkipsVerticesNotNeedingWork) {
-  constexpr VertexId n = 1000;
-  ThreadPool pool(2);
-  Harness h(n);
-  schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 1; },
-      [](VertexId u) { return u % 3 == 0; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); });
-  for (VertexId u = 0; u < n; ++u) {
-    EXPECT_EQ(h.visited[u].load(), u % 3 == 0 ? 1 : 0);
-  }
-}
-
-TEST(TaskScheduler, DegreeThresholdControlsTaskCount) {
-  constexpr VertexId n = 1024;
-  ThreadPool pool(2);
-  SchedulerOptions options;
-  options.kind = SchedulerKind::DegreeSum;
-  options.degree_threshold = 100;
-  Harness h(n);
-  const auto stats = schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 10; }, [](VertexId) { return true; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-  // 1024 vertices of degree 10 → a task every ~11 vertices.
-  EXPECT_GE(stats.tasks_submitted, 80u);
-  EXPECT_LE(stats.tasks_submitted, 110u);
-}
-
-TEST(TaskScheduler, HighDegreeVertexGetsItsOwnTask) {
-  // One huge-degree vertex must immediately flush a task.
-  constexpr VertexId n = 10;
-  ThreadPool pool(2);
-  SchedulerOptions options;
-  options.degree_threshold = 100;
-  std::atomic<std::uint64_t> count{0};
-  const auto stats = schedule_vertex_tasks(
-      pool, n, [](VertexId u) { return u == 5 ? 1000u : 1u; },
-      [](VertexId) { return true; }, [&](VertexId) { count.fetch_add(1); },
-      options);
-  EXPECT_EQ(count.load(), n);
-  EXPECT_GE(stats.tasks_submitted, 2u);
-}
-
-TEST(TaskScheduler, StaticRangePolicyCoversAllVertices) {
-  constexpr VertexId n = 997;  // prime, to catch off-by-one in range math
-  ThreadPool pool(4);
-  SchedulerOptions options;
-  options.kind = SchedulerKind::StaticRange;
-  Harness h(n);
-  const auto stats = schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-  for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
-  EXPECT_EQ(stats.tasks_submitted, 4u);
-}
-
-TEST(TaskScheduler, FixedChunkPolicyCoversAllVertices) {
-  constexpr VertexId n = 1000;
-  ThreadPool pool(4);
-  SchedulerOptions options;
-  options.kind = SchedulerKind::FixedChunk;
-  options.chunk_size = 64;
-  Harness h(n);
-  const auto stats = schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-  for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
-  EXPECT_EQ(stats.tasks_submitted, (n + 63) / 64);
-}
-
-TEST(TaskScheduler, EmptyVertexRange) {
-  ThreadPool pool(2);
-  const auto stats = schedule_vertex_tasks(
-      pool, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
-      [](VertexId) { FAIL() << "no vertex should be visited"; });
-  EXPECT_EQ(stats.tasks_submitted, 0u);
-}
-
-TEST(TaskScheduler, NothingNeedsWork) {
-  ThreadPool pool(2);
-  std::atomic<int> visits{0};
-  schedule_vertex_tasks(
-      pool, 100, [](VertexId) { return 1; }, [](VertexId) { return false; },
-      [&](VertexId) { visits.fetch_add(1); });
-  EXPECT_EQ(visits.load(), 0);
-}
-
-TEST(TaskScheduler, PredicateReTestedInsideTask) {
-  // A vertex whose predicate flips between bundling and execution is
-  // skipped by the worker-side re-test (vertices settled by other tasks).
-  constexpr VertexId n = 100;
-  ThreadPool pool(1);
-  std::vector<std::atomic<bool>> todo(n);
-  for (auto& t : todo) t.store(true);
-  std::atomic<int> visits{0};
-  schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 1; },
-      [&](VertexId u) { return todo[u].load(); },
-      [&](VertexId u) {
-        visits.fetch_add(1);
-        // Settle the next 5 vertices, emulating role propagation.
-        for (VertexId v = u + 1; v < std::min<VertexId>(u + 6, n); ++v) {
-          todo[v].store(false);
-        }
-      });
-  // Every visited vertex was still pending; far fewer than n visits happen.
-  EXPECT_GT(visits.load(), 0);
-  EXPECT_LE(visits.load(), static_cast<int>(n));
-}
-
-TEST(TaskScheduler, OmpDynamicPolicyCoversAllVertices) {
-  constexpr VertexId n = 997;
-  ThreadPool pool(4);
-  SchedulerOptions options;
-  options.kind = SchedulerKind::OmpDynamic;
-  Harness h(n);
-  schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 1; },
-      [](VertexId u) { return u % 2 == 0; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-  for (VertexId u = 0; u < n; ++u) {
-    EXPECT_EQ(h.visited[u].load(), u % 2 == 0 ? 1 : 0);
-  }
-}
-
-TEST(TaskScheduler, ExecutorRuntimeVisitsEveryVertexExactlyOnce) {
-  constexpr VertexId n = 10000;
   Executor executor(4);
   Harness h(n);
   for (const auto kind : {SchedulerKind::DegreeSum, SchedulerKind::StaticRange,
@@ -173,7 +36,117 @@ TEST(TaskScheduler, ExecutorRuntimeVisitsEveryVertexExactlyOnce) {
   }
 }
 
-TEST(TaskScheduler, ExecutorRuntimeReusesScratch) {
+TEST(TaskScheduler, SkipsVerticesNotNeedingWork) {
+  constexpr VertexId n = 1000;
+  Executor executor(2);
+  Harness h(n);
+  schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 1; },
+      [](VertexId u) { return u % 3 == 0; },
+      [&](VertexId u) { h.visited[u].fetch_add(1); });
+  for (VertexId u = 0; u < n; ++u) {
+    EXPECT_EQ(h.visited[u].load(), u % 3 == 0 ? 1 : 0);
+  }
+}
+
+TEST(TaskScheduler, DegreeThresholdControlsTaskCount) {
+  constexpr VertexId n = 1024;
+  Executor executor(2);
+  SchedulerOptions options;
+  options.kind = SchedulerKind::DegreeSum;
+  options.degree_threshold = 100;
+  Harness h(n);
+  const auto stats = schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 10; }, [](VertexId) { return true; },
+      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
+  // 1024 vertices of degree 10 → a task every ~11 vertices.
+  EXPECT_GE(stats.tasks_submitted, 80u);
+  EXPECT_LE(stats.tasks_submitted, 110u);
+}
+
+TEST(TaskScheduler, HighDegreeVertexGetsItsOwnTask) {
+  // One huge-degree vertex must immediately flush a task.
+  constexpr VertexId n = 10;
+  Executor executor(2);
+  SchedulerOptions options;
+  options.degree_threshold = 100;
+  std::atomic<std::uint64_t> count{0};
+  const auto stats = schedule_vertex_tasks(
+      executor, n, [](VertexId u) { return u == 5 ? 1000u : 1u; },
+      [](VertexId) { return true; }, [&](VertexId) { count.fetch_add(1); },
+      options);
+  EXPECT_EQ(count.load(), n);
+  EXPECT_GE(stats.tasks_submitted, 2u);
+}
+
+TEST(TaskScheduler, StaticRangePolicyCoversAllVertices) {
+  constexpr VertexId n = 997;  // prime, to catch off-by-one in range math
+  Executor executor(4);
+  SchedulerOptions options;
+  options.kind = SchedulerKind::StaticRange;
+  Harness h(n);
+  const auto stats = schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
+  for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
+  EXPECT_EQ(stats.tasks_submitted, 4u);
+}
+
+TEST(TaskScheduler, FixedChunkPolicyCoversAllVertices) {
+  constexpr VertexId n = 1000;
+  Executor executor(4);
+  SchedulerOptions options;
+  options.kind = SchedulerKind::FixedChunk;
+  options.chunk_size = 64;
+  Harness h(n);
+  const auto stats = schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
+  for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
+  EXPECT_EQ(stats.tasks_submitted, (n + 63) / 64);
+}
+
+TEST(TaskScheduler, EmptyVertexRange) {
+  Executor executor(2);
+  const auto stats = schedule_vertex_tasks(
+      executor, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [](VertexId) { FAIL() << "no vertex should be visited"; });
+  EXPECT_EQ(stats.tasks_submitted, 0u);
+}
+
+TEST(TaskScheduler, NothingNeedsWork) {
+  Executor executor(2);
+  std::atomic<int> visits{0};
+  schedule_vertex_tasks(
+      executor, 100, [](VertexId) { return 1; }, [](VertexId) { return false; },
+      [&](VertexId) { visits.fetch_add(1); });
+  EXPECT_EQ(visits.load(), 0);
+}
+
+TEST(TaskScheduler, PredicateReTestedInsideTask) {
+  // A vertex whose predicate flips between bundling and execution is
+  // skipped by the worker-side re-test (vertices settled by other tasks).
+  constexpr VertexId n = 100;
+  Executor executor(1);
+  std::vector<std::atomic<bool>> todo(n);
+  for (auto& t : todo) t.store(true);
+  std::atomic<int> visits{0};
+  schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 1; },
+      [&](VertexId u) { return todo[u].load(); },
+      [&](VertexId u) {
+        visits.fetch_add(1);
+        // Settle the next 5 vertices, emulating role propagation.
+        for (VertexId v = u + 1; v < std::min<VertexId>(u + 6, n); ++v) {
+          todo[v].store(false);
+        }
+      });
+  // The whole range is one task on one worker, so it runs in order: only
+  // every sixth vertex is still pending when reached (0, 6, ..., 96).
+  EXPECT_EQ(visits.load(), 17);
+}
+
+TEST(TaskScheduler, ReusesScratch) {
   constexpr VertexId n = 5000;
   Executor executor(4);
   std::vector<TaskRange> scratch;
@@ -192,83 +165,33 @@ TEST(TaskScheduler, ExecutorRuntimeReusesScratch) {
   }
 }
 
-TEST(TaskScheduler, ExecutorRuntimeOmpDynamicBypass) {
-  constexpr VertexId n = 997;
-  Executor executor(4);
-  SchedulerOptions options;
-  options.kind = SchedulerKind::OmpDynamic;
-  Harness h(n);
-  schedule_vertex_tasks(
-      executor, n, [](VertexId) { return 1; },
-      [](VertexId u) { return u % 2 == 0; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-  for (VertexId u = 0; u < n; ++u) {
-    EXPECT_EQ(h.visited[u].load(), u % 2 == 0 ? 1 : 0);
-  }
-}
-
 TEST(TaskScheduler, StaticRangeEmptyVertexRange) {
-  // n == 0 must produce no tasks and no zero-width ranges on either
-  // runtime (the static-range width math is where the division/stride
-  // hazards live; see bundle_ranges).
+  // n == 0 must produce no tasks and no zero-width ranges (the static
+  // split's prefix math is where the division/stride hazards live; see
+  // bundle_ranges).
   SchedulerOptions options;
   options.kind = SchedulerKind::StaticRange;
-  {
-    ThreadPool pool(4);
-    const auto stats = schedule_vertex_tasks(
-        pool, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [](VertexId) { FAIL() << "no vertex should be visited"; }, options);
-    EXPECT_EQ(stats.tasks_submitted, 0u);
-  }
-  {
-    Executor executor(4);
-    const auto stats = schedule_vertex_tasks(
-        executor, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [](VertexId) { FAIL() << "no vertex should be visited"; }, options);
-    EXPECT_EQ(stats.tasks_submitted, 0u);
-  }
+  Executor executor(4);
+  const auto stats = schedule_vertex_tasks(
+      executor, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [](VertexId) { FAIL() << "no vertex should be visited"; }, options);
+  EXPECT_EQ(stats.tasks_submitted, 0u);
 }
 
 TEST(TaskScheduler, StaticRangeFewerVerticesThanThreads) {
-  // n < num_threads: width clamps to 1, giving n unit tasks — every vertex
-  // covered exactly once, no zero-width ranges.
+  // n < num_threads: every unit-degree vertex crosses its own share of the
+  // degree sum, giving n unit tasks — every vertex covered exactly once, no
+  // zero-width ranges.
   constexpr VertexId n = 3;
   SchedulerOptions options;
   options.kind = SchedulerKind::StaticRange;
-  {
-    ThreadPool pool(8);
-    Harness h(n);
-    const auto stats = schedule_vertex_tasks(
-        pool, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-    for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
-    EXPECT_EQ(stats.tasks_submitted, n);
-  }
-  {
-    Executor executor(8);
-    Harness h(n);
-    const auto stats = schedule_vertex_tasks(
-        executor, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-    for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
-    EXPECT_EQ(stats.tasks_submitted, n);
-  }
-}
-
-TEST(SchedulerKindParsing, RoundTrip) {
-  for (const auto kind : {SchedulerKind::DegreeSum, SchedulerKind::StaticRange,
-                          SchedulerKind::FixedChunk,
-                          SchedulerKind::OmpDynamic}) {
-    EXPECT_EQ(parse_scheduler_kind(to_string(kind)), kind);
-  }
-  EXPECT_THROW(parse_scheduler_kind("bogus"), std::invalid_argument);
-}
-
-TEST(RuntimeKindParsing, RoundTrip) {
-  for (const auto kind : {RuntimeKind::WorkSteal, RuntimeKind::MutexPool}) {
-    EXPECT_EQ(parse_runtime_kind(to_string(kind)), kind);
-  }
-  EXPECT_THROW(parse_runtime_kind("bogus"), std::invalid_argument);
+  Executor executor(8);
+  Harness h(n);
+  const auto stats = schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
+  for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
+  EXPECT_EQ(stats.tasks_submitted, n);
 }
 
 }  // namespace

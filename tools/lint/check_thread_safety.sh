@@ -26,25 +26,8 @@ fi
 ROOT="$(cd "$(dirname "$0")/../.." && pwd)"
 cd "$ROOT" || exit 2
 
-# -fsyntax-only links nothing, but <omp.h> (task_scheduler.hpp) is missing
-# on machines without libomp headers. -idirafter a stub keeps the gate
-# self-contained; a real omp.h anywhere on the include path still wins.
-STUB="$(mktemp -d)"
-trap 'rm -rf "$STUB"' EXIT
-cat > "$STUB/omp.h" <<'EOF'
-/* Minimal stand-in for <omp.h> for -fsyntax-only runs without libomp.
-   Only declarations the repo actually uses belong here. */
-#pragma once
-extern "C" {
-int omp_get_max_threads(void);
-int omp_get_num_threads(void);
-int omp_get_thread_num(void);
-void omp_set_num_threads(int);
-}
-EOF
-
 # Both feature gates ON so the annotated fault/trace code is analyzed too.
-FLAGS=(-std=c++20 -fsyntax-only -Isrc -idirafter "$STUB"
+FLAGS=(-std=c++20 -fsyntax-only -Isrc
        -DPPSCAN_TRACE_ENABLED=1 -DPPSCAN_FAULTS_ENABLED=1
        -Wthread-safety -Werror=thread-safety)
 
