@@ -8,7 +8,6 @@
 #include "concurrent/executor.hpp"
 #include "concurrent/run_governor.hpp"
 #include "obs/trace.hpp"
-#include "setops/intersect.hpp"
 #include "util/fault_point.hpp"
 #include "util/timer.hpp"
 
@@ -48,9 +47,9 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
   }
   // Charge the index arrays against the memory budget before allocating —
   // the construction footprint is the cost the paper argues makes indexing
-  // prohibitive, so it is the natural thing to bound. The core-order sort
-  // buffers (vertices by degree, plus per worker a cn and P per vertex and
-  // the bucket counts) are transient and uncharged again below.
+  // prohibitive, so it is the natural thing to bound. The scratch (the
+  // vertices by degree, plus per worker a mark or cn and a P per vertex and
+  // the bucket counts) is transient and uncharged again below.
   const auto arcs = static_cast<std::uint64_t>(graph.num_arcs());
   const std::uint64_t index_bytes =
       arcs * (sizeof(Entry) + sizeof(VertexId)) +
@@ -88,12 +87,17 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
     const int w = pool.current_worker();
     return w >= 0 ? static_cast<std::size_t>(w) : workers - 1;
   };
+  // The calling worker's buffers, allocated on first use.
+  const auto worker_buffers = [&]() -> CoreOrderBuffers& {
+    CoreOrderBuffers& buf = core_buffers[worker_slot()];
+    if (buf.cn.empty()) {
+      buf.cn.resize(n);
+      buf.p.resize(n);
+    }
+    return buf;
+  };
   SchedulerOptions sched;
   sched.governor = &governor;
-  const CountFn count = count_fn(options.count_kernel);
-  // protocol: relaxed-counter — intersection tally, read at the final
-  // barrier after the executor drains.
-  std::atomic<std::uint64_t> intersections{0};
   const auto degree_of = [&](VertexId u) { return graph_.degree(u); };
   const auto all = [](VertexId) { return true; };
 
@@ -112,33 +116,133 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
   };
 
   if (alloc_ok) {
-    // Exhaustive similarity: the u < v owner computes each edge once and
-    // writes the overlap into both arcs' slots, still in CSR order (no
-    // readers until the barrier).
+    // Overlaps by triangle enumeration over the degree orientation (Tseng,
+    // Dhulipala and Shun): each triangle is found exactly once, from its
+    // lowest-ranked vertex u, by testing N⁺(v) against the marked N⁺(u) for
+    // every v ∈ N⁺(u), and adds 1 to each of its three edges. An edge's
+    // count collects on its out-arc; one pass then copies it onto both arcs
+    // and adds 2 for the closed neighborhoods.
     phase("Overlap", [&] {
+      const VertexId* dst = graph_.dst().data();
+      // v outranks u: higher degree, ties by higher id. A total order, so
+      // every edge has one out-arc, from its lower-ranked endpoint.
+      const auto outranks = [&](VertexId v, VertexId u) {
+        const VertexId dv = graph_.degree(v);
+        const VertexId du = graph_.degree(u);
+        return dv != du ? dv > du : v > u;
+      };
+      // The orientation lives in index storage that later phases overwrite,
+      // so the build allocates nothing for it: u's out-list (its
+      // higher-ranked neighbors, in CSR order) fills the first d⁺(u) slots
+      // of u's row in core_order_, out-arc i counts its triangles in
+      // order_[offset_begin(u) + i].cn, and by_degree holds d⁺(u) until
+      // CoreOrder fills it.
+      VertexId* out = core_order_.data();
+      std::vector<VertexId>& out_degree = by_degree;
       schedule_vertex_tasks(
           pool, n, degree_of, all,
           [&](VertexId u) {
-            std::uint64_t local = 0;
-            obs::AlgoCounters& c = counters.slot(worker_slot());
-            for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
-                 ++e) {
-              const VertexId v = graph_.dst()[e];
-              if (u >= v) continue;
-              const auto cn = static_cast<std::uint32_t>(
-                  count(graph_.neighbors(u), graph_.neighbors(v)) + 2);
-              ++local;
-              order_[e].cn = cn;
-              order_[graph_.reverse_arc(u, e)].cn = cn;
-              // Exhaustive build: one intersection per u < v edge decides
-              // both directions (computed arc + mirrored reused arc).
-              c.arcs_touched += 2;
-              c.sims_computed += 1;
-              c.sims_reused += 1;
+            const EdgeId first = graph_.offset_begin(u);
+            VertexId count = 0;
+            for (const VertexId v : graph_.neighbors(u)) {
+              if (outranks(v, u)) out[first + count++] = v;
             }
-            intersections.fetch_add(local, std::memory_order_relaxed);
+            out_degree[u] = count;
           },
           sched);
+      if (governor.should_stop()) return;
+
+      // Enumeration. Triangle (u, v, w), ranked u < v < w, is met at u with
+      // w marked and reached through v: it adds 1 to out-arcs (u, w) and
+      // (v, w) as found, and (u, v) takes v's tally in one add. Tasks are
+      // weighted by the marks they set and test.
+      const auto enum_work = [&](VertexId u) {
+        const EdgeId first = graph_.offset_begin(u);
+        std::uint64_t work = out_degree[u];
+        for (EdgeId i = first; i < first + out_degree[u]; ++i) {
+          work += out_degree[out[i]];
+        }
+        return work;
+      };
+      // protocol: relaxed-counter — an out-arc's triangle count, added to
+      // by every task meeting one of its triangles and read only after the
+      // phase barrier. Sums do not depend on order, so the counts are
+      // deterministic.
+      const auto add = [&](EdgeId slot, std::uint32_t value) {
+        std::atomic_ref<std::uint32_t>(order_[slot].cn)
+            .fetch_add(value, std::memory_order_relaxed);
+      };
+      schedule_vertex_tasks(
+          pool, n, enum_work, all,
+          [&](VertexId u) {
+            // The worker's marks: 1 + the out-list index of each of u's
+            // out-neighbors, 0 elsewhere. They borrow the worker's
+            // core-order cn buffer, which CoreOrder overwrites anyway.
+            std::uint32_t* mark = worker_buffers().cn.data();
+            const EdgeId first = graph_.offset_begin(u);
+            const EdgeId last = first + out_degree[u];
+            for (EdgeId i = first; i < last; ++i) {
+              mark[out[i]] = static_cast<std::uint32_t>(i - first + 1);
+            }
+            for (EdgeId i = first; i < last; ++i) {
+              const VertexId v = out[i];
+              const EdgeId vfirst = graph_.offset_begin(v);
+              std::uint32_t tally = 0;
+              for (EdgeId j = vfirst; j < vfirst + out_degree[v]; ++j) {
+                const std::uint32_t at = mark[out[j]];
+                if (at == 0) continue;
+                ++tally;
+                add(first + at - 1, 1);
+                add(j, 1);
+              }
+              if (tally != 0) add(i, tally);
+            }
+            for (EdgeId i = first; i < last; ++i) mark[out[i]] = 0;
+            // One count per edge, at its out-arc: the computed arc plus
+            // the mirrored, reused one.
+            obs::AlgoCounters& c = counters.slot(worker_slot());
+            c.arcs_touched += 2 * (last - first);
+            c.sims_computed += last - first;
+            c.sims_reused += last - first;
+          },
+          sched);
+      if (governor.should_stop()) return;
+
+      // Each out-arc's count moves from its list slot to its own CSR slot,
+      // never to the left of it. Walking u's row backwards meets the
+      // out-arcs last to first; clearing each list slot as it is read
+      // leaves 0 on every other arc.
+      schedule_vertex_tasks(
+          pool, n, degree_of, all,
+          [&](VertexId u) {
+            const EdgeId first = graph_.offset_begin(u);
+            EdgeId i = first + out_degree[u];
+            for (EdgeId e = graph_.offset_end(u); e-- > first;) {
+              if (!outranks(dst[e], u)) continue;
+              const std::uint32_t cn = order_[--i].cn;
+              order_[i].cn = 0;
+              order_[e].cn = cn;
+            }
+          },
+          sched);
+      if (governor.should_stop()) return;
+      // Mirror: visiting u in ascending id order reaches each v's
+      // smaller-id neighbors in v's row order, so a cursor per v (in
+      // by_degree, free again) finds every reverse arc with no search.
+      // Exactly one of the two slots holds the count.
+      std::vector<VertexId>& seen = by_degree;
+      std::fill(seen.begin(), seen.end(), 0);
+      for (VertexId u = 0; u < n; ++u) {
+        for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
+             ++e) {
+          const VertexId v = dst[e];
+          if (v < u) continue;
+          const EdgeId rev = graph_.offset_begin(v) + seen[v]++;
+          const std::uint32_t cn = order_[e].cn + order_[rev].cn + 2;
+          order_[e].cn = cn;
+          order_[rev].cn = cn;
+        }
+      }
     });
 
     // Neighbor order: each vertex sorts its own window in place by σ
@@ -190,11 +294,7 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
         tasks.push_back({mu, mu + 1});
       }
       pool.run(tasks.data(), tasks.size(), [&](VertexId beg, VertexId end) {
-        CoreOrderBuffers& buf = core_buffers[worker_slot()];
-        if (buf.cn.empty()) {
-          buf.cn.resize(n);
-          buf.p.resize(n);
-        }
+        CoreOrderBuffers& buf = worker_buffers();
         for (VertexId mu = beg; mu < end; ++mu) {
           sort_core_order(mu, by_degree.data(), at_least[mu], buf);
         }
@@ -211,7 +311,7 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
   complete_ = alloc_ok && !governor.should_stop();
   // Phase barriers ordered every worker's slot writes before this merge.
   build_stats_.counters = counters.merged();
-  build_stats_.intersections = intersections.load(std::memory_order_relaxed);
+  build_stats_.intersections = build_stats_.counters.sims_computed;
   build_stats_.construction_seconds = timer.elapsed_s();
   build_stats_.abort = governor.abort_info();
 }

@@ -8,10 +8,12 @@
 // graphs. This module implements the index so that trade-off can be
 // measured rather than asserted (bench_index_vs_online, serve/):
 //
-//   * Construction intersects every edge once (parallel, SIMD exact count),
-//     sorts each vertex's neighbors by similarity descending ("neighbor
-//     order"), and for every µ sorts the vertices of degree ≥ µ by the σ of
-//     their µ-th neighbor-order entry, descending ("core order").
+//   * Construction counts every edge's overlap by enumerating triangles
+//     over a degree orientation (after Tseng, Dhulipala and Shun), each
+//     triangle found once from its lowest-ranked vertex, sorts each
+//     vertex's neighbors by similarity descending ("neighbor order"), and
+//     for every µ sorts the vertices of degree ≥ µ by the σ of their µ-th
+//     neighbor-order entry, descending ("core order").
 //   * A query finds the cores of (ε, µ) as a prefix of the µ-th core order
 //     by one binary search, then clusters them in one walk over the cores'
 //     ε-similar neighbor-order prefixes, each prefix boundary found by
@@ -35,7 +37,6 @@
 
 #include "graph/csr_graph.hpp"
 #include "scan/scan_common.hpp"
-#include "setops/intersect.hpp"
 
 namespace ppscan {
 
@@ -43,8 +44,6 @@ class GsIndex {
  public:
   struct BuildOptions {
     int num_threads = 1;
-    /// Exact-count kernel used for the exhaustive construction pass.
-    IntersectKind count_kernel = IntersectKind::Auto;
     /// Run governance for the construction pass (the paper's argument
     /// against indexing is exactly that this pass is expensive — a deadline
     /// or budget makes it abortable). Default limits govern nothing.
@@ -59,6 +58,7 @@ class GsIndex {
 
   struct BuildStats {
     double construction_seconds = 0;
+    /// Overlaps counted: one per edge, at its out-arc.
     std::uint64_t intersections = 0;
     /// Pruning-funnel counters for the construction pass (obs/counters.hpp).
     obs::AlgoCounters counters;
@@ -74,9 +74,9 @@ class GsIndex {
     std::vector<VertexId> stack;
   };
 
-  /// Builds the index: one exact intersection per edge, the per-vertex
-  /// similarity sort, and the per-µ core orders. The referenced graph must
-  /// outlive the index.
+  /// Builds the index: every edge's overlap by triangle enumeration, the
+  /// per-vertex similarity sort, and the per-µ core orders. The referenced
+  /// graph must outlive the index.
   GsIndex(const CsrGraph& graph, const BuildOptions& options);
   explicit GsIndex(const CsrGraph& graph) : GsIndex(graph, BuildOptions{}) {}
 
@@ -137,7 +137,7 @@ class GsIndex {
 
   /// One construction worker's reusable core-order sort buffers: the cn
   /// and P of each member's µ-th entry, indexed by vertex, and the bucket
-  /// counts.
+  /// counts. Overlap uses cn first, as the worker's marks.
   struct CoreOrderBuffers {
     std::vector<std::uint32_t> cn;
     std::vector<std::uint64_t> p;

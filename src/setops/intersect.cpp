@@ -20,6 +20,13 @@ std::size_t gallop_skew_threshold() {
   return value;
 }
 
+/// True when the Auto dispatchers should gallop on lists of these sizes.
+bool skewed(std::size_t a, std::size_t b) {
+  const std::size_t threshold = gallop_skew_threshold();
+  return threshold > 0 &&
+         std::max(a, b) > threshold * std::max<std::size_t>(std::min(a, b), 1);
+}
+
 /// The Auto similarity kernel: best vector kernel the CPU supports, except
 /// that high degree-skew pairs divert to the galloping kernel. Both sides
 /// of the switch decide the identical predicate, so results are
@@ -27,18 +34,17 @@ std::size_t gallop_skew_threshold() {
 bool similar_auto(Neighbors nu, Neighbors nv, std::uint32_t min_cn) {
   static const SimilarFn base =
       similar_fn(resolve_kernel(IntersectKind::Auto));
-  const std::size_t threshold = gallop_skew_threshold();
-  if (threshold > 0) {
-    const std::size_t small = std::min(nu.size(), nv.size());
-    const std::size_t large = std::max(nu.size(), nv.size());
-    if (large > threshold * std::max<std::size_t>(small, 1)) {
-      return similar_gallop(nu, nv, min_cn);
-    }
-  }
+  if (skewed(nu.size(), nv.size())) return similar_gallop(nu, nv, min_cn);
   return base(nu, nv, min_cn);
 }
 
 }  // namespace
+
+std::uint64_t intersect_count_auto(Neighbors a, Neighbors b) {
+  static const CountFn base = count_fn(resolve_kernel(IntersectKind::Auto));
+  if (skewed(a.size(), b.size())) return intersect_count_galloping(a, b);
+  return base(a, b);
+}
 
 std::string to_string(IntersectKind kind) {
   switch (kind) {
@@ -95,6 +101,8 @@ IntersectKind resolve_kernel(IntersectKind kind) {
 }
 
 CountFn count_fn(IntersectKind kind) {
+  // Auto is the per-pair dispatcher, as in similar_fn below.
+  if (kind == IntersectKind::Auto) return &intersect_count_auto;
   switch (resolve_kernel(kind)) {
     case IntersectKind::MergeEarlyStop:
     case IntersectKind::PivotScalar:

@@ -24,6 +24,7 @@
 //   Auto            — best kernel the executing CPU supports, switching to
 //                     GallopEarlyStop per pair when max(du,dv)/min(du,dv)
 //                     exceeds a threshold (PPSCAN_GALLOP_SKEW, default 64).
+//                     The Auto exact count dispatches the same way.
 //
 // Vector kernels require vertex ids < 2^31 (compares are signed); CsrGraph
 // guarantees that for any graph that fits in memory.
@@ -95,10 +96,15 @@ std::uint64_t intersect_count_avx512(Neighbors a, Neighbors b);
 /// the related-work point of the kernel study. Requires AVX2.
 std::uint64_t intersect_count_blocked_simd(Neighbors a, Neighbors b);
 
+/// |A ∩ B| by the Auto dispatch of similar_fn: galloping when the longer
+/// list is more than PPSCAN_GALLOP_SKEW times the shorter (0 disables
+/// galloping), else the best vector count the CPU supports.
+std::uint64_t intersect_count_auto(Neighbors a, Neighbors b);
+
 using CountFn = std::uint64_t (*)(Neighbors, Neighbors);
 
 /// Exact-count kernel for `kind`: scalar kinds map to the merge count,
-/// vector kinds to their SIMD counts, Auto to the best supported.
+/// vector kinds to their SIMD counts, Auto to intersect_count_auto.
 CountFn count_fn(IntersectKind kind);
 
 // --- shared pivot tail (exposed for the vector kernels and tests) -----------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -46,36 +47,106 @@ TEST(GsIndex, QueryMatchesReferenceAcrossTheGrid) {
   }
 }
 
-TEST(GsIndex, ParallelConstructionMatchesSequential) {
-  const auto g = erdos_renyi(400, 3000, 19);
-  GsIndex::BuildOptions sequential;
-  GsIndex::BuildOptions parallel;
-  parallel.num_threads = 4;
-  const GsIndex a(g, sequential);
-  const GsIndex b(g, parallel);
-  const auto params = ScanParams::make("0.5", 3);
-  EXPECT_TRUE(results_equivalent(a.query(params).result,
-                                 b.query(params).result));
+/// An R-MAT graph with heavy degree skew: hubs whose out-lists are short
+/// under the degree orientation, and many triangles through them. Large
+/// enough that the enumeration splits into many tasks, so parallel builds
+/// really add to shared counts concurrently.
+CsrGraph hub_graph() {
+  RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 8;
+  return rmat(p, 47);
 }
 
-TEST(GsIndex, CountKernelChoiceDoesNotChangeTheIndex) {
-  const auto g = erdos_renyi(300, 2500, 23);
-  for (const auto kind : {IntersectKind::MergeEarlyStop,
-                          IntersectKind::PivotAvx2,
-                          IntersectKind::PivotAvx512}) {
-    if (!kernel_supported(kind)) continue;
+TEST(GsIndex, ParallelConstructionMatchesSequential) {
+  const auto g = hub_graph();
+  const GsIndex sequential(g);
+  for (const int threads : {2, 4}) {
     GsIndex::BuildOptions options;
-    options.count_kernel = kind;
-    const GsIndex index(g, options);
+    options.num_threads = threads;
+    const GsIndex parallel(g, options);
+    ASSERT_TRUE(parallel.complete());
     for (VertexId u = 0; u < g.num_vertices(); ++u) {
-      for (EdgeId e = g.offset_begin(u); e < g.offset_end(u); ++e) {
-        const VertexId v = g.dst()[e];
-        const auto expected = static_cast<std::uint32_t>(
-            intersect_count_merge(g.neighbors(u), g.neighbors(v)) + 2);
-        ASSERT_EQ(index.overlap(u, v), expected)
-            << to_string(kind) << " arc (" << u << "," << v << ")";
+      for (const VertexId v : g.neighbors(u)) {
+        ASSERT_EQ(parallel.overlap(u, v), sequential.overlap(u, v))
+            << threads << " threads, arc (" << u << "," << v << ")";
       }
     }
+    for (const auto& params : testing::parameter_grid()) {
+      EXPECT_TRUE(results_equivalent(sequential.query(params).result,
+                                     parallel.query(params).result))
+          << threads << " threads, eps=" << params.eps.to_double()
+          << " mu=" << params.mu;
+    }
+  }
+}
+
+TEST(GsIndex, OverlapMatchesMergeCountOnEveryArc) {
+  std::vector<std::pair<std::string, CsrGraph>> graphs;
+  graphs.emplace_back("er", erdos_renyi(300, 2500, 23));
+  graphs.emplace_back("rmat", hub_graph());
+  graphs.emplace_back("star", make_star(40));
+  graphs.emplace_back("clique", make_clique(12));
+  graphs.emplace_back("single edge", GraphBuilder::from_edges({{0, 1}}, 2));
+  graphs.emplace_back("empty", GraphBuilder::from_edges({}, 5));
+  for (const auto& [family, g] : graphs) {
+    for (const int threads : {1, 4}) {
+      GsIndex::BuildOptions options;
+      options.num_threads = threads;
+      const GsIndex index(g, options);
+      ASSERT_TRUE(index.complete());
+      for (VertexId u = 0; u < g.num_vertices(); ++u) {
+        for (const VertexId v : g.neighbors(u)) {
+          const auto expected = static_cast<std::uint32_t>(
+              intersect_count_merge(g.neighbors(u), g.neighbors(v)) + 2);
+          ASSERT_EQ(index.overlap(u, v), expected)
+              << family << ", " << threads << " threads, arc (" << u << ","
+              << v << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(GsIndex, GovernedConstructionAbortsClassified) {
+  const auto g = hub_graph();
+  VertexId max_degree = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    max_degree = std::max(max_degree, g.degree(u));
+  }
+  const std::uint64_t index_bytes =
+      g.num_arcs() * (sizeof(VertexId) + sizeof(std::uint32_t) +
+                      sizeof(VertexId)) +
+      (std::uint64_t{max_degree} + 1) * sizeof(EdgeId);
+  const auto params = ScanParams::make("0.5", 3);
+
+  // Trip on entry to the first phase: no overlap is ever counted.
+  {
+    GsIndex::BuildOptions options;
+    options.num_threads = 4;
+    options.limits.cancel_at_phase = 1;
+    const GsIndex index(g, options);
+    EXPECT_FALSE(index.complete());
+    EXPECT_EQ(index.build_stats().abort.reason, AbortReason::UserCancelled);
+    EXPECT_EQ(index.build_stats().abort.phase, "Overlap");
+    EXPECT_THROW((void)index.query(params), std::logic_error);
+  }
+
+  // A budget that holds the index arrays but not the build's scratch: the
+  // orientation borrows index storage, and each worker's marks (one per
+  // vertex) alone exceed the slack. The construction refuses before
+  // allocating, never with bad_alloc.
+  {
+    GsIndex::BuildOptions options;
+    options.num_threads = 4;
+    options.limits.memory_budget_bytes =
+        index_bytes + std::uint64_t{g.num_vertices()} * sizeof(VertexId);
+    std::unique_ptr<GsIndex> index;
+    ASSERT_NO_THROW(index = std::make_unique<GsIndex>(g, options));
+    EXPECT_FALSE(index->complete());
+    EXPECT_EQ(index->build_stats().abort.reason, AbortReason::BudgetExceeded);
+    EXPECT_GT(index->build_stats().abort.bytes, index_bytes);
+    EXPECT_THROW((void)index->query(params), std::logic_error);
   }
 }
 

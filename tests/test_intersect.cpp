@@ -300,6 +300,28 @@ TEST(IntersectDispatch, AutoAgreesWithNaiveOnSkewedPairs) {
   }
 }
 
+TEST(IntersectDispatch, AutoCountMatchesMergeOnSkewedAndBalancedPairs) {
+  // Auto counts gallop past the skew threshold (64x by default) and use the
+  // best vector count below it; both must equal the merge count.
+  EXPECT_EQ(count_fn(IntersectKind::Auto), &intersect_count_auto);
+  Rng rng(71);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto small = random_sorted_set(rng, 1 + rng.next_below(6), 100000);
+    const auto large = random_sorted_set(rng, 2000, 100000);
+    EXPECT_EQ(intersect_count_auto(small, large),
+              intersect_count_merge(small, large));
+    EXPECT_EQ(intersect_count_auto(large, small),
+              intersect_count_merge(large, small));
+    const auto a = random_sorted_set(rng, 1 + rng.next_below(400), 2000);
+    const auto b = random_sorted_set(rng, 1 + rng.next_below(400), 2000);
+    EXPECT_EQ(intersect_count_auto(a, b), intersect_count_merge(a, b));
+  }
+  const std::vector<VertexId> empty;
+  const std::vector<VertexId> tiny{3, 9};
+  EXPECT_EQ(intersect_count_auto(empty, tiny), 0u);
+  EXPECT_EQ(intersect_count_auto(tiny, empty), 0u);
+}
+
 TEST(IntersectDispatch, AutoResolvesToSupportedKernel) {
   const auto resolved = resolve_kernel(IntersectKind::Auto);
   EXPECT_NE(resolved, IntersectKind::Auto);
