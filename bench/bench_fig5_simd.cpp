@@ -1,9 +1,10 @@
 // Figure 5: set-intersection optimization experiment (µ = 5).
 //
 // Core-checking speedup of vectorized ppSCAN over ppSCAN-NO (the merge
-// early-stop kernel), for both the AVX2 and AVX512 paths. Expected shape:
-// speedup > 1, larger for AVX512 than AVX2, decreasing as ε grows (more
-// work is pruned before any intersection runs).
+// early-stop kernel), for the paper's AVX2 and AVX512 pivot paths and for
+// the 16×16 AVX512 block kernel. Expected shape: speedup > 1, larger for
+// AVX512 than AVX2, decreasing as ε grows (more work is pruned before any
+// intersection runs).
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
     PpScanOptions options;
     options.num_threads = threads;
     options.kernel = kernel;
-    // Median of three runs: the stage is short and mildly noisy.
+    // Best of three runs: the stage is short and mildly noisy.
     double best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
       const auto run = ppscan::ppscan(graph, params, options);
@@ -35,8 +36,20 @@ int main(int argc, char** argv) {
     return best;
   };
 
+  // Seconds for `kernel`, or 0 when this CPU cannot run it.
+  const auto seconds_if_supported = [&](const CsrGraph& graph,
+                                        const ScanParams& params,
+                                        IntersectKind kernel) {
+    return kernel_supported(kernel) ? check_seconds(graph, params, kernel)
+                                    : 0.0;
+  };
+  const auto speedup = [](double base, double t) {
+    return Table::fmt(t > 0 ? base / t : 0, 2);
+  };
+
   Table table({"dataset", "eps", "merge(s)", "avx2(s)", "avx512(s)",
-               "speedup-avx2", "speedup-avx512"});
+               "block512(s)", "speedup-avx2", "speedup-avx512",
+               "speedup-block512"});
   for (const auto& name : bench::dataset_flag(flags)) {
     const auto graph = load_dataset(name);
     for (const auto& eps : bench::eps_flag(flags)) {
@@ -44,17 +57,15 @@ int main(int argc, char** argv) {
       const double merge =
           check_seconds(graph, params, IntersectKind::MergeEarlyStop);
       const double avx2 =
-          kernel_supported(IntersectKind::PivotAvx2)
-              ? check_seconds(graph, params, IntersectKind::PivotAvx2)
-              : 0;
+          seconds_if_supported(graph, params, IntersectKind::PivotAvx2);
       const double avx512 =
-          kernel_supported(IntersectKind::PivotAvx512)
-              ? check_seconds(graph, params, IntersectKind::PivotAvx512)
-              : 0;
+          seconds_if_supported(graph, params, IntersectKind::PivotAvx512);
+      const double block512 =
+          seconds_if_supported(graph, params, IntersectKind::BlockAvx512);
       table.add_row({name, eps, Table::fmt(merge), Table::fmt(avx2),
-                     Table::fmt(avx512),
-                     Table::fmt(avx2 > 0 ? merge / avx2 : 0, 2),
-                     Table::fmt(avx512 > 0 ? merge / avx512 : 0, 2)});
+                     Table::fmt(avx512), Table::fmt(block512),
+                     speedup(merge, avx2), speedup(merge, avx512),
+                     speedup(merge, block512)});
     }
   }
   table.print(std::cout,

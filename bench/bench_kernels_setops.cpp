@@ -42,6 +42,18 @@ std::pair<std::vector<VertexId>, std::vector<VertexId>> make_lists(
   return {std::move(a), std::move(b)};
 }
 
+/// The similarity kernels both sweeps run, by row name.
+constexpr struct {
+  const char* name;
+  IntersectKind kind;
+} kKernels[] = {
+    {"merge_early_stop", IntersectKind::MergeEarlyStop},
+    {"pivot_scalar", IntersectKind::PivotScalar},
+    {"pivot_avx2", IntersectKind::PivotAvx2},
+    {"pivot_avx512", IntersectKind::PivotAvx512},
+    {"block512", IntersectKind::BlockAvx512},
+};
+
 void bench_similar_kernel(benchmark::State& state, IntersectKind kind) {
   if (!ppscan::kernel_supported(kind)) {
     state.SkipWithError("kernel unsupported on this CPU");
@@ -61,15 +73,6 @@ void bench_similar_kernel(benchmark::State& state, IntersectKind kind) {
 }
 
 void register_kernels() {
-  static const struct {
-    const char* name;
-    IntersectKind kind;
-  } kKernels[] = {
-      {"merge_early_stop", IntersectKind::MergeEarlyStop},
-      {"pivot_scalar", IntersectKind::PivotScalar},
-      {"pivot_avx2", IntersectKind::PivotAvx2},
-      {"pivot_avx512", IntersectKind::PivotAvx512},
-  };
   for (const auto& k : kKernels) {
     const std::string name = std::string("similar/") + k.name;
     auto* bench = benchmark::RegisterBenchmark(
@@ -130,15 +133,6 @@ void bench_similar_skewed(benchmark::State& state, IntersectKind kind) {
 }
 
 void register_skewed_kernels() {
-  static const struct {
-    const char* name;
-    IntersectKind kind;
-  } kKernels[] = {
-      {"merge_early_stop", IntersectKind::MergeEarlyStop},
-      {"pivot_scalar", IntersectKind::PivotScalar},
-      {"pivot_avx2", IntersectKind::PivotAvx2},
-      {"pivot_avx512", IntersectKind::PivotAvx512},
-  };
   for (const auto& k : kKernels) {
     const std::string name = std::string("similar_skewed/") + k.name;
     auto* bench = benchmark::RegisterBenchmark(

@@ -1,7 +1,6 @@
 #include "core/ppscan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <memory>
 
@@ -128,12 +127,13 @@ class PpScanRunner {
     }
     ScanRun run = assemble_result();
     run.stats = stats_;
-    run.stats.compsim_invocations =
-        invocations_.load(std::memory_order_relaxed);
     // The slot merge happens after every phase barrier (and after the
     // serial fallbacks returned), which is the happens-before edge the
     // plain per-worker counters need.
     run.stats.counters = counters_.merged();
+    // compute_arc is the only place that bumps sims_computed, once per
+    // kernel call: that is the CompSim tally of the paper's Figure 4.
+    run.stats.compsim_invocations = run.stats.counters.sims_computed;
     run.stats.runtime_kind = "worksteal";
     const ExecutorStats es = exec_->stats();
     run.stats.tasks_executed = es.tasks_executed;
@@ -246,7 +246,6 @@ class PpScanRunner {
   /// flag onto the reverse arc (similarity-value reuse). Returns Sim?
   bool compute_arc(VertexId u, EdgeId e, std::uint32_t min_cn) {
     const VertexId v = graph_.dst()[e];
-    invocations_.fetch_add(1, std::memory_order_relaxed);
     const bool sim =
         kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn);
     const std::int32_t flag = sim ? kSimFlag : kNSimFlag;
@@ -540,8 +539,6 @@ class PpScanRunner {
   AtomicArray<VertexId> cluster_id_;
   std::vector<MembershipSlot> membership_slots_;
   std::vector<std::pair<VertexId, VertexId>> memberships_;
-  // protocol: relaxed-counter — CompSim invocation tally (Figure 4).
-  std::atomic<std::uint64_t> invocations_{0};
   // Per-worker pruning-funnel slots (same slot layout as
   // membership_slots_); merged into RunStats::counters at the end.
   obs::CounterSlots counters_;

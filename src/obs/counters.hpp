@@ -10,8 +10,9 @@
 //     mirror as touched + reused.
 //   * arcs_predicate_pruned — decided from degrees alone (need <= 2 or
 //     need > min(d(u), d(v)) + 1), no intersection run.
-//   * sims_computed — intersection kernel actually invoked (== the
-//     RunStats::compsim_invocations funnel stage).
+//   * sims_computed — intersection kernel actually invoked. In ppSCAN it
+//     is the source of RunStats::compsim_invocations (no separate shared
+//     counter); the other algorithms keep the two equal.
 //   * sims_reused — decided by mirroring the reverse arc's result.
 //   Invariant, by construction:
 //     arcs_predicate_pruned + sims_computed + sims_reused == arcs_touched

@@ -27,10 +27,10 @@ bool skewed(std::size_t a, std::size_t b) {
          std::max(a, b) > threshold * std::max<std::size_t>(std::min(a, b), 1);
 }
 
-/// The Auto similarity kernel: best vector kernel the CPU supports, except
-/// that high degree-skew pairs divert to the galloping kernel. Both sides
-/// of the switch decide the identical predicate, so results are
-/// bit-identical across thresholds.
+/// The Auto similarity kernel: best vector kernel the CPU supports (the
+/// block kernel on AVX-512), except that high degree-skew pairs divert to
+/// the galloping kernel. Both sides of the switch decide the identical
+/// predicate, so results are bit-identical across thresholds.
 bool similar_auto(Neighbors nu, Neighbors nv, std::uint32_t min_cn) {
   static const SimilarFn base =
       similar_fn(resolve_kernel(IntersectKind::Auto));
@@ -52,6 +52,7 @@ std::string to_string(IntersectKind kind) {
     case IntersectKind::PivotScalar: return "pivot";
     case IntersectKind::PivotAvx2: return "avx2";
     case IntersectKind::PivotAvx512: return "avx512";
+    case IntersectKind::BlockAvx512: return "block512";
     case IntersectKind::GallopEarlyStop: return "gallop";
     case IntersectKind::Auto: return "auto";
   }
@@ -63,6 +64,7 @@ IntersectKind parse_intersect_kind(const std::string& name) {
   if (name == "pivot") return IntersectKind::PivotScalar;
   if (name == "avx2") return IntersectKind::PivotAvx2;
   if (name == "avx512") return IntersectKind::PivotAvx512;
+  if (name == "block512") return IntersectKind::BlockAvx512;
   if (name == "gallop") return IntersectKind::GallopEarlyStop;
   if (name == "auto") return IntersectKind::Auto;
   throw std::invalid_argument("unknown intersect kind: " + name);
@@ -78,6 +80,7 @@ bool kernel_supported(IntersectKind kind) {
     case IntersectKind::PivotAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case IntersectKind::PivotAvx512:
+    case IntersectKind::BlockAvx512:
       return __builtin_cpu_supports("avx512f") != 0;
   }
   return false;
@@ -85,8 +88,8 @@ bool kernel_supported(IntersectKind kind) {
 
 IntersectKind resolve_kernel(IntersectKind kind) {
   if (kind == IntersectKind::Auto) {
-    if (kernel_supported(IntersectKind::PivotAvx512)) {
-      return IntersectKind::PivotAvx512;
+    if (kernel_supported(IntersectKind::BlockAvx512)) {
+      return IntersectKind::BlockAvx512;
     }
     if (kernel_supported(IntersectKind::PivotAvx2)) {
       return IntersectKind::PivotAvx2;
@@ -112,6 +115,7 @@ CountFn count_fn(IntersectKind kind) {
     case IntersectKind::PivotAvx2:
       return &intersect_count_avx2;
     case IntersectKind::PivotAvx512:
+    case IntersectKind::BlockAvx512:
       return &intersect_count_avx512;
     case IntersectKind::Auto:
       break;  // resolved above
@@ -128,6 +132,7 @@ SimilarFn similar_fn(IntersectKind kind) {
     case IntersectKind::PivotScalar: return &similar_pivot_scalar;
     case IntersectKind::PivotAvx2: return &similar_pivot_avx2;
     case IntersectKind::PivotAvx512: return &similar_pivot_avx512;
+    case IntersectKind::BlockAvx512: return &similar_block_avx512;
     case IntersectKind::GallopEarlyStop: return &similar_gallop;
     case IntersectKind::Auto: break;  // handled above
   }

@@ -17,11 +17,15 @@
 //   PivotAvx2       — Algorithm 6 ported to 8-lane AVX2.
 //   PivotAvx512     — Algorithm 6 verbatim (16-lane,
 //                     `_mm512_cmpgt_epi32_mask`).
+//   BlockAvx512     — 16×16 all-pairs block-merge that retires one block per
+//                     step and checks the bounds at block boundaries; the
+//                     fastest kernel on lists of similar length.
 //   GallopEarlyStop — galloping (binary-search) intersection from the
 //                     smaller list, with the same early-termination bounds;
 //                     wins on heavy degree skew (hub vs member) where the
 //                     linear kernels walk the long list element by element.
-//   Auto            — best kernel the executing CPU supports, switching to
+//   Auto            — best kernel the executing CPU supports (BlockAvx512,
+//                     else PivotAvx2, else PivotScalar), switching to
 //                     GallopEarlyStop per pair when max(du,dv)/min(du,dv)
 //                     exceeds a threshold (PPSCAN_GALLOP_SKEW, default 64).
 //                     The Auto exact count dispatches the same way.
@@ -43,13 +47,15 @@ enum class IntersectKind : std::uint8_t {
   PivotScalar,
   PivotAvx2,
   PivotAvx512,
+  BlockAvx512,
   GallopEarlyStop,
   Auto,
 };
 
 [[nodiscard]] std::string to_string(IntersectKind kind);
 
-/// Parses "merge" / "pivot" / "avx2" / "avx512" / "gallop" / "auto".
+/// Parses "merge" / "pivot" / "avx2" / "avx512" / "block512" / "gallop" /
+/// "auto".
 IntersectKind parse_intersect_kind(const std::string& name);
 
 /// True when the executing CPU can run `kind`.
@@ -67,6 +73,7 @@ bool similar_merge_early_stop(Neighbors nu, Neighbors nv, std::uint32_t min_cn);
 bool similar_pivot_scalar(Neighbors nu, Neighbors nv, std::uint32_t min_cn);
 bool similar_pivot_avx2(Neighbors nu, Neighbors nv, std::uint32_t min_cn);
 bool similar_pivot_avx512(Neighbors nu, Neighbors nv, std::uint32_t min_cn);
+bool similar_block_avx512(Neighbors nu, Neighbors nv, std::uint32_t min_cn);
 bool similar_gallop(Neighbors nu, Neighbors nv, std::uint32_t min_cn);
 
 /// Function-pointer type of the kernels above.
@@ -84,8 +91,9 @@ std::uint64_t intersect_count_merge(Neighbors a, Neighbors b);
 /// related-work alternative the paper discusses and rejects for pSCAN.
 std::uint64_t intersect_count_galloping(Neighbors a, Neighbors b);
 
-/// |A ∩ B| with the pivot-skipping vector loop but no early termination —
-/// the exhaustive SIMD intersection SCAN-XP runs on every edge.
+/// |A ∩ B| with no early termination — the exhaustive SIMD intersection
+/// SCAN-XP runs on every edge. The AVX2 count is the pivot-skipping loop;
+/// the AVX-512 count is BlockAvx512's 16×16 block-merge step.
 std::uint64_t intersect_count_avx2(Neighbors a, Neighbors b);
 std::uint64_t intersect_count_avx512(Neighbors a, Neighbors b);
 

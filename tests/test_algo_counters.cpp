@@ -57,6 +57,7 @@ TEST(AlgoCounters, PpScanPrunedRunKeepsInvariantAndMergesAcrossThreads) {
   serial.num_threads = 1;
   const auto base = ppscan(g, params, serial);
   expect_funnel_invariant(base.stats.counters, "ppSCAN serial");
+  EXPECT_EQ(base.stats.counters.sims_computed, base.stats.compsim_invocations);
   // Pruning can only shrink the funnel, never decide an arc twice.
   EXPECT_LE(base.stats.counters.arcs_touched, 2 * g.num_edges());
   EXPECT_GT(base.stats.counters.arcs_touched, 0u);

@@ -84,7 +84,8 @@ TEST(DifferentialFuzz, AllImplementationsAgreeWithTheOracle) {
     // Every intersection kernel through ppSCAN.
     for (const auto kind :
          {IntersectKind::MergeEarlyStop, IntersectKind::PivotScalar,
-          IntersectKind::PivotAvx2, IntersectKind::PivotAvx512}) {
+          IntersectKind::PivotAvx2, IntersectKind::PivotAvx512,
+          IntersectKind::BlockAvx512}) {
       if (!kernel_supported(kind)) continue;
       PpScanOptions options;
       options.num_threads = config.num_threads;

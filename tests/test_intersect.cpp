@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -27,6 +28,47 @@ bool naive_similar(const std::vector<VertexId>& a,
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(common));
   return common.size() + 2 >= min_cn;
+}
+
+/// {start, start + stride, ...}, `len` elements.
+std::vector<VertexId> arith(std::size_t len, VertexId start, VertexId stride) {
+  std::vector<VertexId> out(len);
+  for (std::size_t k = 0; k < len; ++k) {
+    out[k] = start + static_cast<VertexId>(k) * stride;
+  }
+  return out;
+}
+
+/// List pairs around the 16-lane block edges of the AVX-512 block kernels:
+/// lengths just below, at and above one, two and three blocks, each pair
+/// with matches on both sides of a block edge, in both orders. The stride
+/// patterns make either side's blocks end first, so the block loop exits
+/// with uncounted matches on u's side for some pairs and on v's side for
+/// others.
+std::vector<std::pair<std::vector<VertexId>, std::vector<VertexId>>>
+block_edge_shapes() {
+  struct Pattern {
+    VertexId start_a, stride_a, start_b, stride_b;
+  };
+  constexpr Pattern kPatterns[] = {
+      {0, 2, 0, 1},  // a's blocks span twice b's range: a's side pends
+      {0, 2, 0, 3},  // matches every 6, straddling both sides' edges
+      {0, 1, 8, 1},  // b shifted half a block
+      {0, 1, 0, 1},  // shared prefix
+      {1, 3, 1, 2},  // matches 1, 7, 13, ...
+  };
+  std::vector<std::pair<std::vector<VertexId>, std::vector<VertexId>>> out;
+  for (const std::size_t len_a : {15, 16, 17, 31, 32, 33, 48}) {
+    for (const std::size_t len_b : {15, 16, 17, 31, 32, 33, 48}) {
+      for (const Pattern& p : kPatterns) {
+        auto a = arith(len_a, p.start_a, p.stride_a);
+        auto b = arith(len_b, p.start_b, p.stride_b);
+        out.emplace_back(a, b);
+        out.emplace_back(std::move(b), std::move(a));
+      }
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -94,6 +136,10 @@ TEST(IntersectCountSimd, Avx512MatchesMergeRandomized) {
     const auto a = random_sorted_set(rng, 1 + rng.next_below(400), 2000);
     const auto b = random_sorted_set(rng, 1 + rng.next_below(400), 2000);
     EXPECT_EQ(intersect_count_avx512(a, b), intersect_count_merge(a, b));
+  }
+  for (const auto& [a, b] : block_edge_shapes()) {
+    EXPECT_EQ(intersect_count_avx512(a, b), intersect_count_merge(a, b))
+        << "|a|=" << a.size() << " |b|=" << b.size();
   }
 }
 
@@ -260,10 +306,62 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{IntersectKind::PivotScalar},
                       KernelCase{IntersectKind::PivotAvx2},
                       KernelCase{IntersectKind::PivotAvx512},
+                      KernelCase{IntersectKind::BlockAvx512},
                       KernelCase{IntersectKind::GallopEarlyStop}),
     [](const ::testing::TestParamInfo<KernelCase>& info) {
       return to_string(info.param.kind);
     });
+
+// ---------------------------------------------------------------------------
+// Block kernel: retirement at block edges and the exit settlement.
+
+TEST(SimilarBlockAvx512, EveryThresholdAroundBlockEdges) {
+  if (!kernel_supported(IntersectKind::BlockAvx512)) {
+    GTEST_SKIP() << "no AVX512";
+  }
+  for (const auto& [a, b] : block_edge_shapes()) {
+    const auto top = static_cast<std::uint32_t>(std::min(a.size(), b.size()));
+    for (std::uint32_t min_cn = 0; min_cn <= top + 3; ++min_cn) {
+      EXPECT_EQ(similar_block_avx512(a, b, min_cn), naive_similar(a, b, min_cn))
+          << "|a|=" << a.size() << " a[1]=" << a[1] << " |b|=" << b.size()
+          << " b[1]=" << b[1] << " min_cn=" << min_cn;
+    }
+  }
+}
+
+TEST(SimilarBlockAvx512, SettlesThePendingBlockAtLoopExit) {
+  if (!kernel_supported(IntersectKind::BlockAvx512)) {
+    GTEST_SKIP() << "no AVX512";
+  }
+  // x = {0, 2, ..., 30, 40, 42, ..., 68}, y = {0, 2, ..., 28, 31, 40, ...,
+  // 68}. x's first block ends at 30 and y's at 31, so x's block retires,
+  // and the loop exits (x has 15 elements left) with y's head block holding
+  // 15 matches y's bound has not seen. All but 30 and 31 match: cn = 32,
+  // the most the lengths allow, so a matched element charged as a mismatch
+  // turns Sim into NSim.
+  auto x = arith(16, 0, 2);
+  auto y = arith(15, 0, 2);
+  y.push_back(31);
+  for (const VertexId id : arith(15, 40, 2)) {
+    x.push_back(id);
+    y.push_back(id);
+  }
+  ASSERT_EQ(intersect_count_merge(x, y), 30u);
+  for (const std::uint32_t min_cn : {31u, 32u, 33u}) {
+    // Pending on v's side, then on u's side.
+    EXPECT_EQ(similar_block_avx512(x, y, min_cn), min_cn <= 32) << min_cn;
+    EXPECT_EQ(similar_block_avx512(y, x, min_cn), min_cn <= 32) << min_cn;
+  }
+  // {0, 2, ..., 32} against {0, ..., 15}: the second list's only block
+  // retires first, so the pending block is settled against an exhausted
+  // list. 8 matches, cn = 10.
+  const auto evens = arith(17, 0, 2);
+  const auto run = arith(16, 0, 1);
+  for (const std::uint32_t min_cn : {9u, 10u, 11u}) {
+    EXPECT_EQ(similar_block_avx512(evens, run, min_cn), min_cn <= 10);
+    EXPECT_EQ(similar_block_avx512(run, evens, min_cn), min_cn <= 10);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -272,7 +370,8 @@ TEST(IntersectDispatch, ParseRoundTrip) {
   for (const auto kind :
        {IntersectKind::MergeEarlyStop, IntersectKind::PivotScalar,
         IntersectKind::PivotAvx2, IntersectKind::PivotAvx512,
-        IntersectKind::GallopEarlyStop, IntersectKind::Auto}) {
+        IntersectKind::BlockAvx512, IntersectKind::GallopEarlyStop,
+        IntersectKind::Auto}) {
     EXPECT_EQ(parse_intersect_kind(to_string(kind)), kind);
   }
   EXPECT_THROW(parse_intersect_kind("bogus"), std::invalid_argument);

@@ -80,12 +80,14 @@ INSTANTIATE_TEST_SUITE_P(
         PpScanConfig{1, IntersectKind::PivotScalar, SchedulerKind::DegreeSum},
         PpScanConfig{1, IntersectKind::PivotAvx2, SchedulerKind::DegreeSum},
         PpScanConfig{1, IntersectKind::PivotAvx512, SchedulerKind::DegreeSum},
+        PpScanConfig{1, IntersectKind::BlockAvx512, SchedulerKind::DegreeSum},
         PpScanConfig{2, IntersectKind::Auto, SchedulerKind::DegreeSum},
         PpScanConfig{4, IntersectKind::Auto, SchedulerKind::DegreeSum},
         PpScanConfig{8, IntersectKind::Auto, SchedulerKind::DegreeSum},
         PpScanConfig{4, IntersectKind::Auto, SchedulerKind::StaticRange},
         PpScanConfig{4, IntersectKind::Auto, SchedulerKind::FixedChunk},
         PpScanConfig{4, IntersectKind::PivotAvx512, SchedulerKind::StaticRange},
+        PpScanConfig{4, IntersectKind::BlockAvx512, SchedulerKind::StaticRange},
         PpScanConfig{3, IntersectKind::PivotAvx2, SchedulerKind::FixedChunk}),
     [](const ::testing::TestParamInfo<PpScanConfig>& info) {
       return "t" + std::to_string(info.param.threads) + "_" +
