@@ -206,6 +206,23 @@ auto make_range_body(NeedsWork& needs_work, Work& work,
 
 }  // namespace detail
 
+/// Runs `body(i)` for every i in [0, count), one task per index: on
+/// `executor` when given, else in index order on the calling thread. For
+/// phases already cut into a few even pieces (text-ingest chunks, edge-list
+/// slices), where degree bundling has nothing to add.
+template <typename Body>
+void run_index_tasks(Executor* executor, VertexId count, Body&& body) {
+  if (executor == nullptr) {
+    for (VertexId i = 0; i < count; ++i) body(i);
+    return;
+  }
+  std::vector<TaskRange> tasks(count);
+  for (VertexId i = 0; i < count; ++i) tasks[i] = {i, i + 1};
+  executor->run(tasks.data(), tasks.size(), [&](VertexId beg, VertexId end) {
+    for (VertexId i = beg; i < end; ++i) body(i);
+  });
+}
+
 /// Runs `work(u)` for every u in [0, n) with `needs_work(u)` true on the
 /// work-stealing executor, bundling vertices into ranges according to
 /// `options`. `degree_of(u)` feeds the degree-sum policy. Blocks until all

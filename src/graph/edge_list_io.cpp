@@ -1,15 +1,23 @@
 #include "graph/edge_list_io.hpp"
 
+#include <fcntl.h>
+#include <malloc.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <optional>
 
+#include "concurrent/executor.hpp"
+#include "concurrent/task_scheduler.hpp"
 #include "graph/csr_validate.hpp"
 #include "graph/graph_builder.hpp"
+#include "util/env.hpp"
 #include "util/graph_io_error.hpp"
 
 namespace ppscan {
@@ -29,66 +37,238 @@ constexpr std::uint64_t kArcCountFieldOffset =
 // stop one short of it.
 constexpr unsigned long long kMaxVertexId = 0xFFFF'FFFEULL;
 
+// Text inputs below this size are parsed on the calling thread with no
+// Executor: starting workers would cost more than the parse, and the unit
+// and fuzz tests load thousands of tiny files.
+constexpr std::size_t kParallelMinBytes = std::size_t{1} << 20;
+
+// Chunks per worker: a few each, so stealing evens out chunks whose lines
+// parse at different speeds.
+constexpr int kChunksPerWorker = 4;
+
+bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+bool is_digit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
+/// A line holds an edge unless it is empty or a '#' / '%' comment.
+bool starts_edge(char c) { return c != '\n' && c != '#' && c != '%'; }
+
+/// The rest of the line from `p`, for messages; a NUL byte shows as "\0".
+std::string rest_of_line(const char* p) {
+  std::string out;
+  for (; *p != '\n'; ++p) {
+    if (*p == '\0') {
+      out += "\\0";
+    } else {
+      out += *p;
+    }
+  }
+  return out;
+}
+
 /// Parses one vertex id starting at `cursor` (which is advanced past it),
 /// rejecting negative ids, ids above the VertexId range, and non-numeric
-/// text — the silent strtoull-wrap/truncate paths this loader used to have.
+/// text. The line ends in '\n', which stops every scan.
 VertexId parse_vertex_id(const char*& cursor, const char* which,
                          const std::string& path, std::uint64_t lineno) {
-  while (*cursor == ' ' || *cursor == '\t' || *cursor == '\r') ++cursor;
+  while (is_blank(*cursor)) ++cursor;
   if (*cursor == '-') {
     throw GraphIoError(GraphIoErrorKind::kNegativeId,
                        std::string(which) + " endpoint is negative",
                        path, GraphIoError::kNoLocation, lineno);
   }
-  if (!std::isdigit(static_cast<unsigned char>(*cursor))) {
+  if (!is_digit(*cursor)) {
     throw GraphIoError(GraphIoErrorKind::kParseError,
                        std::string("expected ") + which +
-                           " endpoint, got '" + cursor + "'",
+                           " endpoint, got '" + rest_of_line(cursor) + "'",
                        path, GraphIoError::kNoLocation, lineno);
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(cursor, &end, 10);
-  if (errno == ERANGE || value > kMaxVertexId) {
-    throw GraphIoError(GraphIoErrorKind::kIdOutOfRange,
-                       std::string(which) + " endpoint exceeds the 32-bit "
-                           "VertexId range (max " +
-                           std::to_string(kMaxVertexId) + ")",
-                       path, GraphIoError::kNoLocation, lineno);
-  }
-  cursor = end;
+  std::uint64_t value = 0;
+  do {
+    value = value * 10 + static_cast<unsigned char>(*cursor - '0');
+    if (value > kMaxVertexId) {
+      throw GraphIoError(GraphIoErrorKind::kIdOutOfRange,
+                         std::string(which) + " endpoint exceeds the 32-bit "
+                             "VertexId range (max " +
+                             std::to_string(kMaxVertexId) + ")",
+                         path, GraphIoError::kNoLocation, lineno);
+    }
+    ++cursor;
+  } while (is_digit(*cursor));
   return static_cast<VertexId>(value);
+}
+
+/// The whole file, with a '\n' appended when the last line lacks one, so
+/// every line (the last included) ends in '\n'.
+struct TextBuffer {
+  std::unique_ptr<char[]> bytes;
+  std::size_t size = 0;
+};
+
+TextBuffer read_text(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw GraphIoError(GraphIoErrorKind::kOpenFailed, "cannot open edge list",
+                       path);
+  }
+  // A regular file's size plus two bytes: one for the appended '\n' and
+  // one so the read that meets end of file does not grow the buffer. A
+  // pipe starts at 64 KiB and doubles.
+  struct stat info {};
+  std::size_t capacity = std::size_t{1} << 16;
+  if (::fstat(fd, &info) == 0 && S_ISREG(info.st_mode)) {
+    capacity = static_cast<std::size_t>(info.st_size) + 2;
+  }
+  TextBuffer text{std::make_unique_for_overwrite<char[]>(capacity), 0};
+  for (;;) {
+    if (text.size + 1 == capacity) {
+      auto bigger = std::make_unique_for_overwrite<char[]>(2 * capacity);
+      std::memcpy(bigger.get(), text.bytes.get(), text.size);
+      text.bytes = std::move(bigger);
+      capacity *= 2;
+    }
+    const ssize_t got = ::read(fd, text.bytes.get() + text.size,
+                               capacity - 1 - text.size);
+    if (got == 0) break;
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      throw GraphIoError(GraphIoErrorKind::kOpenFailed,
+                         "cannot read edge list", path);
+    }
+    text.size += static_cast<std::size_t>(got);
+  }
+  ::close(fd);
+  if (text.size > 0 && text.bytes[text.size - 1] != '\n') {
+    text.bytes[text.size++] = '\n';
+  }
+  return text;
+}
+
+/// A line-aligned piece of the text, parsed by one task.
+struct Chunk {
+  const char* begin = nullptr;
+  const char* end = nullptr;  // one past the chunk's last '\n'
+  std::uint64_t lines = 0;       // lines in the chunk
+  std::uint64_t edges = 0;       // of those, lines that hold an edge
+  std::uint64_t first_line = 0;  // lines in all earlier chunks
+  std::uint64_t first_edge = 0;  // edges in all earlier chunks
+  std::optional<GraphIoError> error;
+};
+
+/// Cuts the text into up to `pieces` non-empty chunks, each ending just
+/// after a '\n'.
+std::vector<Chunk> cut_chunks(const TextBuffer& text, std::size_t pieces) {
+  std::vector<Chunk> chunks;
+  const char* const all = text.bytes.get();
+  const char* const end = all + text.size;
+  const char* begin = all;
+  for (std::size_t k = 1; k <= pieces && begin < end; ++k) {
+    const char* cut =
+        std::find(std::max(begin, all + text.size * k / pieces), end, '\n');
+    cut = cut == end ? end : cut + 1;
+    if (cut > begin) {
+      Chunk& chunk = chunks.emplace_back();
+      chunk.begin = begin;
+      chunk.end = cut;
+    }
+    begin = cut;
+  }
+  return chunks;
+}
+
+/// Counts the chunk's lines, and its lines that hold an edge, in one pass
+/// the compiler vectorizes: a line starts at the chunk start and after
+/// every '\n' but the chunk's last.
+void count_lines(Chunk& chunk) {
+  std::uint64_t lines = 1;  // the chunk's last byte is a '\n'
+  auto edges = static_cast<std::uint64_t>(starts_edge(*chunk.begin));
+  for (const char* p = chunk.begin; p + 1 < chunk.end; ++p) {
+    const bool newline = p[0] == '\n';
+    lines += static_cast<std::uint64_t>(newline);
+    edges += static_cast<std::uint64_t>(newline & starts_edge(p[1]));
+  }
+  chunk.lines = lines;
+  chunk.edges = edges;
+}
+
+/// Parses the chunk's lines into `out`, which has room for chunk.edges.
+/// Throws the first malformed line's error, numbered in the whole file.
+void parse_chunk(const Chunk& chunk, std::pair<VertexId, VertexId>* out,
+                 const std::string& path) {
+  std::uint64_t lineno = chunk.first_line;
+  for (const char* p = chunk.begin; p < chunk.end;) {
+    ++lineno;
+    if (!starts_edge(*p)) {
+      p = static_cast<const char*>(
+              std::memchr(p, '\n', static_cast<std::size_t>(chunk.end - p))) +
+          1;
+      continue;
+    }
+    const VertexId u = parse_vertex_id(p, "first", path, lineno);
+    const VertexId v = parse_vertex_id(p, "second", path, lineno);
+    while (is_blank(*p)) ++p;
+    if (*p != '\n') {
+      throw GraphIoError(GraphIoErrorKind::kTrailingGarbage,
+                         "unexpected text after the two endpoints: '" +
+                             rest_of_line(p) + "'",
+                         path, GraphIoError::kNoLocation, lineno);
+    }
+    ++p;
+    *out++ = {u, v};
+  }
+}
+
+/// Reads and parses the whole file into one flat edge array. The text and
+/// the workers are gone when it returns, before the CSR is allocated.
+EdgeList parse_edge_list(const std::string& path) {
+  const TextBuffer text = read_text(path);
+  const int workers = text.size < kParallelMinBytes ? 1 : default_threads();
+  std::optional<Executor> executor;
+  if (workers > 1) executor.emplace(workers);
+  Executor* pool = executor ? &*executor : nullptr;
+
+  std::vector<Chunk> chunks = cut_chunks(
+      text, static_cast<std::size_t>(
+                pool == nullptr ? 1 : workers * kChunksPerWorker));
+  const VertexId count = checked_vertex_cast(chunks.size());
+  run_index_tasks(pool, count, [&](VertexId c) { count_lines(chunks[c]); });
+  std::uint64_t lines = 0;
+  std::uint64_t edges = 0;
+  for (Chunk& chunk : chunks) {
+    chunk.first_line = lines;
+    chunk.first_edge = edges;
+    lines += chunk.lines;
+    edges += chunk.edges;
+  }
+
+  EdgeList edge_list(edges);
+  run_index_tasks(pool, count, [&](VertexId c) {
+    try {
+      parse_chunk(chunks[c], edge_list.data() + chunks[c].first_edge, path);
+    } catch (const GraphIoError& e) {
+      chunks[c].error = e;
+    }
+  });
+  // Every chunk stops at its own first bad line, so the first chunk with
+  // an error holds the first bad line of the file.
+  for (const Chunk& chunk : chunks) {
+    if (chunk.error) throw *chunk.error;
+  }
+  return edge_list;
 }
 
 }  // namespace
 
 CsrGraph read_edge_list_text(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw GraphIoError(GraphIoErrorKind::kOpenFailed, "cannot open edge list",
-                       path);
-  }
-
-  GraphBuilder builder;
-  std::string line;
-  std::uint64_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    const char* cursor = line.c_str();
-    const VertexId u = parse_vertex_id(cursor, "first", path, lineno);
-    const VertexId v = parse_vertex_id(cursor, "second", path, lineno);
-    while (*cursor == ' ' || *cursor == '\t' || *cursor == '\r') ++cursor;
-    if (*cursor != '\0') {
-      throw GraphIoError(GraphIoErrorKind::kTrailingGarbage,
-                         "unexpected text after the two endpoints: '" +
-                             std::string(cursor) + "'",
-                         path, GraphIoError::kNoLocation, lineno);
-    }
-    builder.add_edge(u, v);
-  }
+  EdgeList edges = parse_edge_list(path);
   try {
-    return builder.build();
+    CsrGraph graph = GraphBuilder::from_edges(std::move(edges));
+#if defined(__GLIBC__)
+    // The text, the edge list and the histograms are freed by now, about
+    // twice the CSR's size. glibc keeps freed heap pages resident, so the
+    // caller's next peak (a GS*-Index build) would stack on top of them.
+    malloc_trim(0);
+#endif
+    return graph;
   } catch (const GraphIoError& e) {
     throw e.with_path(path);
   }

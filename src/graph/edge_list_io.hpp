@@ -18,8 +18,10 @@ namespace ppscan {
 /// std::runtime_error; see util/graph_io_error.hpp) naming the file and
 /// 1-based line on I/O or parse failure — including negative ids, ids above
 /// the 32-bit VertexId range, and trailing garbage, which earlier versions
-/// silently wrapped or truncated. The result is symmetrized/deduplicated
-/// via GraphBuilder.
+/// silently wrapped or truncated. Files of 1 MiB or more are parsed in
+/// line-aligned chunks on default_threads() workers; the error is always
+/// the first malformed line in file order. The result is
+/// symmetrized/deduplicated via GraphBuilder.
 CsrGraph read_edge_list_text(const std::string& path);
 
 /// Writes "u v" lines for each undirected edge (u < v).

@@ -11,13 +11,13 @@ CsrGraph make_clique(VertexId k) {
   for (VertexId u = 0; u < k; ++u) {
     for (VertexId v = u + 1; v < k; ++v) edges.emplace_back(u, v);
   }
-  return GraphBuilder::from_edges(edges, k);
+  return GraphBuilder::from_edges(std::move(edges), k);
 }
 
 CsrGraph make_path(VertexId n) {
   EdgeList edges;
   for (VertexId u = 0; u + 1 < n; ++u) edges.emplace_back(u, u + 1);
-  return GraphBuilder::from_edges(edges, n);
+  return GraphBuilder::from_edges(std::move(edges), n);
 }
 
 CsrGraph make_cycle(VertexId n) {
@@ -25,14 +25,14 @@ CsrGraph make_cycle(VertexId n) {
   EdgeList edges;
   for (VertexId u = 0; u + 1 < n; ++u) edges.emplace_back(u, u + 1);
   edges.emplace_back(n - 1, 0);
-  return GraphBuilder::from_edges(edges, n);
+  return GraphBuilder::from_edges(std::move(edges), n);
 }
 
 CsrGraph make_star(VertexId n) {
   if (n < 2) throw std::invalid_argument("make_star: need n >= 2");
   EdgeList edges;
   for (VertexId v = 1; v < n; ++v) edges.emplace_back(0, v);
-  return GraphBuilder::from_edges(edges, n);
+  return GraphBuilder::from_edges(std::move(edges), n);
 }
 
 CsrGraph make_two_cliques_bridge(VertexId k) {
@@ -44,7 +44,7 @@ CsrGraph make_two_cliques_bridge(VertexId k) {
     }
   }
   edges.emplace_back(k - 1, k);
-  return GraphBuilder::from_edges(edges, 2 * k);
+  return GraphBuilder::from_edges(std::move(edges), 2 * k);
 }
 
 CsrGraph make_clique_chain(VertexId count, VertexId k) {
@@ -61,7 +61,7 @@ CsrGraph make_clique_chain(VertexId count, VertexId k) {
     }
     if (c + 1 < count) edges.emplace_back(base + k - 1, base + k);
   }
-  return GraphBuilder::from_edges(edges, count * k);
+  return GraphBuilder::from_edges(std::move(edges), count * k);
 }
 
 CsrGraph make_scan_paper_example() {
@@ -80,7 +80,7 @@ CsrGraph make_scan_paper_example() {
       // outlier 13
       {12, 13},
   };
-  return GraphBuilder::from_edges(edges, 14);
+  return GraphBuilder::from_edges(std::move(edges), 14);
 }
 
 }  // namespace ppscan

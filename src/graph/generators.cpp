@@ -27,7 +27,7 @@ CsrGraph erdos_renyi(VertexId n, EdgeId m, std::uint64_t seed) {
     const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
     if (seen.insert(key).second) edges.emplace_back(u, v);
   }
-  return GraphBuilder::from_edges(edges, n);
+  return GraphBuilder::from_edges(std::move(edges), n);
 }
 
 CsrGraph barabasi_albert(VertexId n, VertexId edges_per_vertex,
@@ -71,7 +71,7 @@ CsrGraph barabasi_albert(VertexId n, VertexId edges_per_vertex,
       targets.push_back(v);
     }
   }
-  return GraphBuilder::from_edges(edges, n);
+  return GraphBuilder::from_edges(std::move(edges), n);
 }
 
 CsrGraph rmat(const RmatParams& params, std::uint64_t seed) {
@@ -128,7 +128,7 @@ CsrGraph rmat(const RmatParams& params, std::uint64_t seed) {
     }
     if (u != v) edges.emplace_back(perm[u], perm[v]);
   }
-  return GraphBuilder::from_edges(edges, n);
+  return GraphBuilder::from_edges(std::move(edges), n);
 }
 
 CsrGraph lfr_like(const LfrParams& params, std::uint64_t seed,
@@ -227,7 +227,7 @@ CsrGraph lfr_like(const LfrParams& params, std::uint64_t seed,
   }
 
   if (ground_truth != nullptr) *ground_truth = std::move(community_of);
-  return GraphBuilder::from_edges(edges, params.n);
+  return GraphBuilder::from_edges(std::move(edges), params.n);
 }
 
 }  // namespace ppscan

@@ -1,6 +1,13 @@
 // Builds a valid CsrGraph from an arbitrary undirected edge list:
 // symmetrizes, strips self loops, deduplicates parallel edges, and sorts
 // every neighbor list.
+//
+// The build is a counting sort on the Executor, not a global pair sort:
+// per-slice degree histograms become per-slice row cursors, both arc
+// directions are scattered into their rows without atomics, and each row
+// is sorted and deduplicated on its own. Lists below about 1 MiB of pairs
+// build on the calling thread; larger ones use default_threads() workers.
+// The result does not depend on the worker count.
 #pragma once
 
 #include <utility>
@@ -21,13 +28,16 @@ class GraphBuilder {
       : num_vertices_(num_vertices) {}
 
   void add_edge(VertexId u, VertexId v) { edges_.emplace_back(u, v); }
-  void add_edges(const EdgeList& edges);
+  /// Takes the list by value: a moved-in list into an empty builder is
+  /// adopted without a copy.
+  void add_edges(EdgeList edges);
 
   /// Consumes the accumulated edges and produces a validated CSR graph.
   [[nodiscard]] CsrGraph build();
 
-  /// One-shot convenience: build directly from an edge list.
-  static CsrGraph from_edges(const EdgeList& edges, VertexId num_vertices = 0);
+  /// One-shot convenience: build directly from an edge list (pass an rvalue
+  /// to hand the list over without a copy).
+  static CsrGraph from_edges(EdgeList edges, VertexId num_vertices = 0);
 
  private:
   VertexId num_vertices_;

@@ -56,7 +56,7 @@ CsrGraph apply_relabeling(const CsrGraph& graph,
       }
     }
   }
-  return GraphBuilder::from_edges(edges, graph.num_vertices());
+  return GraphBuilder::from_edges(std::move(edges), graph.num_vertices());
 }
 
 ScanResult map_result_to_original(const ScanResult& relabeled,

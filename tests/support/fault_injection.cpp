@@ -173,6 +173,9 @@ std::vector<FaultCase> make_text_fault_corpus(const fs::path& dir) {
        "0 1\n1 2 oops\n");
   emit("missing-endpoint", GraphIoErrorKind::kParseError, "0 1\n42\n");
   emit("garbage-line", GraphIoErrorKind::kParseError, "hello world\n");
+  // A NUL byte used to end the line early and drop what followed it.
+  emit("embedded-nul", GraphIoErrorKind::kTrailingGarbage,
+       std::string("0 1\n1 2\0 7\n", 11));
   return cases;
 }
 

@@ -6,10 +6,10 @@
 // corrupted file per failure class (truncated header/body, oversized
 // header fields, non-monotone offsets, out-of-range dst, unsorted
 // neighbors, self loops, ... for the binary format; negative ids, 2^32
-// ids, trailing garbage, ... for the text format). Each case names the
-// GraphIoErrorKind the loader must raise — the suite asserting that runs
-// under the asan-ubsan CI job, so a validation gap shows up as a
-// sanitizer failure rather than a silent out-of-bounds read.
+// ids, trailing garbage, embedded NUL bytes, ... for the text format).
+// Each case names the GraphIoErrorKind the loader must raise — the suite
+// asserting that runs under the asan-ubsan CI job, so a validation gap
+// shows up as a sanitizer failure rather than a silent out-of-bounds read.
 #pragma once
 
 #include <atomic>

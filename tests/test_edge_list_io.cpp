@@ -4,18 +4,130 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph_builder.hpp"
+#include "support/scoped_env.hpp"
+#include "util/graph_io_error.hpp"
+#include "util/rng.hpp"
 
 namespace ppscan {
 namespace {
 
 namespace fs = std::filesystem;
+using ppscan::testing::ScopedEnv;
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Kind and line of the error reading `path` throws, under `threads`
+/// workers (PPSCAN_THREADS); fails the test when it loads.
+std::pair<GraphIoErrorKind, std::uint64_t> read_error(const std::string& path,
+                                                      const char* threads) {
+  const ScopedEnv env("PPSCAN_THREADS", threads);
+  try {
+    (void)read_edge_list_text(path);
+  } catch (const GraphIoError& e) {
+    return {e.kind(), e.line()};
+  }
+  ADD_FAILURE() << path << " loaded at " << threads << " workers";
+  return {GraphIoErrorKind::kOpenFailed, GraphIoError::kNoLocation};
+}
+
+/// The serial reference reader: getline, the line rules, then the
+/// definitions (symmetrize, drop self loops, deduplicate, sort each row).
+/// It only has to read well-formed files.
+std::pair<std::vector<EdgeId>, std::vector<VertexId>> reference_read(
+    const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::vector<VertexId>> rows;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    std::replace(line.begin(), line.end(), '\r', ' ');
+    std::istringstream fields(line);
+    std::uint64_t u = 0;
+    std::uint64_t v = 0;
+    fields >> u >> v;
+    const auto top = static_cast<std::size_t>(std::max(u, v));
+    if (rows.size() <= top) rows.resize(top + 1);
+    if (u == v) continue;
+    rows[u].push_back(static_cast<VertexId>(v));
+    rows[v].push_back(static_cast<VertexId>(u));
+  }
+  std::vector<EdgeId> offsets{0};
+  std::vector<VertexId> dst;
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    dst.insert(dst.end(), row.begin(), row.end());
+    offsets.push_back(dst.size());
+  }
+  return {offsets, dst};
+}
+
+/// A seeded edge-list file of at least `min_bytes`, one string per line:
+/// comments, blank lines, tabs, CRLF, padding, duplicate and reversed
+/// edges, self loops and a hub (vertex 7). The caller joins the lines with
+/// '\n' and leaves the last one unterminated.
+std::vector<std::string> random_lines(std::size_t min_bytes,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> lines;
+  std::vector<std::pair<VertexId, VertexId>> seen;
+  std::size_t bytes = 0;
+  while (bytes < min_bytes) {
+    auto u = static_cast<VertexId>(rng.next_below(60000));
+    auto v = static_cast<VertexId>(rng.next_below(60000));
+    const std::uint64_t pick = rng.next_below(16);
+    std::string line;
+    if (pick == 0) {
+      line = "# comment " + std::to_string(u);
+    } else if (pick == 1) {
+      line = "% comment";
+    } else if (pick == 2) {
+      line = "";
+    } else if (pick == 3) {
+      line = std::to_string(u) + "\t" + std::to_string(v) + "\r";
+    } else if (pick == 4) {
+      line = " \t" + std::to_string(u) + "  " + std::to_string(v) + " \t";
+    } else if (pick == 5) {
+      line = std::to_string(u) + " " + std::to_string(u);
+    } else if (pick <= 7 && !seen.empty()) {
+      std::tie(u, v) = seen[rng.next_below(seen.size())];
+      if (rng.next_below(2) == 0) std::swap(u, v);
+      line = std::to_string(u) + " " + std::to_string(v);
+    } else if (pick <= 9) {
+      line = "7 " + std::to_string(v);
+    } else {
+      line = std::to_string(u) + " " + std::to_string(v);
+    }
+    if (rng.next_below(4) == 0) seen.emplace_back(u, v);
+    bytes += line.size() + 1;
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + "\n";
+  if (!text.empty()) text.pop_back();  // no final newline
+  return text;
+}
 
 class EdgeListIoTest : public ::testing::Test {
  protected:
@@ -62,6 +174,16 @@ TEST_F(EdgeListIoTest, TextReaderHandlesDuplicatesAndSelfLoops) {
 
 TEST_F(EdgeListIoTest, TextReaderRejectsMissingFile) {
   EXPECT_THROW(read_edge_list_text(path("nope.txt")), std::runtime_error);
+}
+
+TEST_F(EdgeListIoTest, TextReaderRejectsDirectory) {
+  // Opening a directory succeeds; reading it must fail, not load as empty.
+  try {
+    (void)read_edge_list_text(dir_.string());
+    FAIL() << "a directory loaded as a graph";
+  } catch (const GraphIoError& e) {
+    EXPECT_EQ(e.kind(), GraphIoErrorKind::kOpenFailed) << e.what();
+  }
 }
 
 TEST_F(EdgeListIoTest, TextReaderRejectsGarbage) {
@@ -191,6 +313,85 @@ TEST_F(EdgeListIoTest, TextReaderAcceptsWindowsLineEndings) {
   out.close();
   const auto g = read_edge_list_text(path("crlf.txt"));
   EXPECT_EQ(g.num_edges(), 2u);
+}
+
+TEST_F(EdgeListIoTest, TextReaderRejectsEmbeddedNul) {
+  // A NUL used to end the line early: "1 2\0 7" loaded as edge 1-2.
+  write_bytes(path("nul-trail.txt"), std::string("0 1\n1 2\0 7\n", 11));
+  EXPECT_EQ(read_error(path("nul-trail.txt"), "1"),
+            std::make_pair(GraphIoErrorKind::kTrailingGarbage,
+                           std::uint64_t{2}));
+  write_bytes(path("nul-start.txt"), std::string("0 1\n1 2\n\0 7\n", 11));
+  EXPECT_EQ(read_error(path("nul-start.txt"), "1"),
+            std::make_pair(GraphIoErrorKind::kParseError, std::uint64_t{3}));
+  write_bytes(path("nul-mid.txt"), std::string("3\0 4\n", 5));
+  EXPECT_EQ(read_error(path("nul-mid.txt"), "1"),
+            std::make_pair(GraphIoErrorKind::kParseError, std::uint64_t{1}));
+}
+
+TEST_F(EdgeListIoTest, TextReaderKeepsLineCountsWithoutFinalNewline) {
+  write_bytes(path("tail.txt"), "0 1\n\n1 2\n2 x");
+  EXPECT_EQ(read_error(path("tail.txt"), "1"),
+            std::make_pair(GraphIoErrorKind::kParseError, std::uint64_t{4}));
+  write_bytes(path("empty.txt"), "");
+  EXPECT_EQ(read_edge_list_text(path("empty.txt")).num_vertices(), 0u);
+}
+
+// Sizes straddle the serial-size limit (1 MiB) and, above it, the chunk
+// cuts of every worker count; the serial reference reader is the oracle.
+TEST_F(EdgeListIoTest, TextReaderMatchesSerialReference) {
+  const std::size_t kMiB = std::size_t{1} << 20;
+  std::uint64_t seed = 11;
+  for (const std::size_t bytes : {std::size_t{300}, kMiB - 4096, kMiB + 1,
+                                  5 * kMiB / 2}) {
+    const std::string file = path("diff-" + std::to_string(bytes) + ".txt");
+    write_bytes(file, join_lines(random_lines(bytes, ++seed)));
+    const auto [offsets, dst] = reference_read(file);
+    for (const char* threads : {"1", "4", static_cast<const char*>(nullptr)}) {
+      const ScopedEnv env("PPSCAN_THREADS", threads);
+      const CsrGraph g = read_edge_list_text(file);
+      EXPECT_EQ(g.offsets(), offsets) << bytes << " B, threads "
+                                      << (threads ? threads : "default");
+      EXPECT_EQ(g.dst(), dst) << bytes << " B, threads "
+                              << (threads ? threads : "default");
+    }
+  }
+}
+
+// Two faults a quarter and three quarters into a 2.5 MiB file land in
+// different chunks; the reader must report the earlier one, by kind and
+// exact line, whichever chunk finishes first.
+TEST_F(EdgeListIoTest, TextReaderReportsFirstBadLineInFileOrder) {
+  const std::vector<std::pair<std::string, GraphIoErrorKind>> faults = {
+      {"-5 6", GraphIoErrorKind::kNegativeId},
+      {"5 4294967295", GraphIoErrorKind::kIdOutOfRange},
+      {"five six", GraphIoErrorKind::kParseError},
+      {"5 6 7", GraphIoErrorKind::kTrailingGarbage},
+      {std::string("5 6\0", 4), GraphIoErrorKind::kTrailingGarbage},
+  };
+  const std::vector<std::string> clean =
+      random_lines(5 * (std::size_t{1} << 20) / 2, 99);
+  const std::size_t early = clean.size() / 4;
+  const std::size_t late = 3 * clean.size() / 4;
+  for (std::size_t a = 0; a < faults.size(); ++a) {
+    const auto& first = faults[a];
+    const auto& second = faults[(a + 1) % faults.size()];
+    std::vector<std::string> lines = clean;
+    lines[early] = first.first;
+    lines[late] = second.first;
+    const std::string file = path("faults-" + std::to_string(a) + ".txt");
+    write_bytes(file, join_lines(lines));
+    for (const char* threads : {"1", "4"}) {
+      EXPECT_EQ(read_error(file, threads),
+                std::make_pair(first.second, std::uint64_t{early + 1}))
+          << "fault " << a << ", threads " << threads;
+    }
+    // Only the later fault left: it is reported with its own line.
+    lines[early] = "5 6";
+    write_bytes(file, join_lines(lines));
+    EXPECT_EQ(read_error(file, "4"),
+              std::make_pair(second.second, std::uint64_t{late + 1}));
+  }
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "support/scoped_env.hpp"
+
 namespace ppscan {
 namespace {
 
@@ -52,28 +54,7 @@ class FakeSysfs {
   fs::path dir_;
 };
 
-/// Scoped environment variable (restores the previous value on exit).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using ppscan::testing::ScopedEnv;
 
 TEST(NumaMode, ParsesAndPrints) {
   EXPECT_EQ(parse_numa_mode("auto"), NumaMode::Auto);
