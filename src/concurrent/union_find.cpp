@@ -40,7 +40,7 @@ bool UnionFind::unite(VertexId x, VertexId y) {
 }
 
 void ParallelUnionFind::reset(VertexId n) {
-  parent_.assign(n);
+  parent_.assign_for_overwrite(n);
   rank_.assign(n, 0);
   for (VertexId i = 0; i < n; ++i) parent_.store(i, i);
 }

@@ -8,7 +8,6 @@
 #include "concurrent/topology.hpp"
 #include "concurrent/union_find.hpp"
 #include "graph/graph_placement.hpp"
-#include "graph/reverse_index.hpp"
 #include "obs/trace.hpp"
 #include "util/atomic_array.hpp"
 #include "util/timer.hpp"
@@ -52,7 +51,9 @@ class PpScanRunner {
     }
     // Charge the state arrays against the memory budget before allocating;
     // on overshoot (or a real bad_alloc) the run aborts before any phase
-    // and returns the all-Unknown partial result.
+    // and returns the all-Unknown partial result. sim_ is left unwritten:
+    // PruneSim stores every arc before any phase loads one, and a run cut
+    // short inside PruneSim skips every later phase.
     const VertexId n = graph.num_vertices();
     const std::uint64_t state_bytes =
         static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::int32_t) +
@@ -61,7 +62,7 @@ class PpScanRunner {
     alloc_ok_ = governor_.try_charge(state_bytes, "ppscan state arrays");
     if (alloc_ok_) {
       try {
-        sim_.assign(graph.num_arcs(), kSimUncached);
+        sim_.assign_for_overwrite(graph.num_arcs());
         roles_.assign(n, static_cast<std::uint8_t>(Role::Unknown));
         cluster_id_.assign(n, kInvalidVertex);
         uf_.reset(n);
@@ -90,17 +91,6 @@ class PpScanRunner {
     if (options_.numa == NumaMode::Auto && !topo_.fallback_reason.empty()) {
       PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
                                 "numa-fallback", 0);
-    }
-    if (alloc_ok_ && options_.use_reverse_index && !governor_.should_stop()) {
-      const std::uint64_t bytes =
-          static_cast<std::uint64_t>(graph_.num_arcs()) * sizeof(EdgeId);
-      if (governor_.try_charge(bytes, "reverse arc index")) {
-        try {
-          reverse_index_ = ReverseArcIndex(graph_);
-        } catch (const std::bad_alloc&) {
-          governor_.record_alloc_failure(bytes, "reverse arc index");
-        }
-      }
     }
     if (alloc_ok_) {
       {
@@ -194,65 +184,66 @@ class PpScanRunner {
     stats_.tasks_submitted += st.tasks_submitted;
   }
 
-  // Phase 1 — PruneSim(u): settle arcs decidable from degrees, cache min_cn
-  // for the rest, and initialize roles from the settled flags. Each directed
-  // arc is written exactly by its tail; the head computes the identical
-  // value for the reverse arc, so no mirroring (and no race) is needed here.
+  // Phase 1 — PruneSim(u): the first write of every arc of u. The degree
+  // rules of §3.2.2 settle what they can: u's PruneThresholds, computed once
+  // here, turn each arc into integer compares against d_v (no root, no
+  // division, no branch on the outcome). An arc they leave open gets
+  // kSimUndecided; compute_arc derives its min_cn only if an intersection
+  // ever runs on it. Roles decidable from the settled flags are set here.
+  // Each directed arc is written by its tail; the head decides the reverse
+  // arc identically, so no mirroring (and no race) is needed here.
   void phase_prune_sim() {
     run_phase(
         [](VertexId) { return true; },
         [this](VertexId u) {
+          const VertexId du = graph_.degree(u);
+          const PruneThresholds rules(params_.eps, du);
+          const bool prune = options_.predicate_pruning;
+          // Plain stores: u is the only writer of its arcs and no phase
+          // reads sim_ until PruneSim's barrier.
+          std::int32_t* first_write = sim_.exclusive_data();
           std::uint32_t sd = 0;
-          std::uint32_t ed = graph_.degree(u);
-          std::uint64_t pruned = 0;
+          std::uint32_t nsd = 0;
           for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
                ++e) {
-            const VertexId v = graph_.dst()[e];
-            const VertexId du = graph_.degree(u);
-            const VertexId dv = graph_.degree(v);
-            const std::uint32_t need =
-                min_common_neighbors(params_.eps, du, dv);
-            std::int32_t value = static_cast<std::int32_t>(std::max(1u, need));
-            if (options_.predicate_pruning) {
-              if (need <= 2) {
-                value = kSimFlag;
-                ++sd;
-                ++pruned;
-              } else if (need > std::min(du, dv) + 1) {
-                value = kNSimFlag;
-                --ed;
-                ++pruned;
-              }
-            }
-            sim_.store(e, value);
+            const VertexId dv = graph_.degree(graph_.dst()[e]);
+            const bool sim = prune & rules.sim(dv);
+            const bool nsim = prune & !sim & rules.nsim(dv);
+            sd += sim;
+            nsd += nsim;
+            // kSimFlag, kNSimFlag or kSimUndecided, without a branch.
+            first_write[e] = kSimUndecided + (kSimFlag - kSimUndecided) * sim +
+                             (kNSimFlag - kSimUndecided) * nsim;
           }
-          if (pruned != 0) {
+          if (sd + nsd != 0) {
             // Each direction is decided by its own tail here (no mirror),
             // so a predicate-settled arc is touched + pruned, once per
             // direction.
             obs::AlgoCounters& c = counters_.slot(worker_slot());
-            c.arcs_touched += pruned;
-            c.arcs_predicate_pruned += pruned;
+            c.arcs_touched += sd + nsd;
+            c.arcs_predicate_pruned += sd + nsd;
           }
           if (sd >= params_.mu) {
             set_role(u, Role::Core);
-          } else if (ed < params_.mu) {
+          } else if (du - nsd < params_.mu) {
             set_role(u, Role::NonCore);
           }
         });
   }
 
-  /// Computes one undecided arc with the configured kernel and mirrors the
-  /// flag onto the reverse arc (similarity-value reuse). Returns Sim?
-  bool compute_arc(VertexId u, EdgeId e, std::uint32_t min_cn) {
+  /// Intersects one undecided edge with the configured kernel, against the
+  /// exact min_cn bound computed here (so only for the edges that are
+  /// intersected), and mirrors the flag onto the reverse arc
+  /// (similarity-value reuse). Returns Sim?
+  bool compute_arc(VertexId u, EdgeId e) {
     const VertexId v = graph_.dst()[e];
+    const std::uint32_t min_cn =
+        min_common_neighbors(params_.eps, graph_.degree(u), graph_.degree(v));
     const bool sim =
         kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn);
     const std::int32_t flag = sim ? kSimFlag : kNSimFlag;
     sim_.store(e, flag);
-    sim_.store(reverse_index_.empty() ? graph_.reverse_arc(u, e)
-                                      : reverse_index_.reverse(e),
-               flag);
+    sim_.store(graph_.reverse_arc(u, e), flag);
     // One intersection decided two directed arcs: the computed one and the
     // mirrored reverse (the u < v reuse the funnel singles out).
     obs::AlgoCounters& c = counters_.slot(worker_slot());
@@ -298,7 +289,7 @@ class PpScanRunner {
       assert(!ordered || u < v);
       const std::int32_t value = sim_.load(e);
       if (value <= 0) continue;  // settled since pass 1 or during it
-      if (compute_arc(u, e, static_cast<std::uint32_t>(value))) {
+      if (compute_arc(u, e)) {
         if (++sd >= params_.mu && early) {
           set_role(u, Role::Core);
           counters_.slot(worker_slot()).core_early_exits += 1;
@@ -378,7 +369,7 @@ class PpScanRunner {
               continue;
             }
             if (options_.unionfind_pruning && uf_.same_set(u, v)) continue;
-            if (compute_arc(u, e, static_cast<std::uint32_t>(value))) {
+            if (compute_arc(u, e)) {
               counters_.slot(worker_slot()).uf_unions +=
                   uf_.unite(u, v) ? 1 : 0;
             }
@@ -431,7 +422,7 @@ class PpScanRunner {
             if (role_of(v) != Role::NonCore) continue;
             std::int32_t value = sim_.load(e);
             if (value > 0) {
-              value = compute_arc(u, e, static_cast<std::uint32_t>(value))
+              value = compute_arc(u, e)
                           ? kSimFlag
                           : kNSimFlag;
             }
@@ -523,10 +514,10 @@ class PpScanRunner {
   std::vector<VertexId> shard_bounds_;
   std::unique_ptr<Executor> exec_;
   std::vector<TaskRange> range_scratch_;
-  ReverseArcIndex reverse_index_;
   ParallelUnionFind uf_;
   // protocol: relaxed-guarded — per-arc similarity state: every write is
-  // either owner-exclusive (PruneSim writes each arc from its tail) or a
+  // either owner-exclusive (PruneSim writes each arc first, from its tail,
+  // before any phase loads one) or a
   // benign same-value race (the mirrored flag is a pure function of the
   // graph, so concurrent writers agree); phase barriers order the phases.
   AtomicArray<std::int32_t> sim_;

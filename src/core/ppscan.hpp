@@ -2,8 +2,9 @@
 // pruning-based structural graph clustering (Algorithms 3 and 4).
 //
 // Step 1, role computing (three phases, barrier between each):
-//   1. PruneSim        — per-arc similarity-predicate pruning; caches the
-//                        min_cn bound for undecided arcs and settles roles
+//   1. PruneSim        — per-arc similarity-predicate pruning from three
+//                        per-vertex degree thresholds (PruneThresholds);
+//                        the first write of every arc. Settles roles
 //                        decidable from degrees alone.
 //   2. CheckCore       — min-max pruning with *local* sd/ed (no shared
 //                        bounds → no write-write races); computes only
@@ -46,11 +47,6 @@ struct PpScanOptions {
   bool predicate_pruning = true;  // phase 1 settles arcs from degrees
   bool minmax_pruning = true;     // early termination in phases 2-3
   bool unionfind_pruning = true;  // same-set skip in phases 4-5
-
-  /// Precompute the reverse-arc index (O(|E|) pass, 8 B/arc) instead of
-  /// binary-searching e(v,u) per decided edge — off reproduces the paper's
-  /// lookup; bench_ablation_reverse_index measures the trade-off.
-  bool use_reverse_index = false;
 
   /// Run governance: deadline / memory budget / watchdog / deterministic
   /// cancel-at-phase hook. Default-constructed limits govern nothing.

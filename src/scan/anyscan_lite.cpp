@@ -24,13 +24,14 @@ struct ArcEval {
   bool computed;      // true when an actual intersection ran
 };
 
+/// `rules` are u's PruneThresholds.
 ArcEval evaluate_arc(const CsrGraph& graph, const ScanParams& params,
-                     VertexId u, VertexId v) {
-  const VertexId du = graph.degree(u);
+                     const PruneThresholds& rules, VertexId u, VertexId v) {
   const VertexId dv = graph.degree(v);
-  const std::uint32_t need = min_common_neighbors(params.eps, du, dv);
-  if (need <= 2) return {kSimFlag, false};
-  if (need > std::min(du, dv) + 1) return {kNSimFlag, false};
+  if (rules.sim(dv)) return {kSimFlag, false};
+  if (rules.nsim(dv)) return {kNSimFlag, false};
+  const std::uint32_t need =
+      min_common_neighbors(params.eps, graph.degree(u), dv);
   const bool sim =
       similar_merge_early_stop(graph.neighbors(u), graph.neighbors(v), need);
   return {sim ? kSimFlag : kNSimFlag, true};
@@ -124,10 +125,11 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
               std::uint32_t ed = graph.degree(u);
               std::uint64_t local_invocations = 0;
               obs::AlgoCounters& c = counter_slot();
+              const PruneThresholds rules(params.eps, graph.degree(u));
               for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                    ++e) {
                 const ArcEval eval =
-                    evaluate_arc(graph, params, u, graph.dst()[e]);
+                    evaluate_arc(graph, params, rules, u, graph.dst()[e]);
                 // Each direction is evaluated by its own tail (anySCAN's
                 // accepted redundancy): one touched arc, pruned or computed.
                 c.arcs_touched += 1;
@@ -171,12 +173,13 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
             std::vector<std::pair<VertexId, VertexId>> local;
             std::uint64_t local_invocations = 0;
             obs::AlgoCounters& c = counter_slot();
+            const PruneThresholds rules(params.eps, graph.degree(u));
             for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                  ++e) {
               const VertexId v = graph.dst()[e];
               std::int32_t flag = sim[e];
               if (flag == kSimUncached) {
-                const ArcEval eval = evaluate_arc(graph, params, u, v);
+                const ArcEval eval = evaluate_arc(graph, params, rules, u, v);
                 c.arcs_touched += 1;
                 if (eval.computed) {
                   ++local_invocations;

@@ -116,28 +116,24 @@ class PscanRunner {
     if (run_.result.roles[u] == Role::Core) cluster_core(u);
   }
 
-  /// Ensures sim[e] is decided or carries its cached min_cn bound; applies
-  /// the predicate pruning on first touch. Returns the current value.
-  std::int32_t touch_arc(VertexId u, EdgeId e) {
+  /// Applies the predicate pruning to arc e of u on first touch (`rules`
+  /// are u's PruneThresholds) and returns the arc's value: decided, or
+  /// kSimUndecided.
+  std::int32_t touch_arc(const PruneThresholds& rules, VertexId u, EdgeId e) {
     std::int32_t value = sim_[e];
     if (value != kSimUncached) return value;
     const VertexId v = graph_.dst()[e];
-    const VertexId du = graph_.degree(u);
-    const VertexId dv = graph_.degree(v);
-    const std::uint32_t need = min_common_neighbors(params_.eps, du, dv);
-    if (need <= 2) {
-      value = kSimFlag;
-    } else if (need > std::min(du, dv) + 1) {
-      value = kNSimFlag;
-    } else {
-      value = static_cast<std::int32_t>(need);
+    switch (rules.classify(graph_.degree(v))) {
+      case PruneOutcome::Sim: value = kSimFlag; break;
+      case PruneOutcome::NSim: value = kNSimFlag; break;
+      case PruneOutcome::Unknown: value = kSimUndecided; break;
     }
     sim_[e] = value;
     sim_[graph_.reverse_arc(u, e)] = value;
     if (value == kSimFlag || value == kNSimFlag) {
       // The predicate decides both directions at once (mirror write above):
-      // two arcs touched, two pruned. A cached bound (> 0) is not a decision
-      // yet — compute_arc counts it when the intersection settles the edge.
+      // two arcs touched, two pruned. kSimUndecided is not a decision yet —
+      // compute_arc counts it when the intersection settles the edge.
       run_.stats.counters.arcs_touched += 2;
       run_.stats.counters.arcs_predicate_pruned += 2;
       apply_decision(u, v, value == kSimFlag);
@@ -159,8 +155,10 @@ class PscanRunner {
 
   /// Runs the intersection kernel for an undecided arc and records the flag
   /// on both directions.
-  bool compute_arc(VertexId u, EdgeId e, std::uint32_t min_cn) {
+  bool compute_arc(VertexId u, EdgeId e) {
     const VertexId v = graph_.dst()[e];
+    const std::uint32_t min_cn =
+        min_common_neighbors(params_.eps, graph_.degree(u), graph_.degree(v));
     ++run_.stats.compsim_invocations;
     bool sim;
     if (options_.collect_breakdown) {
@@ -183,17 +181,16 @@ class PscanRunner {
 
   void check_core(VertexId u) {
     if (sd_[u] < params_.mu && ed_[u] >= params_.mu) {
+      const PruneThresholds rules(params_.eps, graph_.degree(u));
       for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
         std::int32_t value;
         if (options_.collect_breakdown) {
           ScopedAccumTimer timer(run_.stats.pruning_seconds);
-          value = touch_arc(u, e);
+          value = touch_arc(rules, u, e);
         } else {
-          value = touch_arc(u, e);
+          value = touch_arc(rules, u, e);
         }
-        if (value > 0) {
-          compute_arc(u, e, static_cast<std::uint32_t>(value));
-        }
+        if (value > 0) compute_arc(u, e);
         if (sd_[u] >= params_.mu || ed_[u] < params_.mu) {
           run_.stats.counters.core_early_exits += 1;
           break;
@@ -208,18 +205,15 @@ class PscanRunner {
   }
 
   void cluster_core(VertexId u) {
+    const PruneThresholds rules(params_.eps, graph_.degree(u));
     for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
       const VertexId v = graph_.dst()[e];
       // Only neighbors already known to be cores take part; the edge to a
       // not-yet-processed core is handled later by ClusterCore(v).
       if (sd_[v] < params_.mu) continue;
       if (uf_.same_set(u, v)) continue;  // union-find pruning
-      std::int32_t value = touch_arc(u, e);
-      if (value > 0) {
-        value = compute_arc(u, e, static_cast<std::uint32_t>(value))
-                    ? kSimFlag
-                    : kNSimFlag;
-      }
+      std::int32_t value = touch_arc(rules, u, e);
+      if (value > 0) value = compute_arc(u, e) ? kSimFlag : kNSimFlag;
       if (value == kSimFlag) {
         run_.stats.counters.uf_unions += uf_.unite(u, v) ? 1 : 0;
       }
@@ -247,15 +241,12 @@ class PscanRunner {
       // The id loops above are cheap and run to completion, so every cid
       // read below is valid; only this intersection loop polls the governor.
       if (governor_.checkpoint()) return;
+      const PruneThresholds rules(params_.eps, graph_.degree(u));
       for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
         const VertexId v = graph_.dst()[e];
         if (run_.result.roles[v] == Role::Core) continue;
-        std::int32_t value = touch_arc(u, e);
-        if (value > 0) {
-          value = compute_arc(u, e, static_cast<std::uint32_t>(value))
-                      ? kSimFlag
-                      : kNSimFlag;
-        }
+        std::int32_t value = touch_arc(rules, u, e);
+        if (value > 0) value = compute_arc(u, e) ? kSimFlag : kNSimFlag;
         if (value == kSimFlag) {
           run_.stats.counters.uf_finds += 1;
           run_.result.noncore_memberships.emplace_back(

@@ -36,12 +36,14 @@ enum class Role : std::uint8_t { Unknown = 0, Core = 1, NonCore = 2 };
 /// Per-arc similarity state, stored in one int32 per directed arc:
 ///   kSimFlag      — predicate decided true
 ///   kNSimFlag     — predicate decided false
-///   kSimUncached  — undecided, min_cn not computed yet
-///   value >= 1    — undecided, value is the cached min_cn bound
-/// (the same packing as the pSCAN reference implementation).
+///   kSimUncached  — not looked at yet
+///   kSimUndecided — the degree rules (PruneThresholds) left it open; an
+///                   intersection decides it, with min_cn computed then
+/// (so value > 0 means "run the kernel", as in the pSCAN reference).
 inline constexpr std::int32_t kSimFlag = -1;
 inline constexpr std::int32_t kNSimFlag = -2;
 inline constexpr std::int32_t kSimUncached = 0;
+inline constexpr std::int32_t kSimUndecided = 1;
 
 /// Output of a clustering run.
 ///

@@ -84,14 +84,15 @@ std::uint32_t min_common_neighbors(const EpsRational& eps, VertexId d_u,
   return static_cast<std::uint32_t>(c);
 }
 
-PruneOutcome predicate_prune(const EpsRational& eps, VertexId d_u,
-                             VertexId d_v) {
-  const std::uint32_t need = min_common_neighbors(eps, d_u, d_v);
-  // |Γ(u)∩Γ(v)| for adjacent u,v lies in [2, min(d_u, d_v) + 1].
-  if (need <= 2) return PruneOutcome::Sim;
-  const VertexId cap = std::min(d_u, d_v) + 1;
-  if (need > cap) return PruneOutcome::NSim;
-  return PruneOutcome::Unknown;
+PruneThresholds::PruneThresholds(const EpsRational& eps, VertexId d_u) {
+  const U128 a2 = U128(eps.num) * eps.num;
+  const U128 b2 = U128(eps.den) * eps.den;
+  const U128 du1 = U128(d_u) + 1;
+  const U128 above = du1 * b2 / a2;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  sim_max_ = static_cast<std::uint64_t>(4 * b2 / (a2 * du1));
+  nsim_below_ = static_cast<std::uint64_t>((a2 * du1 - 1) / b2);
+  nsim_above_ = above > kMax ? kMax : static_cast<std::uint64_t>(above);
 }
 
 }  // namespace ppscan

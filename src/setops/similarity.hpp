@@ -49,7 +49,38 @@ std::uint32_t min_common_neighbors(const EpsRational& eps, VertexId d_u,
 /// Sim/NSim from degrees alone when possible, else Unknown.
 enum class PruneOutcome : std::uint8_t { Sim, NSim, Unknown };
 
-PruneOutcome predicate_prune(const EpsRational& eps, VertexId d_u,
-                             VertexId d_v);
+/// The pruning rules for every arc (u, v) out of one vertex u, as three
+/// degree thresholds computed once per vertex. With need =
+/// min_common_neighbors(ε, d_u, d_v), the rules are Sim iff need ≤ 2 and NSim
+/// iff need > min(d_u, d_v) + 1 (an edge's closed neighbourhoods share 2 to
+/// min + 1 vertices). For ε = a/b and x = d_v + 1 they are exactly
+///
+///     Sim  iff  x ≤ ⌊4b² / (a²(d_u+1))⌋
+///     NSim iff  x ≤ ⌊(a²(d_u+1) − 1) / b²⌋   (only when d_v < d_u)
+///           or  x > ⌊(d_u+1)·b² / a²⌋       (only when d_v > d_u)
+///
+/// so an arc costs two or three integer compares: no root, no division.
+/// Sim takes precedence; both hold only when an endpoint has degree 0.
+class PruneThresholds {
+ public:
+  PruneThresholds(const EpsRational& eps, VertexId d_u);
+
+  [[nodiscard]] bool sim(VertexId d_v) const {
+    return std::uint64_t{d_v} + 1 <= sim_max_;
+  }
+  [[nodiscard]] bool nsim(VertexId d_v) const {
+    const std::uint64_t x = std::uint64_t{d_v} + 1;
+    return (x <= nsim_below_) | (x > nsim_above_);
+  }
+  [[nodiscard]] PruneOutcome classify(VertexId d_v) const {
+    if (sim(d_v)) return PruneOutcome::Sim;
+    return nsim(d_v) ? PruneOutcome::NSim : PruneOutcome::Unknown;
+  }
+
+ private:
+  std::uint64_t sim_max_;
+  std::uint64_t nsim_below_;
+  std::uint64_t nsim_above_;
+};
 
 }  // namespace ppscan

@@ -10,6 +10,8 @@
 // (sims_computed == sims_reused).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/ppscan.hpp"
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
@@ -151,6 +153,105 @@ TEST(AlgoCounters, UnionFindCountersTrackClustering) {
   if (cores > 0) {
     // Phases 6/7 look up each core's root at least once.
     EXPECT_GE(run.stats.counters.uf_finds, cores);
+  }
+}
+
+// The pruning funnel and the answers of the three pruning algorithms on the
+// golden LFR-like and R-MAT graphs (test_golden_regression), pinned to the
+// values the per-arc min_cn predicate produced before PruneThresholds
+// replaced it. A change to the degree rules moves arcs_predicate_pruned; a
+// change to the lazily computed kernel bound moves the digest or the
+// CompSim count.
+std::uint64_t result_digest(const ScanResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+  for (const Role role : r.roles) mix(static_cast<std::uint64_t>(role));
+  for (const auto& cluster : r.canonical_clusters()) {
+    mix(cluster.size());
+    for (const VertexId v : cluster) mix(v);
+  }
+  return h;
+}
+
+enum FunnelGraph { kLfr, kRmat };
+
+struct FunnelPin {
+  FunnelGraph graph;
+  const char* eps;
+  std::uint32_t mu;
+  std::uint64_t ppscan_pruned;
+  std::uint64_t pscan_pruned;
+  std::uint64_t anyscan_pruned;
+  std::uint64_t digest;
+  std::uint64_t ppscan_compsim_1t;
+};
+
+constexpr FunnelPin kFunnelPins[] = {
+    {kLfr, "0.2", 2, 42, 36, 41, 8765203136447287093ULL, 6589},
+    {kLfr, "0.2", 5, 42, 22, 26, 7449845661073136930ULL, 6700},
+    {kLfr, "0.4", 2, 0, 0, 0, 8698806025705382271ULL, 7486},
+    {kLfr, "0.4", 5, 0, 0, 0, 5203201968959923870ULL, 6242},
+    {kLfr, "0.6", 2, 32, 30, 31, 1228728507489684686ULL, 7595},
+    {kLfr, "0.6", 5, 32, 24, 21, 14301733915590811054ULL, 6250},
+    {kLfr, "0.8", 2, 2164, 2118, 2011, 4739683022436723331ULL, 6543},
+    {kLfr, "0.8", 5, 2164, 1802, 1587, 4739683022436723331ULL, 5167},
+    {kRmat, "0.2", 2, 8180, 7146, 7791, 1217760460899968232ULL, 8425},
+    {kRmat, "0.2", 5, 8180, 7612, 6304, 9524102561173229471ULL, 13233},
+    {kRmat, "0.4", 2, 22758, 22534, 21375, 11188791035975939124ULL, 14851},
+    {kRmat, "0.4", 5, 22758, 21710, 18546, 16281299290895564541ULL, 13524},
+    {kRmat, "0.6", 2, 33276, 32738, 31411, 17657976070493897603ULL, 9631},
+    {kRmat, "0.6", 5, 33276, 31052, 27624, 17657976070493897603ULL, 8390},
+    {kRmat, "0.8", 2, 43960, 43132, 41834, 17657976070493897603ULL, 4354},
+    {kRmat, "0.8", 5, 43960, 40628, 37237, 17657976070493897603ULL, 3388},
+};
+
+TEST(AlgoCounters, PruningFunnelAndResultsArePinned) {
+  LfrParams lfr;
+  lfr.n = 1000;
+  lfr.avg_degree = 16;
+  lfr.mixing = 0.2;
+  RmatParams rmat_params;
+  rmat_params.scale = 12;
+  rmat_params.edge_factor = 8;
+  const CsrGraph graphs[] = {lfr_like(lfr, 7), rmat(rmat_params, 5)};
+  for (const FunnelPin& pin : kFunnelPins) {
+    const CsrGraph& g = graphs[pin.graph];
+    const ScanParams params = ScanParams::make(pin.eps, pin.mu);
+    const std::string label = std::string(pin.graph == kLfr ? "lfr" : "rmat") +
+                              " eps=" + pin.eps +
+                              " mu=" + std::to_string(pin.mu);
+    for (const int threads : {1, 4}) {
+      for (const bool predicate : {true, false}) {
+        PpScanOptions options;
+        options.num_threads = threads;
+        options.predicate_pruning = predicate;
+        const auto run = ppscan(g, params, options);
+        const std::string config = label + " threads=" +
+                                   std::to_string(threads) +
+                                   " predicate=" + std::to_string(predicate);
+        EXPECT_EQ(run.stats.counters.arcs_predicate_pruned,
+                  predicate ? pin.ppscan_pruned : 0)
+            << "ppSCAN " << config;
+        EXPECT_EQ(result_digest(run.result), pin.digest) << "ppSCAN " << config;
+        if (threads == 1 && predicate) {
+          EXPECT_EQ(run.stats.compsim_invocations, pin.ppscan_compsim_1t)
+              << "ppSCAN " << config;
+        }
+      }
+      AnyScanLiteOptions any;
+      any.num_threads = threads;
+      const auto any_run = anyscan_lite(g, params, any);
+      EXPECT_EQ(any_run.stats.counters.arcs_predicate_pruned,
+                pin.anyscan_pruned)
+          << "anySCAN " << label << " threads=" << threads;
+      EXPECT_EQ(result_digest(any_run.result), pin.digest)
+          << "anySCAN " << label << " threads=" << threads;
+    }
+    const auto pscan_run = pscan(g, params);
+    EXPECT_EQ(pscan_run.stats.counters.arcs_predicate_pruned,
+              pin.pscan_pruned)
+        << "pSCAN " << label;
+    EXPECT_EQ(result_digest(pscan_run.result), pin.digest) << "pSCAN " << label;
   }
 }
 

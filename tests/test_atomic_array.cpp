@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -58,6 +62,43 @@ TEST(AtomicArray, AssignReplacesContents) {
   ASSERT_EQ(arr.size(), 2u);
   EXPECT_EQ(arr.load(0), 3);
   EXPECT_EQ(arr.load(1), 3);
+}
+
+TEST(AtomicArray, AssignForOverwriteKeepsWhatIsStored) {
+  AtomicArray<std::uint8_t> arr;
+  arr.assign_for_overwrite(300);
+  ASSERT_EQ(arr.size(), 300u);
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    arr.store(i, static_cast<std::uint8_t>(i));
+  }
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    EXPECT_EQ(arr.load(i), static_cast<std::uint8_t>(i));
+  }
+}
+
+// Resident set size in bytes, from /proc/self/statm; 0 if unavailable.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0;
+  std::uint64_t resident = 0;
+  if (!(statm >> pages >> resident)) return 0;
+  return resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(AtomicArray, AssignForOverwriteTouchesNoPage) {
+  // The fill-free allocation leaves the pages to their first writer: a
+  // large array adds (almost) nothing to the resident set until stored to.
+  constexpr std::size_t kElems = std::size_t{16} << 20;  // 64 MiB of int32
+  if (resident_bytes() == 0) GTEST_SKIP() << "no /proc/self/statm";
+  const std::uint64_t before = resident_bytes();
+  AtomicArray<std::int32_t> arr;
+  arr.assign_for_overwrite(kElems);
+  const std::uint64_t after = resident_bytes();
+  EXPECT_LT(after, before + kElems * sizeof(std::int32_t) / 8)
+      << "assign_for_overwrite wrote the storage";
+  arr.store(0, 1);
+  arr.store(kElems - 1, 2);
+  EXPECT_EQ(arr.load(0) + arr.load(kElems - 1), 3);
 }
 
 }  // namespace

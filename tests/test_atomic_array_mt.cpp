@@ -9,8 +9,13 @@
 //   cancel-token / CAS claim — each slot claimed by exactly one thread via
 //     compare_exchange, the claim ordering the claimant's write.
 //   relaxed-counter — contended fetch_add whose total must be exact.
+//
+// A fourth test drives the fill-free allocation the way ppSCAN does: owner
+// threads write every slot of an unwritten array, a barrier, then every
+// thread reads and overwrites slots it does not own.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -110,6 +115,41 @@ TEST(AtomicArrayMt, RelaxedFetchAddTotalsAreExactUnderContention) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < kCounters; ++i) total += counters.load(i);
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
+}
+
+TEST(AtomicArrayMt, FillFreeSlotsFirstWrittenByTheirOwners) {
+  constexpr std::size_t kSlots = 1 << 16;
+  constexpr int kThreads = 4;
+  AtomicArray<std::int32_t> sim;
+  sim.assign_for_overwrite(kSlots);
+  ASSERT_EQ(sim.size(), kSlots);
+
+  // Phase 1: thread t owns the slots i % kThreads == t and stores each
+  // first (PruneSim's contract). Phase 2, after the barrier: every thread
+  // reads the whole array and mirrors a flag into slots of other owners,
+  // all writers agreeing on the value (the benign same-value race).
+  std::barrier phase_end(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = static_cast<std::size_t>(t); i < kSlots;
+           i += kThreads) {
+        sim.store(i, static_cast<std::int32_t>(i % 3) - 2);
+      }
+      phase_end.arrive_and_wait();
+      for (std::size_t i = 0; i < kSlots; ++i) {
+        const std::int32_t value = sim.load(i);
+        const std::int32_t first = static_cast<std::int32_t>(i % 3) - 2;
+        ASSERT_TRUE(value == first || value == -1) << "slot " << i;
+        if (value == 0) sim.store(i, -1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const std::int32_t first = static_cast<std::int32_t>(i % 3) - 2;
+    EXPECT_EQ(sim.load(i), first == 0 ? -1 : first) << "slot " << i;
+  }
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST(DifferentialFuzz, AllImplementationsAgreeWithTheOracle) {
       PpScanOptions options;
       options.num_threads = config.num_threads;
       options.kernel = kind;
-      options.use_reverse_index = (round % 2) == 0;
+      options.predicate_pruning = (round % 2) == 0;
       const auto run = ppscan(graph, params, options);
       ASSERT_TRUE(results_equivalent(expected, run.result))
           << "ppSCAN/" << to_string(kind) << " @ " << context;

@@ -9,6 +9,7 @@
 // every algorithm and diff against the full run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -174,6 +175,39 @@ TEST(PartialResults, DeadlinePartialStillValidates) {
         validate_scan_result(graph, params, run.result);
     EXPECT_TRUE(report.ok) << report.first_error;
   }
+}
+
+TEST(PartialResults, DeadlineInsidePruneSimSkipsEveryLaterPhase) {
+  // ppSCAN allocates sim_ unwritten and PruneSim is the first writer of
+  // every arc, so a trip inside PruneSim must skip every later phase: none
+  // may load a slot PruneSim did not reach. The wall clock decides where a
+  // deadline lands, so it grows until one lands inside PruneSim.
+  RmatParams rmat_params;
+  rmat_params.scale = 16;
+  rmat_params.edge_factor = 8;
+  const CsrGraph graph = rmat(rmat_params, 31);
+  const ScanParams params = ScanParams::make("0.4", 5);
+  bool landed = false;
+  for (int ms = 1; ms <= 4000 && !landed; ms += 1 + ms / 4) {
+    AlgorithmConfig config;
+    config.num_threads = 1;
+    config.limits.deadline = std::chrono::milliseconds(ms);
+    const ScanRun run = run_algorithm("ppSCAN", graph, params, config);
+    if (!run.partial()) break;  // the deadline now outlasts the whole run
+    if (run.stats.abort_phase != "PruneSim") continue;
+    landed = true;
+    const std::string label = "deadline " + std::to_string(ms) + " ms";
+    EXPECT_EQ(run.stats.abort_reason, AbortReason::DeadlineExpired) << label;
+    EXPECT_EQ(run.stats.phases_completed, 0u) << label;
+    // The kernel and the core checks only run in later phases.
+    EXPECT_EQ(run.stats.counters.sims_computed, 0u) << label;
+    EXPECT_EQ(run.stats.counters.core_early_exits, 0u) << label;
+    EXPECT_TRUE(run.result.noncore_memberships.empty()) << label;
+    const ValidationReport report = validate_scan_result(
+        graph, params, run.result, ValidateMode::Partial);
+    EXPECT_TRUE(report.ok) << label << ": " << report.first_error;
+  }
+  EXPECT_TRUE(landed) << "no deadline landed inside PruneSim";
 }
 
 TEST(PartialResults, AbortedGsIndexConstructionRefusesQueries) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -119,38 +121,77 @@ TEST(MinCommonNeighbors, ExactOnHugeDegrees) {
   EXPECT_FALSE(similarity_holds(eps, need - 1, big, big));
 }
 
-TEST(PredicatePrune, SimWhenThresholdAtMostTwo) {
+TEST(PruneThresholds, SimWhenThresholdAtMostTwo) {
   // Tiny degrees: ε·√((1+1)(1+1)) = 2ε ≤ 2 → adjacency alone suffices.
-  EXPECT_EQ(predicate_prune(EpsRational::parse("0.9"), 1, 1),
+  EXPECT_EQ(PruneThresholds(EpsRational::parse("0.9"), 1).classify(1),
             PruneOutcome::Sim);
 }
 
-TEST(PredicatePrune, NSimWhenDegreeGapTooLarge) {
-  // d_u = 1 caps the intersection at 2 < need for a high-degree partner.
-  EXPECT_EQ(predicate_prune(EpsRational::parse("0.8"), 1, 1000),
-            PruneOutcome::NSim);
+TEST(PruneThresholds, NSimWhenDegreeGapTooLarge) {
+  // d_u = 1 caps the intersection at 2 < need for a high-degree partner,
+  // whichever endpoint computes the thresholds.
+  const EpsRational eps = EpsRational::parse("0.8");
+  EXPECT_EQ(PruneThresholds(eps, 1).classify(1000), PruneOutcome::NSim);
+  EXPECT_EQ(PruneThresholds(eps, 1000).classify(1), PruneOutcome::NSim);
 }
 
-TEST(PredicatePrune, UnknownInBetween) {
-  EXPECT_EQ(predicate_prune(EpsRational::parse("0.5"), 20, 20),
+TEST(PruneThresholds, UnknownInBetween) {
+  EXPECT_EQ(PruneThresholds(EpsRational::parse("0.5"), 20).classify(20),
             PruneOutcome::Unknown);
 }
 
-TEST(PredicatePrune, ConsistentWithPredicateExtremes) {
-  Rng rng(7);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const auto du = static_cast<VertexId>(rng.next_below(100));
-    const auto dv = static_cast<VertexId>(rng.next_below(100));
-    EpsRational eps{1 + rng.next_below(99), 100};
-    const auto outcome = predicate_prune(eps, du, dv);
-    // cn for adjacent vertices lies in [2, min+1]; Sim/NSim prunes must
-    // agree with the predicate at the corresponding extreme.
-    if (outcome == PruneOutcome::Sim) {
-      EXPECT_TRUE(similarity_holds(eps, 2, du, dv));
-    } else if (outcome == PruneOutcome::NSim) {
-      EXPECT_FALSE(
-          similarity_holds(eps, std::min(du, dv) + 1, du, dv));
+// The outcome the pruning rules must give, from the per-pair bound: an
+// edge's closed neighbourhoods share between 2 and min(d_u, d_v) + 1
+// vertices.
+PruneOutcome outcome_from_min_cn(const EpsRational& eps, VertexId du,
+                                 VertexId dv) {
+  const std::uint64_t need = min_common_neighbors(eps, du, dv);
+  if (need <= 2) return PruneOutcome::Sim;
+  if (need > std::uint64_t{std::min(du, dv)} + 1) return PruneOutcome::NSim;
+  return PruneOutcome::Unknown;
+}
+
+constexpr EpsRational kThresholdEps[] = {
+    {1, 5},         {2, 5},
+    {3, 5},         {4, 5},
+    {1, 2},         {7, 10},
+    {1, 1},         {1, 1'000'000'000},
+    {123'456'789, 1'000'000'000}, {999'999'999, 1'000'000'000}};
+
+void expect_thresholds_agree(const EpsRational& eps,
+                             const std::vector<VertexId>& degrees) {
+  for (const VertexId du : degrees) {
+    const PruneThresholds rules(eps, du);
+    for (const VertexId dv : degrees) {
+      ASSERT_EQ(rules.classify(dv), outcome_from_min_cn(eps, du, dv))
+          << "eps=" << eps.num << "/" << eps.den << " d_u=" << du
+          << " d_v=" << dv;
     }
+  }
+}
+
+TEST(PruneThresholds, AgreeWithMinCommonNeighborsOnEverySmallDegreePair) {
+  std::vector<VertexId> degrees(700);
+  for (VertexId d = 0; d < 700; ++d) degrees[d] = d;
+  for (const EpsRational& eps : kThresholdEps) {
+    expect_thresholds_agree(eps, degrees);
+  }
+}
+
+TEST(PruneThresholds, AgreeWithMinCommonNeighborsNearTheDegreeLimit) {
+  // Vertex ids stop below kInvalidVertex, so 2^32 - 2 is the largest
+  // degree a graph can hold. Pair the top degrees with each other and with
+  // small and middle ones, where the NSim rules flip sides.
+  std::vector<VertexId> degrees;
+  for (VertexId d = 0; d < 64; ++d) {
+    degrees.push_back(d);
+    degrees.push_back(kInvalidVertex - 1 - d);
+  }
+  for (const VertexId d : {1u << 16, 1u << 31, (1u << 31) + 1, 3'000'000'000u}) {
+    degrees.push_back(d);
+  }
+  for (const EpsRational& eps : kThresholdEps) {
+    expect_thresholds_agree(eps, degrees);
   }
 }
 
