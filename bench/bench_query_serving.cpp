@@ -340,7 +340,6 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("clients", smoke ? 2 : 4));
   const double duration = flags.get_double("duration-s", smoke ? 0.3 : 3.0);
   const double offered = flags.get_double("offered-qps", smoke ? 500 : 1200);
-  const NumaMode numa = bench::numa_flag(flags);
 
   GsIndex::BuildOptions build;
   build.num_threads = threads;
@@ -374,7 +373,6 @@ int main(int argc, char** argv) {
 
   serve::ServiceOptions base;
   base.num_threads = threads;
-  base.numa = numa;
   base.max_recorded_queries = 16;  // keep the committed queries[] small
 
   std::vector<LoadRow> rows;

@@ -11,7 +11,6 @@
 
 #include "bench_support/datasets.hpp"
 #include "bench_support/metrics.hpp"
-#include "concurrent/topology.hpp"
 #include "obs/metrics_json.hpp"
 #include "setops/intersect.hpp"
 #include "util/env.hpp"
@@ -101,12 +100,6 @@ inline std::vector<std::string> dataset_flag(const Flags& flags) {
 inline std::vector<std::string> eps_flag(const Flags& flags) {
   if (flags.has("eps")) return split_list(flags.get_string("eps", ""));
   return default_eps_list();
-}
-
-/// Common flag: --numa=auto|off|interleave (default off). Throws the
-/// parse error from parse_numa_mode on an unknown name.
-inline NumaMode numa_flag(const Flags& flags) {
-  return parse_numa_mode(flags.get_string("numa", "off"));
 }
 
 }  // namespace ppscan::bench

@@ -54,8 +54,6 @@ ScanRun run_algorithm(const std::string& name, const CsrGraph& graph,
     options.limits = config.limits;
     options.cancel = config.cancel;
     options.trace = config.trace;
-    options.numa = config.numa;
-    options.topology = config.topology;
     return ppscan(graph, params, options);
   }
   throw std::invalid_argument("unknown algorithm: " + name);

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "concurrent/topology.hpp"
 #include "scan/scan_common.hpp"
 #include "setops/intersect.hpp"
 
@@ -25,11 +24,6 @@ struct AlgorithmConfig {
   /// algorithm. Not owned; must be sized for at least num_threads workers
   /// and outlive the run.
   obs::TraceCollector* trace = nullptr;
-  /// NUMA execution policy, honored by ppSCAN/ppSCAN-NO only (the other
-  /// algorithms have no work-stealing executor to shape).
-  NumaMode numa = NumaMode::Off;
-  /// Topology override for tests/benches; nullptr = detect when Auto.
-  const NumaTopology* topology = nullptr;
 };
 
 /// Algorithm names accepted by run_algorithm, in the order the paper's

@@ -38,16 +38,6 @@ obs::MetricsReport make_metrics_report(const std::string& tool,
   report.tasks_executed = run.stats.tasks_executed;
   report.steals = run.stats.steals;
 
-  report.numa_mode = run.stats.numa_mode;
-  report.numa_nodes = run.stats.numa_nodes;
-  report.steals_same_node = run.stats.steals_same_node;
-  report.steals_remote = run.stats.steals_remote;
-  report.remote_misses = run.stats.remote_misses;
-  report.per_node = run.stats.per_node;
-  // placement stays "default": the CSR policy is the caller's choice
-  // (apply_placement happens before the run), so the emitting tool
-  // overwrites it when it placed the graph.
-
   report.num_clusters = run.result.num_clusters();
   report.num_cores = run.result.num_cores();
 

@@ -35,54 +35,11 @@ thread_local int t_index = -1;
 
 }  // namespace
 
-Executor::Executor(int num_threads)
-    : Executor(num_threads, NumaTopology{}, /*pin_workers=*/false) {}
-
-Executor::Executor(int num_threads, const NumaTopology& topology,
-                   bool pin_workers)
-    : num_workers_(num_threads) {
+Executor::Executor(int num_threads) : num_workers_(num_threads) {
   if (num_threads < 1) {
     throw std::invalid_argument("Executor: need at least one thread");
   }
-  // Clamp the node count to the worker count so every node shard has at
-  // least one worker (threads < nodes would otherwise leave node windows
-  // no initial segment covers). An empty/uniform topology degenerates to
-  // one node = the pre-NUMA executor.
-  num_nodes_ = std::clamp(topology.num_nodes(), 1, num_threads);
   const auto n = static_cast<std::size_t>(num_threads);
-  worker_node_.resize(n);
-  victim_order_.resize(n);
-  same_node_victims_.resize(n);
-  pin_cpus_.resize(n);
-  for (int w = 0; w < num_threads; ++w) {
-    const int node = w % num_nodes_;
-    worker_node_[static_cast<std::size_t>(w)] = node;
-    if (pin_workers && node < topology.num_nodes()) {
-      pin_cpus_[static_cast<std::size_t>(w)] =
-          topology.nodes[static_cast<std::size_t>(node)].cpus;
-    }
-  }
-  // Hierarchical victim order: ring over the same-node workers first, then
-  // ring over the remote ones — each victim exactly once, deterministic,
-  // so the preferred-victim property is testable without racing.
-  for (int w = 0; w < num_threads; ++w) {
-    auto& order = victim_order_[static_cast<std::size_t>(w)];
-    order.reserve(n - 1);
-    const int my_node = worker_node_[static_cast<std::size_t>(w)];
-    for (int d = 1; d < num_threads; ++d) {
-      const int v = (w + d) % num_threads;
-      if (worker_node_[static_cast<std::size_t>(v)] == my_node) {
-        order.push_back(v);
-      }
-    }
-    same_node_victims_[static_cast<std::size_t>(w)] = order.size();
-    for (int d = 1; d < num_threads; ++d) {
-      const int v = (w + d) % num_threads;
-      if (worker_node_[static_cast<std::size_t>(v)] != my_node) {
-        order.push_back(v);
-      }
-    }
-  }
   workers_.reserve(n);
   for (int i = 0; i < num_threads; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -279,51 +236,6 @@ void Executor::run(const TaskRange* tasks, std::size_t count, RangeFn fn,
   wait_idle();
 }
 
-void Executor::run_sharded(const TaskRange* tasks, std::size_t count,
-                           const std::size_t* node_task_begin, RangeFn fn,
-                           void* ctx) {
-  if (num_nodes_ <= 1) {
-    // Uniform topology: one node window == the whole array; plain run()
-    // produces the identical segmentation.
-    run(tasks, count, fn, ctx);
-    return;
-  }
-  fn_ = fn;
-  ctx_ = ctx;
-  tasks_ = tasks;
-  const std::uint32_t p = phase_.load(std::memory_order_relaxed) + 1;
-  if (count > 0) {
-    pending_.fetch_add(static_cast<std::uint32_t>(count),
-                       std::memory_order_relaxed);
-    // Same tagged-segment machinery as run(), but the split is two-level:
-    // node k owns the caller's window [node_task_begin[k],
-    // node_task_begin[k+1]); the node's workers (w = k, k + N, k + 2N, …)
-    // split that window evenly. Stealing still reaches every segment —
-    // the node windows only bias who claims a task first.
-    const auto nodes = static_cast<std::uint64_t>(num_nodes_);
-    for (int w = 0; w < num_workers_; ++w) {
-      const auto node =
-          static_cast<std::size_t>(worker_node_[static_cast<std::size_t>(w)]);
-      const auto lo = static_cast<std::uint64_t>(node_task_begin[node]);
-      const auto hi = static_cast<std::uint64_t>(node_task_begin[node + 1]);
-      const std::uint64_t span = hi - lo;
-      const auto rank = static_cast<std::uint64_t>(w) / nodes;
-      const std::uint64_t members =
-          (static_cast<std::uint64_t>(num_workers_) - node - 1) / nodes + 1;
-      const std::uint64_t beg = lo + span * rank / members;
-      const std::uint64_t end = lo + span * (rank + 1) / members;
-      Worker& worker = *workers_[static_cast<std::size_t>(w)];
-      worker.segment_end.store((static_cast<std::uint64_t>(p) << 32) | end,
-                               std::memory_order_relaxed);
-      worker.cursor.store((static_cast<std::uint64_t>(p) << 32) | beg,
-                          std::memory_order_relaxed);
-    }
-  }
-  phase_.store(p, std::memory_order_release);
-  if (count > 0) wake_workers();
-  wait_idle();
-}
-
 void Executor::submit(TaskRange range) {
   pending_.fetch_add(1, std::memory_order_relaxed);
   const int w = current_worker();
@@ -458,44 +370,25 @@ bool Executor::try_claim(int self, TaskRange* out) {
     *out = unpack(packed);
     return true;
   }
-  // Hierarchical scan: victim_order_ lists every same-node victim before
-  // any remote one, so on a multi-node topology work leaves a node only
-  // once the node is drained. A successful claim past the same-node prefix
-  // is a remote steal AND a remote miss (the whole same-node group — own
-  // segment, own deque, same-node victims — was empty this scan).
-  const std::vector<int>& order = victim_order_[static_cast<std::size_t>(self)];
-  const std::size_t same = same_node_victims_[static_cast<std::size_t>(self)];
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const int victim = order[i];
-    const bool remote = i >= same;
+  // Ring scan over every other worker: self + 1, self + 2, … mod n.
+  for (int d = 1; d < num_workers_; ++d) {
+    const int victim = (self + d) % num_workers_;
     if (claim_from_segment(victim, p, &index)) {
       me.steals.fetch_add(1, std::memory_order_relaxed);
-      if (remote) {
-        me.steals_remote.fetch_add(1, std::memory_order_relaxed);
-        me.remote_misses.fetch_add(1, std::memory_order_relaxed);
-      }
       record_steal(self, victim);
       *out = tasks_[index];
       return true;
     }
     if (workers_[static_cast<std::size_t>(victim)]->deque.steal(&packed)) {
       me.steals.fetch_add(1, std::memory_order_relaxed);
-      if (remote) {
-        me.steals_remote.fetch_add(1, std::memory_order_relaxed);
-        me.remote_misses.fetch_add(1, std::memory_order_relaxed);
-      }
       record_steal(self, victim);
       *out = unpack(packed);
       return true;
     }
   }
   // Master-submitted ranges are not counted as steals: the injector deque
-  // has no owning worker to steal from. On a multi-node topology the claim
-  // still left the node's group empty-handed, so it counts as a miss.
+  // has no owning worker to steal from.
   if (injector_.steal(&packed)) {
-    if (num_nodes_ > 1) {
-      me.remote_misses.fetch_add(1, std::memory_order_relaxed);
-    }
     *out = unpack(packed);
     return true;
   }
@@ -574,9 +467,6 @@ void Executor::worker_loop(int index) {
   t_owner = this;
   t_index = index;
   Worker& self = *workers_[static_cast<std::size_t>(index)];
-  // Best-effort NUMA pin: an empty CPU list (uniform topology, pinning
-  // disabled) or a failed syscall leaves the worker free-floating.
-  pin_thread_to_cpus(pin_cpus_[static_cast<std::size_t>(index)]);
 
   // Idle stopwatch: runs from the first failed scan while a phase is in
   // flight until the next claim (or the phase barrier), so it measures load
@@ -629,32 +519,12 @@ void Executor::worker_loop(int index) {
 
 ExecutorStats Executor::stats() const {
   ExecutorStats s;
-  s.per_node.resize(static_cast<std::size_t>(num_nodes_));
-  for (int n = 0; n < num_nodes_; ++n) {
-    s.per_node[static_cast<std::size_t>(n)].node =
-        static_cast<std::uint64_t>(n);
-  }
   bool first = true;
-  int index = 0;
   for (const auto& w : workers_) {
     s.tasks_executed += w->executed.load(std::memory_order_relaxed);
     s.tasks_skipped += w->skipped.load(std::memory_order_relaxed);
     s.tasks_failed += w->failed.load(std::memory_order_relaxed);
-    const std::uint64_t steals = w->steals.load(std::memory_order_relaxed);
-    const std::uint64_t remote =
-        w->steals_remote.load(std::memory_order_relaxed);
-    const std::uint64_t misses =
-        w->remote_misses.load(std::memory_order_relaxed);
-    s.steals += steals;
-    s.steals_remote += remote;
-    s.remote_misses += misses;
-    obs::NodeCounters& row = s.per_node[static_cast<std::size_t>(
-        worker_node_[static_cast<std::size_t>(index)])];
-    row.workers += 1;
-    row.steals_same_node += steals - remote;
-    row.steals_remote += remote;
-    row.remote_misses += misses;
-    ++index;
+    s.steals += w->steals.load(std::memory_order_relaxed);
     const double busy =
         static_cast<double>(w->busy_ns.load(std::memory_order_relaxed)) *
         1e-9;
@@ -668,7 +538,6 @@ ExecutorStats Executor::stats() const {
         first ? busy : std::min(s.min_worker_busy_seconds, busy);
     first = false;
   }
-  s.steals_same_node = s.steals - s.steals_remote;
   return s;
 }
 

@@ -55,7 +55,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "concurrent/topology.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_safety.hpp"
@@ -86,21 +85,10 @@ struct ExecutorStats {
   /// carried on. Disjoint from tasks_executed.
   std::uint64_t tasks_failed = 0;
   std::uint64_t steals = 0;          ///< claims taken from another worker
-  /// Steal locality split (steals == steals_same_node + steals_remote; all
-  /// steals are same-node on a single-node topology).
-  std::uint64_t steals_same_node = 0;
-  std::uint64_t steals_remote = 0;
-  /// Claims satisfied outside the thief's node (remote victim or the
-  /// injector) after its whole same-node group — own segment, own deque,
-  /// every same-node victim — came up empty. The locality-miss signal of
-  /// the hierarchical steal order; always zero on a single-node topology.
-  std::uint64_t remote_misses = 0;
   double busy_seconds = 0;           ///< summed in-task time over workers
   double idle_seconds = 0;           ///< summed mid-phase scan/park time
   double max_worker_busy_seconds = 0;
   double min_worker_busy_seconds = 0;
-  /// One row per topology node (single row on the uniform topology).
-  std::vector<obs::NodeCounters> per_node;
 };
 
 namespace detail {
@@ -223,19 +211,10 @@ class RangeDeque {
 
 class Executor {
  public:
-  /// Spawns `num_threads` persistent workers (>= 1) on the uniform
-  /// single-node topology: ring steal order, no pinning — the pre-NUMA
-  /// behavior, bit for bit.
+  /// Spawns `num_threads` persistent workers (>= 1). Workers float freely
+  /// (no pinning); an idle worker scans its victims in ring order,
+  /// self + 1, self + 2, … mod num_threads.
   explicit Executor(int num_threads);
-
-  /// Topology-aware executor: workers are assigned round-robin across the
-  /// topology's nodes (node of worker w = w mod effective_nodes, where
-  /// effective_nodes = min(topology nodes, num_threads) so every node with
-  /// workers has at least one) and each worker's steal order visits all
-  /// same-node victims before any remote one. With `pin_workers`, each
-  /// worker pins itself to its node's CPU set (best effort — a failed or
-  /// impossible pin is ignored).
-  Executor(int num_threads, const NumaTopology& topology, bool pin_workers);
 
   /// Drains outstanding work (parity with the legacy pool), then joins.
   ~Executor();
@@ -261,45 +240,6 @@ class Executor {
           (*static_cast<B*>(ctx))(beg, end);
         },
         const_cast<void*>(static_cast<const void*>(std::addressof(body))));
-  }
-
-  /// Shard-aligned variant of run(): the flat task array is grouped by
-  /// topology node — node k owns task indices [node_task_begin[k],
-  /// node_task_begin[k + 1]) — and each node's window is segmented among
-  /// that node's workers only, so a worker's initial segment (and its
-  /// preferred same-node victims) covers tasks whose data its node placed.
-  /// `node_task_begin` must have num_nodes() + 1 entries ending at `count`.
-  /// Identical to run() on a single-node topology.
-  void run_sharded(const TaskRange* tasks, std::size_t count,
-                   const std::size_t* node_task_begin, RangeFn fn, void* ctx);
-
-  template <typename Body>
-  void run_sharded(const TaskRange* tasks, std::size_t count,
-                   const std::size_t* node_task_begin, Body&& body) {
-    using B = std::remove_reference_t<Body>;
-    run_sharded(
-        tasks, count, node_task_begin,
-        [](void* ctx, VertexId beg, VertexId end) {
-          (*static_cast<B*>(ctx))(beg, end);
-        },
-        const_cast<void*>(static_cast<const void*>(std::addressof(body))));
-  }
-
-  /// Topology shape: number of nodes workers are assigned to (1 on the
-  /// uniform executor) and the node of one worker.
-  [[nodiscard]] int num_nodes() const { return num_nodes_; }
-  [[nodiscard]] int worker_node(int worker) const {
-    return worker_node_[static_cast<std::size_t>(worker)];
-  }
-
-  /// The deterministic victim scan order of `worker` (every other worker
-  /// exactly once). The first same_node_victims(worker) entries are the
-  /// worker's same-node victims — the property test_executor_numa pins.
-  [[nodiscard]] const std::vector<int>& steal_order(int worker) const {
-    return victim_order_[static_cast<std::size_t>(worker)];
-  }
-  [[nodiscard]] std::size_t same_node_victims(int worker) const {
-    return same_node_victims_[static_cast<std::size_t>(worker)];
   }
 
   /// Streaming mode: installs the phase body so ranges can be submit()ted
@@ -391,11 +331,6 @@ class Executor {
     /// movement, never an exact snapshot.
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<std::uint64_t> steals{0};   // protocol: relaxed-counter
-    /// Of `steals`, how many came from a victim on another node.
-    std::atomic<std::uint64_t> steals_remote{0};  // protocol: relaxed-counter
-    /// Claims this worker satisfied remotely (remote victim or injector)
-    /// after exhausting its same-node group; see ExecutorStats.
-    std::atomic<std::uint64_t> remote_misses{0};  // protocol: relaxed-counter
     std::atomic<std::uint64_t> busy_ns{0};  // protocol: relaxed-counter
     std::atomic<std::uint64_t> idle_ns{0};  // protocol: relaxed-counter
     /// Owner-only stride counter for the per-claim deadline poll: the
@@ -414,10 +349,9 @@ class Executor {
   /// armed, and install_governor wakes it whenever a new run's limits
   /// need a finer cadence than the idle one.
   void supervisor_loop();
-  /// Claims one range: own segment, own deque, then every victim in
-  /// victim_order_[self] (segments and deques; all same-node victims come
-  /// first), then the injector. Counts steals — and, past the same-node
-  /// group, the remote split — on `self`.
+  /// Claims one range: own segment, own deque, then every other worker's
+  /// segment and deque in ring order, then the injector. Counts steals on
+  /// `self`.
   bool try_claim(int self, TaskRange* out);
   /// CAS-claims one task index from `victim`'s segment for phase `tag`.
   bool claim_from_segment(int victim, std::uint32_t tag, std::uint32_t* out);
@@ -458,16 +392,6 @@ class Executor {
   const int num_workers_;
   std::vector<std::unique_ptr<Worker>> workers_;
   detail::RangeDeque injector_;  // owned by the master thread
-
-  // Topology shape, fixed at construction and read-only afterwards (so
-  // workers read it without synchronization): worker→node assignment, the
-  // per-worker victim scan order with its same-node prefix length, and the
-  // CPU set each worker pins itself to (empty = no pinning).
-  int num_nodes_ = 1;
-  std::vector<int> worker_node_;
-  std::vector<std::vector<int>> victim_order_;
-  std::vector<std::size_t> same_node_victims_;
-  std::vector<std::vector<int>> pin_cpus_;
 
   // Phase state: written by the master between barriers, published by the
   // release store to phase_ and read by workers after the matching acquire.

@@ -56,13 +56,6 @@ struct SchedulerOptions {
   /// Not owned; must outlive the scheduled phases. nullptr = ungoverned
   /// (zero overhead).
   RunGovernor* governor = nullptr;
-  /// Interior vertex boundaries no task may cross (NUMA node shards,
-  /// from edge_balanced_boundaries). When set with an executor whose
-  /// num_nodes() matches, bundled tasks are grouped by shard and dispatched
-  /// with Executor::run_sharded so node k's workers start on shard k — the
-  /// range their node's CSR pages were placed for. Not owned; must outlive
-  /// the scheduled phases.
-  const std::vector<VertexId>* shard_bounds = nullptr;
 };
 
 /// Vertices between cancel-token polls inside a scheduled range. Power of
@@ -76,22 +69,28 @@ struct ScheduleStats {
 
 namespace detail {
 
-/// Bundles the sub-range [lo, hi) according to `options`. `num_threads` is
-/// the thread share this sub-range is expected to run on (the whole pool
-/// without sharding, one node's share with it).
+/// Bundles [0, n) into TaskRange boundaries according to `options`,
+/// appending to `ranges` (not cleared). Vertices failing `needs_work` still
+/// land inside some range under non-degree policies; the worker-side
+/// re-test skips them. Returns the number of ranges appended.
+///
+/// Guards the degenerate inputs (n == 0, n < num_threads, zero-width
+/// ranges) that made the seed StaticRange math hazardous.
 template <typename DegreeOf, typename NeedsWork>
-void bundle_subrange(std::vector<TaskRange>& ranges, VertexId lo, VertexId hi,
-                     int num_threads, DegreeOf&& degree_of,
-                     NeedsWork&& needs_work, const SchedulerOptions& options) {
-  if (lo >= hi) return;
+std::uint64_t bundle_ranges(std::vector<TaskRange>& ranges, VertexId n,
+                            int num_threads, DegreeOf&& degree_of,
+                            NeedsWork&& needs_work,
+                            const SchedulerOptions& options) {
+  const std::size_t before = ranges.size();
+  if (n == 0) return 0;
   const auto push = [&](VertexId beg, VertexId end) {
     if (beg < end) ranges.push_back({beg, end});
   };
   switch (options.kind) {
     case SchedulerKind::DegreeSum: {
       std::uint64_t deg_sum = 0;
-      VertexId beg = lo;
-      for (VertexId u = lo; u < hi; ++u) {
+      VertexId beg = 0;
+      for (VertexId u = 0; u < n; ++u) {
         if (!needs_work(u)) continue;
         deg_sum += degree_of(u);
         if (deg_sum > options.degree_threshold) {
@@ -100,25 +99,25 @@ void bundle_subrange(std::vector<TaskRange>& ranges, VertexId lo, VertexId hi,
           beg = u + 1;
         }
       }
-      push(beg, hi);
+      push(beg, n);
       break;
     }
     case SchedulerKind::StaticRange: {
       // Degree-weighted split: part i ends at the first vertex whose degree
-      // prefix crosses i/t of the sub-range's total, so every static
-      // partition carries a near-equal edge count (the similarity phases'
-      // cost is degree-shaped) instead of a near-equal vertex count.
+      // prefix crosses i/t of the total, so every static partition
+      // carries a near-equal edge count (the similarity phases' cost is
+      // degree-shaped) instead of a near-equal vertex count.
       const auto t = static_cast<VertexId>(std::max(1, num_threads));
       std::uint64_t total = 0;
-      for (VertexId u = lo; u < hi; ++u) total += degree_of(u);
+      for (VertexId u = 0; u < n; ++u) total += degree_of(u);
       if (total == 0) {
-        push(lo, hi);
+        push(0, n);
         break;
       }
       std::uint64_t prefix = 0;
-      VertexId beg = lo;
+      VertexId beg = 0;
       VertexId part = 1;
-      for (VertexId u = lo; u < hi && part < t; ++u) {
+      for (VertexId u = 0; u < n && part < t; ++u) {
         prefix += degree_of(u);
         if (prefix * t >= total * part) {
           push(beg, u + 1);
@@ -126,62 +125,16 @@ void bundle_subrange(std::vector<TaskRange>& ranges, VertexId lo, VertexId hi,
           ++part;
         }
       }
-      push(beg, hi);
+      push(beg, n);
       break;
     }
     case SchedulerKind::FixedChunk: {
       const VertexId width = std::max<VertexId>(1, options.chunk_size);
-      for (VertexId beg = lo; beg < hi; beg += width) {
-        push(beg, std::min<VertexId>(beg + width, hi));
+      for (VertexId beg = 0; beg < n; beg += width) {
+        push(beg, std::min<VertexId>(beg + width, n));
       }
       break;
     }
-  }
-}
-
-/// Bundles [0, n) into TaskRange boundaries according to `options`,
-/// appending to `ranges` (not cleared). Vertices failing `needs_work` still
-/// land inside some range under non-degree policies; the worker-side
-/// re-test skips them. Returns the number of ranges appended.
-///
-/// With `options.shard_bounds`, no range crosses a shard boundary and the
-/// bundling runs shard by shard; `shard_task_begin` (when given) receives
-/// the per-shard task offsets — shards + 1 entries, relative to the ranges
-/// appended by THIS call — in the exact shape Executor::run_sharded takes.
-///
-/// Guards the degenerate inputs (n == 0, n < num_threads, zero-width
-/// ranges) that made the seed StaticRange math hazardous.
-template <typename DegreeOf, typename NeedsWork>
-std::uint64_t bundle_ranges(std::vector<TaskRange>& ranges, VertexId n,
-                            int num_threads, DegreeOf&& degree_of,
-                            NeedsWork&& needs_work,
-                            const SchedulerOptions& options,
-                            std::vector<std::size_t>* shard_task_begin =
-                                nullptr) {
-  const std::size_t before = ranges.size();
-  std::vector<VertexId> cuts{0};
-  if (options.shard_bounds != nullptr) {
-    for (const VertexId b : *options.shard_bounds) {
-      cuts.push_back(std::clamp(b, cuts.back(), n));
-    }
-  }
-  cuts.push_back(n);
-  const std::size_t shards = cuts.size() - 1;
-  // With sharding, each shard is bundled for its share of the pool so a
-  // static split still yields ~num_threads tasks overall.
-  const int share =
-      shards > 1 ? std::max(1, num_threads / static_cast<int>(shards))
-                 : num_threads;
-  if (shard_task_begin != nullptr) shard_task_begin->clear();
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (shard_task_begin != nullptr) {
-      shard_task_begin->push_back(ranges.size() - before);
-    }
-    bundle_subrange(ranges, cuts[s], cuts[s + 1], share, degree_of,
-                    needs_work, options);
-  }
-  if (shard_task_begin != nullptr) {
-    shard_task_begin->push_back(ranges.size() - before);
   }
   return ranges.size() - before;
 }
@@ -249,26 +202,10 @@ ScheduleStats schedule_vertex_tasks(Executor& executor, VertexId n,
   std::vector<TaskRange> local;
   std::vector<TaskRange>& ranges = scratch != nullptr ? *scratch : local;
   ranges.clear();
-  // Shard-aligned dispatch only when the executor's node count matches the
-  // shard count — anything else (uniform executor, stale bounds) falls
-  // back to the plain even split, which is always correct.
-  const bool sharded =
-      options.shard_bounds != nullptr &&
-      executor.num_nodes() ==
-          static_cast<int>(options.shard_bounds->size()) + 1 &&
-      executor.num_nodes() > 1;
-  std::vector<std::size_t> shard_task_begin;
   stats.tasks_submitted = detail::bundle_ranges(
-      ranges, n, executor.num_threads(), degree_of, needs_work, options,
-      sharded ? &shard_task_begin : nullptr);
-  const auto body = detail::make_range_body(needs_work, work,
-                                            options.governor);
-  if (sharded) {
-    executor.run_sharded(ranges.data(), ranges.size(),
-                         shard_task_begin.data(), body);
-  } else {
-    executor.run(ranges.data(), ranges.size(), body);
-  }
+      ranges, n, executor.num_threads(), degree_of, needs_work, options);
+  executor.run(ranges.data(), ranges.size(),
+               detail::make_range_body(needs_work, work, options.governor));
   return stats;
 }
 

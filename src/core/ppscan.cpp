@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 #include "concurrent/executor.hpp"
-#include "concurrent/topology.hpp"
 #include "concurrent/union_find.hpp"
-#include "graph/graph_placement.hpp"
 #include "obs/trace.hpp"
 #include "util/atomic_array.hpp"
 #include "util/timer.hpp"
@@ -24,31 +21,12 @@ class PpScanRunner {
         options_(options),
         kernel_(similar_fn(options.kernel)),
         governor_(options.limits, options.cancel),
+        exec_(options.num_threads),
         counters_(static_cast<std::size_t>(options.num_threads) + 1) {
-    if (options.numa == NumaMode::Auto) {
-      // Topology-aware executor: round-robin node assignment, workers
-      // pinned to their node's CPUs, same-node-first steal order. A
-      // single-node detection result degrades to the uniform executor
-      // (the fallback reason lands in the trace, see run()).
-      topo_ = options.topology != nullptr ? *options.topology
-                                          : detect_topology();
-      exec_ = std::make_unique<Executor>(options.num_threads, topo_,
-                                         /*pin_workers=*/true);
-    } else {
-      exec_ = std::make_unique<Executor>(options.num_threads);
-    }
-    exec_->install_governor(&governor_);
-    if (options.trace != nullptr) exec_->install_trace(options.trace);
+    exec_.install_governor(&governor_);
+    if (options.trace != nullptr) exec_.install_trace(options.trace);
     sched_ = options.scheduler;
     sched_.governor = &governor_;
-    if (exec_->num_nodes() > 1) {
-      // One edge-balanced vertex shard per NUMA node; bundled tasks never
-      // cross a shard boundary and node k's workers claim shard k first —
-      // the same split apply_placement() used to place the CSR pages.
-      shard_bounds_ = edge_balanced_boundaries(
-          graph.offsets(), static_cast<std::size_t>(exec_->num_nodes()));
-      sched_.shard_bounds = &shard_bounds_;
-    }
     // Charge the state arrays against the memory budget before allocating;
     // on overshoot (or a real bad_alloc) the run aborts before any phase
     // and returns the all-Unknown partial result. sim_ is left unwritten:
@@ -85,13 +63,6 @@ class PpScanRunner {
     PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::KernelDispatch,
                               "kernel-dispatch",
                               resolve_kernel(options_.kernel));
-    // NUMA detection degrades, never errors: when Auto fell back to the
-    // uniform single-node shape, one Mark records that the run is
-    // effectively numa=off (the reason string lives in NumaTopology).
-    if (options_.numa == NumaMode::Auto && !topo_.fallback_reason.empty()) {
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "numa-fallback", 0);
-    }
     if (alloc_ok_) {
       {
         ScopedAccumTimer t(stats_.stage_prune_seconds);
@@ -125,17 +96,11 @@ class PpScanRunner {
     // kernel call: that is the CompSim tally of the paper's Figure 4.
     run.stats.compsim_invocations = run.stats.counters.sims_computed;
     run.stats.runtime_kind = "worksteal";
-    const ExecutorStats es = exec_->stats();
+    const ExecutorStats es = exec_.stats();
     run.stats.tasks_executed = es.tasks_executed;
     run.stats.steals = es.steals;
     run.stats.busy_seconds = es.busy_seconds;
     run.stats.idle_seconds = es.idle_seconds;
-    run.stats.numa_mode = to_string(options_.numa);
-    run.stats.numa_nodes = static_cast<std::uint64_t>(exec_->num_nodes());
-    run.stats.steals_same_node = es.steals_same_node;
-    run.stats.steals_remote = es.steals_remote;
-    run.stats.remote_misses = es.remote_misses;
-    run.stats.per_node = es.per_node;
     run.stats.total_seconds = total.elapsed_s();
     record_governance(governor_, run.stats);
     return run;
@@ -178,7 +143,7 @@ class PpScanRunner {
   void run_phase(NeedsWork&& needs_work, Work&& work) {
     const auto degree = [this](VertexId u) { return graph_.degree(u); };
     const ScheduleStats st = schedule_vertex_tasks(
-        *exec_, graph_.num_vertices(), degree,
+        exec_, graph_.num_vertices(), degree,
         std::forward<NeedsWork>(needs_work), std::forward<Work>(work), sched_,
         &range_scratch_);
     stats_.tasks_submitted += st.tasks_submitted;
@@ -397,7 +362,7 @@ class PpScanRunner {
   /// membership buffers and the per-worker counter slots share this
   /// layout): its executor worker slot, or the trailing master slot.
   [[nodiscard]] std::size_t worker_slot() const {
-    const int w = exec_->current_worker();
+    const int w = exec_.current_worker();
     if (w >= 0) return static_cast<std::size_t>(w);
     return membership_slots_.size() - 1;
   }
@@ -456,7 +421,7 @@ class PpScanRunner {
     // data — bounded, allocation-free memcpy work — so letting it finish
     // under cancellation keeps the drain latency bound intact.
     if (offset[slots] > 0) {
-      exec_->install_governor(nullptr);
+      exec_.install_governor(nullptr);
       std::vector<TaskRange> copies;
       for (std::size_t i = 0; i < slots; ++i) {
         if (!membership_slots_[i].pairs.empty()) {
@@ -464,11 +429,11 @@ class PpScanRunner {
                             static_cast<VertexId>(i + 1)});
         }
       }
-      exec_->run(copies.data(), copies.size(),
+      exec_.run(copies.data(), copies.size(),
                  [&](VertexId beg, VertexId end) {
                    for (VertexId i = beg; i < end; ++i) copy_slot(i);
                  });
-      exec_->install_governor(&governor_);
+      exec_.install_governor(&governor_);
     } else {
       for (std::size_t i = 0; i < slots; ++i) copy_slot(i);
     }
@@ -508,11 +473,7 @@ class PpScanRunner {
   RunGovernor governor_;
   SchedulerOptions sched_;
   bool alloc_ok_ = true;
-  // NumaMode::Auto only: the topology the executor was built from and the
-  // per-node vertex shard boundaries sched_.shard_bounds points into.
-  NumaTopology topo_;
-  std::vector<VertexId> shard_bounds_;
-  std::unique_ptr<Executor> exec_;
+  Executor exec_;
   std::vector<TaskRange> range_scratch_;
   ParallelUnionFind uf_;
   // protocol: relaxed-guarded — per-arc similarity state: every write is

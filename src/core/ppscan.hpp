@@ -30,7 +30,6 @@
 #pragma once
 
 #include "concurrent/task_scheduler.hpp"
-#include "concurrent/topology.hpp"
 #include "scan/scan_common.hpp"
 #include "setops/intersect.hpp"
 
@@ -60,21 +59,6 @@ struct PpScanOptions {
   /// master slot, per-task/steal events on the worker slots. Not owned;
   /// must be sized for at least num_threads workers and outlive the run.
   obs::TraceCollector* trace = nullptr;
-
-  /// NUMA execution policy (docs/numa.md):
-  ///   Off        — uniform executor, the pre-NUMA behavior.
-  ///   Auto       — detect the topology, pin workers round-robin across
-  ///                nodes, steal same-node first, and shard every phase's
-  ///                tasks along edge-balanced node boundaries.
-  ///   Interleave — uniform executor (page interleaving is a graph
-  ///                placement concern; apply CsrGraph::apply_placement
-  ///                before the run).
-  /// Detection degrades gracefully: a single-node box behaves exactly
-  /// like Off (one trace Mark records the fallback reason).
-  NumaMode numa = NumaMode::Off;
-  /// Topology override for tests/benches (e.g. an emulated_topology()).
-  /// Not owned; nullptr = detect_topology() when numa == Auto.
-  const NumaTopology* topology = nullptr;
 };
 
 ScanRun ppscan(const CsrGraph& graph, const ScanParams& params,

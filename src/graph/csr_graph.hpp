@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/graph_placement.hpp"
 #include "util/types.hpp"
 
 namespace ppscan {
@@ -79,11 +78,6 @@ class CsrGraph {
   /// (u,v) has its reverse (v,u). Loaders run the linear pass only, so
   /// validated loading stays O(read).
   void validate(bool check_symmetry = true) const;
-
-  /// Applies a NUMA placement policy to the CSR pages in place (see
-  /// graph/graph_placement.hpp): contents, addresses, and iterators are
-  /// unchanged — only page residency moves. Best effort; never throws.
-  PlacementReport apply_placement(const PlacementOptions& options);
 
  private:
   std::vector<EdgeId> offsets_;  // size num_vertices() + 1

@@ -11,7 +11,6 @@
 
 #include "concurrent/executor.hpp"
 #include "concurrent/task_scheduler.hpp"
-#include "graph/graph_placement.hpp"
 #include "util/env.hpp"
 #include "util/graph_io_error.hpp"
 
@@ -40,6 +39,29 @@ std::pair<Index, Index> piece(std::size_t size, std::size_t k,
 }
 
 }  // namespace
+
+std::vector<VertexId> edge_balanced_boundaries(
+    const std::vector<EdgeId>& offsets, std::size_t shards) {
+  std::vector<VertexId> bounds;
+  if (shards <= 1 || offsets.size() <= 1) return bounds;
+  const VertexId n = checked_vertex_cast(offsets.size() - 1);
+  const std::uint64_t total = offsets.back();
+  bounds.reserve(shards - 1);
+  VertexId prev = 0;
+  for (std::size_t k = 1; k < shards; ++k) {
+    // Smallest vertex whose prefix of arcs reaches k/shards of the total;
+    // offsets is monotone, so a binary search finds it directly.
+    const std::uint64_t target =
+        total * static_cast<std::uint64_t>(k) / shards;
+    const auto it =
+        std::lower_bound(offsets.begin(), offsets.end(), target);
+    auto cut = static_cast<VertexId>(it - offsets.begin());
+    cut = std::clamp(cut, prev, n);
+    bounds.push_back(cut);
+    prev = cut;
+  }
+  return bounds;
+}
 
 void GraphBuilder::add_edges(EdgeList edges) {
   if (edges_.empty()) {

@@ -48,4 +48,13 @@ class GraphBuilder {
 /// the inverse of GraphBuilder, used by I/O and the tests.
 EdgeList to_edge_list(const CsrGraph& graph);
 
+/// Splits [0, num_vertices) into `shards` contiguous vertex ranges with
+/// near-equal *edge* counts (degree-weighted, one binary search per cut
+/// over the offsets array): returns the shards - 1 interior boundaries.
+/// Shards past the edge supply (more shards than edges) collapse to empty
+/// ranges at the tail. build() uses it to cut the per-row sort into
+/// edge-balanced tasks.
+std::vector<VertexId> edge_balanced_boundaries(
+    const std::vector<EdgeId>& offsets, std::size_t shards);
+
 }  // namespace ppscan

@@ -59,20 +59,6 @@ struct AlgoCounters {
   }
 };
 
-/// Per-NUMA-node steal-locality counters (schema-v2 `per_node` rows): how
-/// many claims the node's workers took from same-node vs remote victims,
-/// and how often a claim had to leave the node after its same-node group
-/// (own segment, own deque, same-node victims) was exhausted. Aggregated
-/// from the executor's per-worker relaxed counters at a barrier; plain
-/// data here so obs stays dependency-free (the executor fills it in).
-struct NodeCounters {
-  std::uint64_t node = 0;     ///< topology node index (0-based, dense)
-  std::uint64_t workers = 0;  ///< executor workers assigned to the node
-  std::uint64_t steals_same_node = 0;
-  std::uint64_t steals_remote = 0;
-  std::uint64_t remote_misses = 0;
-};
-
 /// Per-worker counter slots. Padded to a cache line so two workers
 /// bumping their own counters never false-share.
 class CounterSlots {

@@ -9,8 +9,8 @@ namespace {
 // The v2 schema's flat fields. validate_metrics_json walks exactly this
 // table, so adding a flat field here (and in metrics_to_json /
 // metrics_from_json and the docs/observability.md table) is the complete
-// change; the one non-flat field, the per_node array, is validated by
-// hand below against kPerNodeKeys.
+// change. Keys outside the table are ignored, so rows carrying fields a
+// later version dropped stay valid.
 enum class FieldType : std::uint8_t { String, U64, Double };
 
 struct FieldSpec {
@@ -43,12 +43,6 @@ constexpr FieldSpec kSchemaV2[] = {
     {"tasks_submitted", FieldType::U64},
     {"tasks_executed", FieldType::U64},
     {"steals", FieldType::U64},
-    {"numa_mode", FieldType::String},
-    {"placement", FieldType::String},
-    {"numa_nodes", FieldType::U64},
-    {"steals_same_node", FieldType::U64},
-    {"steals_remote", FieldType::U64},
-    {"remote_misses", FieldType::U64},
     {"num_clusters", FieldType::U64},
     {"num_cores", FieldType::U64},
     {"abort_reason", FieldType::String},
@@ -64,39 +58,6 @@ constexpr FieldSpec kSchemaV2[] = {
     {"uf_finds", FieldType::U64},
     {"uf_find_steps", FieldType::U64},
 };
-
-// Every per_node entry carries exactly these u64 keys (obs::NodeCounters).
-constexpr const char* kPerNodeKeys[] = {
-    "node", "workers", "steals_same_node", "steals_remote", "remote_misses",
-};
-
-JsonValue node_counters_to_json(const NodeCounters& n) {
-  JsonValue o = JsonValue::object();
-  o.set("node", JsonValue::number_u64(n.node));
-  o.set("workers", JsonValue::number_u64(n.workers));
-  o.set("steals_same_node", JsonValue::number_u64(n.steals_same_node));
-  o.set("steals_remote", JsonValue::number_u64(n.steals_remote));
-  o.set("remote_misses", JsonValue::number_u64(n.remote_misses));
-  return o;
-}
-
-std::string validate_per_node(const JsonValue& arr) {
-  if (!arr.is_array()) return "key 'per_node' is not an array";
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const JsonValue& entry = arr.at(i);
-    if (!entry.is_object()) {
-      return "per_node[" + std::to_string(i) + "] is not an object";
-    }
-    for (const char* key : kPerNodeKeys) {
-      if (!entry.has(key) || !entry.at(key).is_number() ||
-          !entry.at(key).is_integer()) {
-        return "per_node[" + std::to_string(i) + "] missing unsigned '" +
-               key + "'";
-      }
-    }
-  }
-  return "";
-}
 
 // The optional serving block: `queries[]` row keys and their types, and
 // the `latency_histogram` scalar keys. Both are additive v2 extensions —
@@ -331,15 +292,6 @@ JsonValue metrics_to_json(const MetricsReport& r) {
   o.set("tasks_submitted", JsonValue::number_u64(r.tasks_submitted));
   o.set("tasks_executed", JsonValue::number_u64(r.tasks_executed));
   o.set("steals", JsonValue::number_u64(r.steals));
-  o.set("numa_mode", JsonValue::string(r.numa_mode));
-  o.set("placement", JsonValue::string(r.placement));
-  o.set("numa_nodes", JsonValue::number_u64(r.numa_nodes));
-  o.set("steals_same_node", JsonValue::number_u64(r.steals_same_node));
-  o.set("steals_remote", JsonValue::number_u64(r.steals_remote));
-  o.set("remote_misses", JsonValue::number_u64(r.remote_misses));
-  JsonValue per_node = JsonValue::array();
-  for (const NodeCounters& n : r.per_node) per_node.push(node_counters_to_json(n));
-  o.set("per_node", std::move(per_node));
   o.set("num_clusters", JsonValue::number_u64(r.num_clusters));
   o.set("num_cores", JsonValue::number_u64(r.num_cores));
   o.set("abort_reason", JsonValue::string(r.abort_reason));
@@ -406,16 +358,6 @@ std::string validate_metrics_json(const JsonValue& row) {
   }
   if (row.at("schema_version").as_u64() != kMetricsSchemaVersion) {
     return "schema_version != " + std::to_string(kMetricsSchemaVersion);
-  }
-  if (!row.has("per_node")) return "missing required key 'per_node'";
-  const std::string per_node_err = validate_per_node(row.at("per_node"));
-  if (!per_node_err.empty()) return per_node_err;
-  const std::uint64_t same = row.at("steals_same_node").as_u64();
-  const std::uint64_t remote = row.at("steals_remote").as_u64();
-  if (same + remote != row.at("steals").as_u64()) {
-    return "steal split violated: steals_same_node=" + std::to_string(same) +
-           " + steals_remote=" + std::to_string(remote) +
-           " != steals=" + std::to_string(row.at("steals").as_u64());
   }
   const std::uint64_t touched = row.at("arcs_touched").as_u64();
   const std::uint64_t decided = row.at("arcs_predicate_pruned").as_u64() +
@@ -493,23 +435,6 @@ MetricsReport metrics_from_json(const JsonValue& row) {
   r.tasks_submitted = row.at("tasks_submitted").as_u64();
   r.tasks_executed = row.at("tasks_executed").as_u64();
   r.steals = row.at("steals").as_u64();
-  r.numa_mode = row.at("numa_mode").as_string();
-  r.placement = row.at("placement").as_string();
-  r.numa_nodes = row.at("numa_nodes").as_u64();
-  r.steals_same_node = row.at("steals_same_node").as_u64();
-  r.steals_remote = row.at("steals_remote").as_u64();
-  r.remote_misses = row.at("remote_misses").as_u64();
-  const JsonValue& per_node = row.at("per_node");
-  for (std::size_t i = 0; i < per_node.size(); ++i) {
-    const JsonValue& entry = per_node.at(i);
-    NodeCounters n;
-    n.node = entry.at("node").as_u64();
-    n.workers = entry.at("workers").as_u64();
-    n.steals_same_node = entry.at("steals_same_node").as_u64();
-    n.steals_remote = entry.at("steals_remote").as_u64();
-    n.remote_misses = entry.at("remote_misses").as_u64();
-    r.per_node.push_back(n);
-  }
   r.num_clusters = row.at("num_clusters").as_u64();
   r.num_cores = row.at("num_cores").as_u64();
   r.abort_reason = row.at("abort_reason").as_string();

@@ -6,8 +6,6 @@
 // Schema v2 is documented field-by-field in docs/observability.md; the
 // validator below and the docs table are kept in lockstep (the round-trip
 // test tests/test_metrics_json.cpp checks emitted output against it).
-// v2 added the NUMA block: numa_mode/placement/numa_nodes, the
-// same-node/remote steal split, remote_misses, and the per_node array.
 #pragma once
 
 #include <cstdint>
@@ -115,17 +113,6 @@ struct MetricsReport {
   std::uint64_t tasks_executed = 0;
   std::uint64_t steals = 0;
 
-  // NUMA shape (v2): policy/placement the run used, executor node count,
-  // steal locality split (steals == steals_same_node + steals_remote —
-  // the validator enforces it), and one NodeCounters row per node.
-  std::string numa_mode = "off";
-  std::string placement = "default";  ///< GraphPlacement applied to the CSR
-  std::uint64_t numa_nodes = 1;
-  std::uint64_t steals_same_node = 0;
-  std::uint64_t steals_remote = 0;
-  std::uint64_t remote_misses = 0;
-  std::vector<NodeCounters> per_node;
-
   // Result shape.
   std::uint64_t num_clusters = 0;
   std::uint64_t num_cores = 0;
@@ -168,9 +155,8 @@ struct MetricsReport {
                                               std::vector<JsonValue> rows);
 
 /// Validates one row object against the documented v2 schema: every
-/// required key present with the right JSON type, schema_version == 2,
-/// the per_node array well-formed, the steal split consistent
-/// (same_node + remote == steals), the funnel invariant
+/// required key present with the right JSON type (other keys are
+/// ignored), schema_version == 2, the funnel invariant
 /// pruned + computed + reused == touched, and — when present — the
 /// optional serving block (`queries` rows well-typed, `latency_histogram`
 /// bucket counts summing to its count).

@@ -4,8 +4,8 @@
 // before clustering: hubs land in adjacent ids, which improves the locality
 // of the edge-property arrays and lets range-based task bundles (Algorithm
 // 5) start with the heavy vertices. The clustering itself is
-// permutation-equivariant, which test_relabel verifies and
-// bench_ablation_relabel measures.
+// permutation-equivariant, which test_relabel and test_differential_fuzz
+// verify.
 #pragma once
 
 #include <vector>

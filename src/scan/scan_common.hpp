@@ -112,17 +112,6 @@ struct RunStats {
   std::uint64_t steals = 0;
   double busy_seconds = 0;
   double idle_seconds = 0;
-  /// NUMA execution shape (worksteal runtime; docs/numa.md). numa_mode is
-  /// the policy the run used ("off" everywhere else); numa_nodes the
-  /// executor's node count; the steal split and remote misses measure how
-  /// hierarchical stealing kept work on-node (steals == steals_same_node +
-  /// steals_remote); per_node carries one row per topology node.
-  std::string numa_mode = "off";
-  std::uint64_t numa_nodes = 1;
-  std::uint64_t steals_same_node = 0;
-  std::uint64_t steals_remote = 0;
-  std::uint64_t remote_misses = 0;
-  std::vector<obs::NodeCounters> per_node;
   /// Run governance (populated by the governed algorithms): why/where a
   /// limited run stopped early — None means it ran to completion — plus
   /// how many phases reached their barrier and the peak governed bytes

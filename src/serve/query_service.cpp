@@ -63,11 +63,6 @@ QueryService::QueryService(const GsIndex& index, ServiceOptions options)
   if (options_.num_threads < 1) {
     throw std::invalid_argument("QueryService: need at least one thread");
   }
-  if (options_.numa == NumaMode::Auto) {
-    topo_ = options_.topology != nullptr ? *options_.topology
-                                         : detect_topology();
-    numa_nodes_ = std::clamp(topo_.num_nodes(), 1, options_.num_threads);
-  }
   if (options_.flight_capacity > 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(options_.flight_capacity);
     flight_->record(obs::FlightRecorder::EventKind::Lifecycle, "serve.start");
@@ -82,7 +77,7 @@ QueryService::QueryService(const GsIndex& index, ServiceOptions options)
   }
   workers_.reserve(static_cast<std::size_t>(options_.num_threads));
   for (int w = 0; w < options_.num_threads; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
   if (options_.stats_interval.count() > 0) {
     publisher_ = std::thread([this] { publisher_loop(); });
@@ -341,13 +336,7 @@ void QueryService::drain_if_stopped() {
   while (queue_.try_dequeue(&request)) execute_guarded(request, scratch);
 }
 
-void QueryService::worker_loop(int w) {
-  // Best-effort NUMA pin, the Executor's policy: worker w to node
-  // w mod min(nodes, num_threads). A failed syscall leaves it unpinned.
-  if (options_.numa == NumaMode::Auto && !topo_.nodes.empty()) {
-    pin_thread_to_cpus(
-        topo_.nodes[static_cast<std::size_t>(w % numa_nodes_)].cpus);
-  }
+void QueryService::worker_loop() {
   GsIndex::QueryScratch scratch;
   Request request;
   for (;;) {
@@ -858,8 +847,6 @@ ServiceSnapshot QueryService::snapshot() const {
   if (flight_) snap.flight_recorded = flight_->recorded();
   snap.uptime_seconds =
       seconds_between(start_time_, std::chrono::steady_clock::now());
-  snap.numa_mode = to_string(options_.numa);
-  snap.numa_nodes = static_cast<std::uint64_t>(numa_nodes_);
   snap.num_threads = options_.num_threads;
   return snap;
 }

@@ -12,8 +12,7 @@
 //     without blocking (load shedding, counted as rejected).
 //   * Run-to-completion execution — num_threads service-owned workers
 //     dequeue from the queue themselves and run each query to completion;
-//     no batch barrier makes a query wait for another's straggler. Under
-//     numa = Auto workers pin to nodes round-robin, the Executor's policy.
+//     no batch barrier makes a query wait for another's straggler.
 //   * Scratch pooling — one GsIndex::QueryScratch per worker, reused
 //     across every query that worker executes: steady-state serving does
 //     no full-graph allocations per query (the original motivation for the
@@ -70,7 +69,6 @@
 #include <vector>
 
 #include "concurrent/run_governor.hpp"
-#include "concurrent/topology.hpp"
 #include "index/gs_index.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/latency_histogram.hpp"
@@ -107,11 +105,6 @@ struct ServiceOptions {
   RunLimits default_limits;
   /// Per-query records kept for snapshot() (a ring of the most recent).
   std::size_t max_recorded_queries = 1024;
-  /// Worker topology policy, mirroring core/ppscan.hpp: Auto detects the
-  /// topology (or uses `topology` when non-null) and pins worker w to node
-  /// w mod min(nodes, num_threads); Off/Interleave leave workers unpinned.
-  NumaMode numa = NumaMode::Off;
-  const NumaTopology* topology = nullptr;
   /// CoDel-style adaptive shedding (0 = off): when the queue sojourn a
   /// worker last observed (the wait of the request it last dequeued)
   /// exceeds this target, try_submit()/try_submit_ex() refuse with
@@ -276,8 +269,6 @@ struct ServiceSnapshot {
   /// Most recent per-query records, oldest first.
   std::vector<QueryRecord> recent;
   double uptime_seconds = 0;
-  std::string numa_mode = "off";
-  std::uint64_t numa_nodes = 1;
   int num_threads = 1;
 };
 
@@ -375,10 +366,10 @@ class QueryService {
   };
 
   std::future<QueryResponse> enqueue(Request request);
-  /// Worker w: dequeue, execute to completion, repeat; parks on
+  /// Worker: dequeue, execute to completion, repeat; parks on
   /// submitted_epoch_ when the queue is empty and returns once it finds the
   /// queue empty after stop().
-  void worker_loop(int w);
+  void worker_loop();
   /// Dispatch firewall: runs execute() and answers the request with a
   /// "QDispatch"-classified failure if anything escapes it.
   void execute_guarded(Request& request, GsIndex::QueryScratch& scratch);
@@ -438,10 +429,6 @@ class QueryService {
   const GsIndex& index_;
   const ServiceOptions options_;
   const std::chrono::steady_clock::time_point start_time_;
-  NumaTopology topo_;
-  /// Nodes the workers are spread over: min(topology nodes, num_threads)
-  /// under numa = Auto, else 1.
-  int numa_nodes_ = 1;
 
   MpmcQueue<Request> queue_;
   std::vector<std::thread> workers_;

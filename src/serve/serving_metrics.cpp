@@ -67,8 +67,6 @@ obs::MetricsReport make_serving_report(const std::string& tool,
   report.num_vertices = graph.num_vertices();
   report.num_edges = graph.num_edges();
   report.total_seconds = total_seconds;
-  report.numa_mode = snapshot.numa_mode;
-  report.numa_nodes = snapshot.numa_nodes;
   // Cluster/core counts are per-query quantities for a mixed workload; the
   // row-level fields stay 0 and queries[] carries the real values.
   report.abort_reason = "none";

@@ -13,8 +13,6 @@
 //   PPSCAN_CACHE_DIR    string       bench dataset cache directory
 //   PPSCAN_TRACE_CAP    u64  >= 1    trace events kept per worker buffer
 //   PPSCAN_TRACE_TASKS  flag         record per-task trace events (default 1)
-//   PPSCAN_NUMA_NODES   u64  >= 1    emulate an N-node NUMA topology
-//                                    (docs/numa.md; 0/unset = detect)
 #pragma once
 
 #include <cstdint>

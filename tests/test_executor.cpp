@@ -36,6 +36,7 @@ TEST(Executor, FlatRunCoversEveryRangeExactlyOnce) {
   for (VertexId u = 0; u < n; ++u) {
     ASSERT_EQ(visited[u].load(), 1) << "vertex " << u;
   }
+  EXPECT_EQ(executor.stats().tasks_executed, static_cast<std::uint64_t>(n));
 }
 
 TEST(Executor, EmptyRunReturnsImmediately) {
@@ -170,6 +171,22 @@ TEST(Executor, SkewedLoadProducesSteals) {
   });
   EXPECT_GT(executor.stats().steals, 0u);
   EXPECT_EQ(executor.stats().tasks_executed, n);
+}
+
+TEST(Executor, StealsNeverExceedTasksExecuted) {
+  // Every steal is one claimed range, and every claimed range of a clean
+  // run executes: across phases, steals <= tasks_executed.
+  constexpr VertexId n = 50000;
+  Executor executor(4);
+  const auto tasks = unit_ranges(n);
+  for (int round = 0; round < 3; ++round) {
+    executor.run(tasks.data(), tasks.size(), [](VertexId, VertexId) {});
+  }
+  const ExecutorStats stats = executor.stats();
+  EXPECT_EQ(stats.tasks_executed, 3ull * n);
+  EXPECT_LE(stats.steals, stats.tasks_executed);
+  EXPECT_EQ(stats.tasks_skipped, 0u);
+  EXPECT_EQ(stats.tasks_failed, 0u);
 }
 
 TEST(Executor, SingleThreadExecutesEverything) {

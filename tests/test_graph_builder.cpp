@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/fixtures.hpp"
 #include "support/scoped_env.hpp"
 #include "util/graph_io_error.hpp"
 #include "util/rng.hpp"
@@ -225,6 +226,58 @@ TEST(ToEdgeList, RoundTripsThroughBuilder) {
 TEST(ToEdgeList, EmitsEachEdgeOnce) {
   const auto g = GraphBuilder::from_edges({{0, 1}, {1, 2}});
   EXPECT_EQ(to_edge_list(g).size(), g.num_edges());
+}
+
+TEST(EdgeBalancedBoundaries, SingleShardHasNoBoundary) {
+  const CsrGraph graph = make_clique(8);
+  EXPECT_TRUE(edge_balanced_boundaries(graph.offsets(), 1).empty());
+  EXPECT_TRUE(edge_balanced_boundaries(graph.offsets(), 0).empty());
+}
+
+TEST(EdgeBalancedBoundaries, BalancesEdgeMassNotVertexCount) {
+  // A star: the hub owns half the arcs, every leaf one. A 2-shard split
+  // by *vertices* would put ~half the vertices in each shard; the edge-
+  // balanced split must cut right after the hub.
+  const CsrGraph graph = make_star(1000);
+  const auto bounds = edge_balanced_boundaries(graph.offsets(), 2);
+  ASSERT_EQ(bounds.size(), 1u);
+  EXPECT_LE(bounds[0], 2u) << "cut should land immediately after the hub";
+}
+
+TEST(EdgeBalancedBoundaries, BoundariesAreMonotoneAndInRange) {
+  const CsrGraph graph = make_clique_chain(8, 6);
+  const std::size_t shards = 4;
+  const auto bounds = edge_balanced_boundaries(graph.offsets(), shards);
+  ASSERT_EQ(bounds.size(), shards - 1);
+  VertexId prev = 0;
+  for (const VertexId b : bounds) {
+    EXPECT_GE(b, prev);
+    EXPECT_LE(b, graph.num_vertices());
+    prev = b;
+  }
+  // Each shard's arc mass is within one max-degree of the ideal quarter.
+  const auto& offsets = graph.offsets();
+  std::vector<VertexId> cuts{0};
+  cuts.insert(cuts.end(), bounds.begin(), bounds.end());
+  cuts.push_back(graph.num_vertices());
+  const auto total = static_cast<std::uint64_t>(graph.num_arcs());
+  std::uint64_t max_degree = 0;
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    max_degree = std::max<std::uint64_t>(max_degree, graph.degree(u));
+  }
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    const std::uint64_t mass = offsets[cuts[k + 1]] - offsets[cuts[k]];
+    EXPECT_LE(mass, total / shards + max_degree) << "shard " << k;
+  }
+}
+
+TEST(EdgeBalancedBoundaries, MoreShardsThanEdgesCollapseAtTail) {
+  const CsrGraph graph = make_path(3);  // 2 edges, 4 arcs
+  const auto bounds = edge_balanced_boundaries(graph.offsets(), 8);
+  ASSERT_EQ(bounds.size(), 7u);
+  for (const VertexId b : bounds) {
+    EXPECT_LE(b, graph.num_vertices());
+  }
 }
 
 }  // namespace

@@ -36,13 +36,6 @@ MetricsReport sample_report() {
   r.tasks_submitted = 5000;
   r.tasks_executed = 5000;
   r.steals = 321;
-  r.numa_mode = "auto";
-  r.placement = "sharded";
-  r.numa_nodes = 2;
-  r.steals_same_node = 300;
-  r.steals_remote = 21;
-  r.remote_misses = 7;
-  r.per_node = {{0, 8, 160, 9, 3}, {1, 8, 140, 12, 4}};
   r.num_clusters = 12345;
   r.num_cores = 987654;
   r.abort_reason = "none";
@@ -135,23 +128,6 @@ TEST(MetricsJson, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.tasks_submitted, original.tasks_submitted);
   EXPECT_EQ(back.tasks_executed, original.tasks_executed);
   EXPECT_EQ(back.steals, original.steals);
-  EXPECT_EQ(back.numa_mode, original.numa_mode);
-  EXPECT_EQ(back.placement, original.placement);
-  EXPECT_EQ(back.numa_nodes, original.numa_nodes);
-  EXPECT_EQ(back.steals_same_node, original.steals_same_node);
-  EXPECT_EQ(back.steals_remote, original.steals_remote);
-  EXPECT_EQ(back.remote_misses, original.remote_misses);
-  ASSERT_EQ(back.per_node.size(), original.per_node.size());
-  for (std::size_t i = 0; i < back.per_node.size(); ++i) {
-    EXPECT_EQ(back.per_node[i].node, original.per_node[i].node);
-    EXPECT_EQ(back.per_node[i].workers, original.per_node[i].workers);
-    EXPECT_EQ(back.per_node[i].steals_same_node,
-              original.per_node[i].steals_same_node);
-    EXPECT_EQ(back.per_node[i].steals_remote,
-              original.per_node[i].steals_remote);
-    EXPECT_EQ(back.per_node[i].remote_misses,
-              original.per_node[i].remote_misses);
-  }
   EXPECT_EQ(back.num_clusters, original.num_clusters);
   EXPECT_EQ(back.num_cores, original.num_cores);
   EXPECT_EQ(back.abort_reason, original.abort_reason);
@@ -209,24 +185,6 @@ TEST(MetricsJson, BrokenFunnelInvariantIsReported) {
   r.counters.arcs_touched += 1;  // pruned + computed + reused no longer adds up
   const auto violation = validate_metrics_json(metrics_to_json(r));
   EXPECT_NE(violation.find("arcs_touched"), std::string::npos) << violation;
-}
-
-TEST(MetricsJson, BrokenStealSplitIsReported) {
-  MetricsReport r = sample_report();
-  r.steals_remote += 1;  // same_node + remote no longer equals steals
-  const auto violation = validate_metrics_json(metrics_to_json(r));
-  EXPECT_NE(violation.find("steal split"), std::string::npos) << violation;
-}
-
-TEST(MetricsJson, MalformedPerNodeEntryIsReported) {
-  auto row = metrics_to_json(sample_report());
-  auto arr = JsonValue::array();
-  auto entry = JsonValue::object();
-  entry.set("node", JsonValue::number_u64(0));  // the other keys are missing
-  arr.push(std::move(entry));
-  row.set("per_node", std::move(arr));
-  const auto violation = validate_metrics_json(row);
-  EXPECT_NE(violation.find("per_node"), std::string::npos) << violation;
 }
 
 TEST(MetricsJson, ServingBlockIsOmittedWhenEmpty) {
@@ -373,6 +331,37 @@ TEST(MetricsJson, ExtraRowKeysAreIgnoredByValidator) {
   EXPECT_EQ(validate_metrics_file_json(doc), "");
   EXPECT_EQ(doc.at("figure").as_string(), "serving");
   EXPECT_TRUE(doc.at("rows").at(0).has("queries_per_second"));
+}
+
+TEST(MetricsJson, RowWithRetiredNumaBlockStillValidates) {
+  // The first row of the committed BENCH_fig6.json, verbatim. Rows written
+  // before the NUMA layer was removed carry numa_mode, placement,
+  // numa_nodes, the steal split and per_node; the validator ignores keys
+  // outside the schema, so old committed rows stay readable.
+  const auto row = JsonValue::parse(R"json(
+    {"schema_version": 2, "tool": "bench_fig6_scalability",
+    "algorithm": "ppSCAN", "dataset": "twitter-sim", "eps": "0.2", "mu": 5,
+    "threads": 1, "kernel": "avx512", "runtime_kind": "worksteal",
+    "num_vertices": 2048, "num_edges": 23873, "total_seconds": 0.005268576,
+    "similarity_seconds": 0, "pruning_seconds": 0,
+    "stage_prune_seconds": 0.00076912, "stage_check_seconds": 0.002964928,
+    "stage_core_cluster_seconds": 0.000481465,
+    "stage_noncore_cluster_seconds": 0.00098868,
+    "busy_seconds": 0.005077768000000001, "idle_seconds": 0,
+    "compsim_invocations": 6483, "tasks_submitted": 13, "tasks_executed": 14,
+    "steals": 0, "numa_mode": "auto", "placement": "sharded", "numa_nodes": 1,
+    "steals_same_node": 0, "steals_remote": 0, "remote_misses": 0,
+    "per_node": [{"node": 0, "workers": 1, "steals_same_node": 0,
+    "steals_remote": 0, "remote_misses": 0}], "num_clusters": 1,
+    "num_cores": 582, "abort_reason": "none", "abort_phase": "",
+    "phases_completed": 7, "peak_governed_bytes": 211464,
+    "arcs_touched": 18192, "arcs_predicate_pruned": 5226,
+    "sims_computed": 6483, "sims_reused": 6483, "core_early_exits": 955,
+    "uf_unions": 581, "uf_finds": 1164, "uf_find_steps": 1162}
+  )json");
+  ASSERT_TRUE(row.has("per_node"));
+  EXPECT_EQ(validate_metrics_json(row), "");
+  EXPECT_EQ(metrics_from_json(row).steals, 0u);
 }
 
 TEST(MetricsJson, ParserRejectsGarbage) {

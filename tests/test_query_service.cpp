@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "concurrent/topology.hpp"
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
 
@@ -364,24 +363,6 @@ TEST(QueryService, StopMidStreamWithFourWorkersIsLossless) {
   const auto snap = service.snapshot();
   EXPECT_EQ(snap.completed, static_cast<std::uint64_t>(delivered.load()));
   EXPECT_EQ(snap.submitted, static_cast<std::uint64_t>(delivered.load()));
-}
-
-TEST(QueryService, NumaAutoSpreadsWorkersOverEmulatedNodes) {
-  const auto g = erdos_renyi(1000, 8000, 41);
-  const GsIndex index(g);
-  const NumaTopology topo = emulated_topology(2, affinity_cpus());
-  ServiceOptions options;
-  options.num_threads = 4;
-  options.numa = NumaMode::Auto;
-  options.topology = &topo;
-  QueryService service(index, options);
-
-  const auto p = ScanParams::make("0.5", 3);
-  const QueryResponse r = service.submit(p).get();
-  expect_identical(r.run->result, index.query(p).result, p);
-  const auto snap = service.snapshot();
-  EXPECT_EQ(snap.numa_mode, "auto");
-  EXPECT_EQ(snap.numa_nodes, 2u);
 }
 
 TEST(QueryService, RefusesAnAbortedIndexConstruction) {

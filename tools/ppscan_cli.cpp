@@ -6,7 +6,6 @@
 //   ppscan_cli cluster  <graph> [--eps 0.5] [--mu 5] [--algorithm ppSCAN]
 //                       [--threads N] [--kernel auto] [--out result.txt]
 //                       [--timeout-ms T] [--mem-budget-mb M] [--stall-ms S]
-//                       [--numa auto|off|interleave] [--hugepages]
 //
 // Run governance: --timeout-ms / --mem-budget-mb / --stall-ms bound a
 // cluster or query run; SIGINT/SIGTERM trip the same cooperative cancel
@@ -36,13 +35,11 @@
 
 #include "bench_support/algorithms.hpp"
 #include "bench_support/metrics.hpp"
-#include "concurrent/topology.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_json.hpp"
 #include "graph/edge_list_io.hpp"
-#include "graph/graph_placement.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
 #include "index/gs_index.hpp"
@@ -262,7 +259,7 @@ int cmd_cluster(const Flags& flags) {
     std::cerr << "cluster: missing graph file\n";
     return 2;
   }
-  auto graph = load_graph(flags.positionals()[1]);
+  const auto graph = load_graph(flags.positionals()[1]);
   const auto params = ScanParams::make(flags.get_string("eps", "0.5"),
                                        parse_mu(flags.get_string("mu", "5")));
   AlgorithmConfig config;
@@ -272,35 +269,6 @@ int cmd_cluster(const Flags& flags) {
   config.limits = parse_limits(flags);
   config.cancel = &g_signal_cancel;
   const auto algorithm = flags.get_string("algorithm", "ppSCAN");
-
-  // NUMA policy: --numa shapes both the CSR page placement (here) and the
-  // executor (inside the run); --hugepages asks for 2 MB THP backing
-  // independently of the node policy. Everything degrades gracefully —
-  // the report line says what actually happened (docs/numa.md).
-  config.numa = parse_numa_mode(flags.get_string("numa", "off"));
-  NumaTopology topology;
-  std::string placement_label = "default";
-  const bool hugepages = flags.get_bool("hugepages", false);
-  if (config.numa != NumaMode::Off || hugepages) {
-    topology = detect_topology();
-    config.topology = &topology;
-    PlacementOptions popts;
-    popts.hugepages = hugepages;
-    popts.topology = &topology;
-    popts.placement = config.numa == NumaMode::Auto ? GraphPlacement::Sharded
-                      : config.numa == NumaMode::Interleave
-                          ? GraphPlacement::Interleave
-                          : GraphPlacement::Default;
-    const PlacementReport placed = graph.apply_placement(popts);
-    if (placed.applied) placement_label = to_string(popts.placement);
-    std::cout << "numa: mode=" << to_string(config.numa) << " nodes="
-              << topology.num_nodes() << " placement=" << placement_label
-              << (placed.hugepages_advised ? " hugepages=on" : "")
-              << (placed.fallback_reason.empty()
-                      ? ""
-                      : " (" + placed.fallback_reason + ")")
-              << "\n";
-  }
 
   // Per-worker event tracing, exported in Chrome/Perfetto trace format.
   const auto trace_out = flags.get_string("trace-out", "");
@@ -356,7 +324,6 @@ int cmd_cluster(const Flags& flags) {
         flags.get_string("eps", "0.5"), params.mu,
         static_cast<std::uint64_t>(config.num_threads),
         to_string(resolve_kernel(config.kernel)), graph, run);
-    report.placement = placement_label;
     const auto row = obs::metrics_to_json(report);
     // The emitter and the schema validator are kept in lockstep; a
     // violation here is a bug, not a user error.
@@ -535,12 +502,6 @@ int cmd_serve(const Flags& flags) {
   options.breaker_cooldown =
       std::chrono::milliseconds(flags.get_int("breaker-cooldown-ms", 100));
   options.degraded_serving = flags.get_bool("degraded", false);
-  options.numa = parse_numa_mode(flags.get_string("numa", "off"));
-  NumaTopology topology;
-  if (options.numa == NumaMode::Auto) {
-    topology = detect_topology();
-    options.topology = &topology;
-  }
   // Live telemetry (docs/observability.md, "Live telemetry"): the stats
   // publisher backs both the windowed /metrics families and the stderr
   // heartbeat, so a metrics port without an explicit cadence gets the
@@ -716,8 +677,6 @@ void usage() {
          "  convert <graph> --out <file>\n"
          "  cluster <graph> [--eps E] [--mu M] [--algorithm A] [--out R]\n"
          "          [--timeout-ms T] [--mem-budget-mb M] [--stall-ms S]\n"
-         "          [--numa auto|off|interleave]  topology-aware execution\n"
-         "          [--hugepages]                 2 MB THP-backed CSR\n"
          "          (limits / SIGINT yield a partial result; exit codes:\n"
          "           124 deadline, 125 budget, 126 stall, 130 cancelled)\n"
          "          [--trace-out trace.json]   per-worker Perfetto trace\n"
@@ -727,7 +686,7 @@ void usage() {
          "  validate <graph> <result> [--eps E] [--mu M] [--partial]\n"
          "  query <graph> [--eps list] [--mu list] [--timeout-ms T]\n"
          "  serve <graph> [--threads N] [--queue C] [--no-cache]\n"
-         "        [--timeout-ms T] [--numa auto|off|interleave]\n"
+         "        [--timeout-ms T]\n"
          "        [--metrics-json file]   (reads \"<eps> <mu>\" per stdin\n"
          "        line; concurrent QueryService over one GS*-Index)\n"
          "        [--shed-target-ms D]    CoDel-style overload shedding\n"
