@@ -6,6 +6,7 @@
 #include "concurrent/executor.hpp"
 #include "concurrent/union_find.hpp"
 #include "obs/trace.hpp"
+#include "setops/count_sketch.hpp"
 #include "util/atomic_array.hpp"
 #include "util/timer.hpp"
 
@@ -20,23 +21,33 @@ class PpScanRunner {
         params_(params),
         options_(options),
         kernel_(similar_fn(options.kernel)),
+        sketch_min_sum_(sketch_min_sum_fn()),
         governor_(options.limits, options.cancel),
         exec_(options.num_threads),
-        counters_(static_cast<std::size_t>(options.num_threads) + 1) {
-    exec_.install_governor(&governor_);
-    if (options.trace != nullptr) exec_.install_trace(options.trace);
+        counters_(static_cast<std::size_t>(options.num_threads) + 1),
+        sketch_degrees_(sketch_degree_range(params.eps)) {
     sched_ = options.scheduler;
     sched_.governor = &governor_;
-    // Charge the state arrays against the memory budget before allocating;
-    // on overshoot (or a real bad_alloc) the run aborts before any phase
-    // and returns the all-Unknown partial result. sim_ is left unwritten:
-    // PruneSim stores every arc before any phase loads one, and a run cut
-    // short inside PruneSim skips every later phase.
+    // Charge the state arrays and the count sketches against the memory
+    // budget before allocating; on overshoot (or a real bad_alloc) the run
+    // aborts before any phase and returns the all-Unknown partial result.
+    // sim_ and the sketches are left unwritten: PruneSim stores every arc
+    // and builds every sketch before any phase loads one, and a run cut
+    // short inside PruneSim skips every later phase. Counting and slotting
+    // the sketched vertices runs on the executor before the governor and
+    // the trace are installed: bounded set-up work that no limit cuts short
+    // and that belongs to no phase.
     const VertexId n = graph.num_vertices();
+    const std::uint64_t sketched = count_sketched_vertices();
+    const std::uint64_t sketch_bytes =
+        sketched == 0 ? 0
+                      : static_cast<std::uint64_t>(n) * sizeof(std::uint32_t) +
+                            (sketched + 1) * kSketchBuckets;
     const std::uint64_t state_bytes =
-        static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::int32_t) +
+        static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::uint8_t) +
         static_cast<std::uint64_t>(n) *
-            (2 * sizeof(std::uint8_t) + 2 * sizeof(VertexId));
+            (2 * sizeof(std::uint8_t) + 2 * sizeof(VertexId)) +
+        sketch_bytes;
     alloc_ok_ = governor_.try_charge(state_bytes, "ppscan state arrays");
     if (alloc_ok_) {
       try {
@@ -44,11 +55,14 @@ class PpScanRunner {
         roles_.assign(n, static_cast<std::uint8_t>(Role::Unknown));
         cluster_id_.assign(n, kInvalidVertex);
         uf_.reset(n);
+        if (sketched != 0) allocate_sketches(sketched);
       } catch (const std::bad_alloc&) {
         governor_.record_alloc_failure(state_bytes, "ppscan state arrays");
         alloc_ok_ = false;
       }
     }
+    exec_.install_governor(&governor_);
+    if (options.trace != nullptr) exec_.install_trace(options.trace);
     // One membership buffer per worker plus a trailing slot for the master
     // (serial fallbacks). Padded so concurrent appends never share a line.
     membership_slots_.resize(
@@ -85,6 +99,10 @@ class PpScanRunner {
         ScopedAccumTimer t(stats_.stage_noncore_cluster_seconds);
         phase("ClusterNonCore", [this] { phase_cluster_noncore(); });
       }
+      // The last phase that reads a sketch is done.
+      sketch_store_.reset();
+      sketch_slot_.reset();
+      sketches_ = nullptr;
     }
     ScanRun run = assemble_result();
     run.stats = stats_;
@@ -93,7 +111,8 @@ class PpScanRunner {
     // plain per-worker counters need.
     run.stats.counters = counters_.merged();
     // compute_arc is the only place that bumps sims_computed, once per
-    // kernel call: that is the CompSim tally of the paper's Figure 4.
+    // decided pair (kernel call or sketch-bound rejection): that is the
+    // CompSim tally of the paper's Figure 4.
     run.stats.compsim_invocations = run.stats.counters.sims_computed;
     run.stats.runtime_kind = "worksteal";
     const ExecutorStats es = exec_.stats();
@@ -112,6 +131,76 @@ class PpScanRunner {
   }
   void set_role(VertexId u, Role r) {
     roles_.store(u, static_cast<std::uint8_t>(r));
+  }
+  [[nodiscard]] ArcSim arc_state(EdgeId e) const {
+    return static_cast<ArcSim>(sim_.load(e));
+  }
+  void set_arc_state(EdgeId e, ArcSim value) {
+    sim_.store(e, static_cast<std::uint8_t>(value));
+  }
+
+  /// Runs body(first, end) for each chunk of kSlotChunk vertices on the
+  /// executor (constructor only: no governor installed yet).
+  template <typename Body>
+  void for_each_vertex_chunk(Body&& body) {
+    const VertexId n = graph_.num_vertices();
+    std::vector<TaskRange> chunks;
+    for (VertexId first = 0; first < n; first += kSlotChunk) {
+      chunks.push_back(
+          {first, n - first < kSlotChunk ? n : first + kSlotChunk});
+    }
+    exec_.run(chunks.data(), chunks.size(),
+              [&](VertexId beg, VertexId end) { body(beg, end); });
+  }
+
+  /// Vertices whose degree passes the per-vertex sketch gate for this ε,
+  /// counted per chunk in parallel; slot_base_[c] becomes the first slot
+  /// of chunk c.
+  [[nodiscard]] std::uint64_t count_sketched_vertices() {
+    if (sketch_degrees_.empty()) return 0;
+    const VertexId n = graph_.num_vertices();
+    slot_base_.assign(n / kSlotChunk + 2, 0);
+    for_each_vertex_chunk([this](VertexId beg, VertexId end) {
+      std::uint32_t count = 0;
+      for (VertexId u = beg; u < end; ++u) {
+        count += sketch_degrees_.contains(graph_.degree(u)) ? 1 : 0;
+      }
+      slot_base_[beg / kSlotChunk + 1] = count;
+    });
+    for (std::size_t c = 1; c < slot_base_.size(); ++c) {
+      slot_base_[c] += slot_base_[c - 1];
+    }
+    return slot_base_.back();
+  }
+
+  /// One kSketchBuckets-byte slot per gated vertex, allocated unwritten
+  /// and 64-byte aligned: PruneSim builds each sketch from its owner, so
+  /// a slot it never builds costs no resident page. The slot table is
+  /// filled per chunk in parallel.
+  void allocate_sketches(std::uint64_t sketched) {
+    sketch_store_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+        (sketched + 1) * kSketchBuckets);
+    const auto base = reinterpret_cast<std::uintptr_t>(sketch_store_.get());
+    sketches_ = sketch_store_.get() + ((64 - base % 64) % 64);
+    sketch_slot_ =
+        std::make_unique_for_overwrite<std::uint32_t[]>(graph_.num_vertices());
+    for_each_vertex_chunk([this](VertexId beg, VertexId end) {
+      std::uint32_t next = slot_base_[beg / kSlotChunk];
+      for (VertexId u = beg; u < end; ++u) {
+        sketch_slot_[u] =
+            sketch_degrees_.contains(graph_.degree(u)) ? next++ : kNoSketch;
+      }
+    });
+    slot_base_ = {};
+  }
+
+  /// u's count sketch, or null when u has none (no sketch this call, u
+  /// gated out, or u's build saturated a bucket).
+  [[nodiscard]] const std::uint8_t* sketch_of(VertexId u) const {
+    if (sketches_ == nullptr) return nullptr;
+    const std::uint32_t slot = sketch_slot_[u];
+    if (slot == kNoSketch) return nullptr;
+    return sketches_ + std::size_t{slot} * kSketchBuckets;
   }
 
   /// Runs one named phase under the governor: skipped entirely once the
@@ -153,10 +242,11 @@ class PpScanRunner {
   // rules of §3.2.2 settle what they can: u's PruneThresholds, computed once
   // here, turn each arc into integer compares against d_v (no root, no
   // division, no branch on the outcome). An arc they leave open gets
-  // kSimUndecided; compute_arc derives its min_cn only if an intersection
+  // Undecided; compute_arc derives its min_cn only if an intersection
   // ever runs on it. Roles decidable from the settled flags are set here.
   // Each directed arc is written by its tail; the head decides the reverse
-  // arc identically, so no mirroring (and no race) is needed here.
+  // arc identically, so no mirroring (and no race) is needed here. The same
+  // pass builds u's count sketch when u has a slot and an undecided arc.
   void phase_prune_sim() {
     run_phase(
         [](VertexId) { return true; },
@@ -166,7 +256,7 @@ class PpScanRunner {
           const bool prune = options_.predicate_pruning;
           // Plain stores: u is the only writer of its arcs and no phase
           // reads sim_ until PruneSim's barrier.
-          std::int32_t* first_write = sim_.exclusive_data();
+          std::uint8_t* first_write = sim_.exclusive_data();
           std::uint32_t sd = 0;
           std::uint32_t nsd = 0;
           for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
@@ -176,10 +266,11 @@ class PpScanRunner {
             const bool nsim = prune & !sim & rules.nsim(dv);
             sd += sim;
             nsd += nsim;
-            // kSimFlag, kNSimFlag or kSimUndecided, without a branch.
-            first_write[e] = kSimUndecided + (kSimFlag - kSimUndecided) * sim +
-                             (kNSimFlag - kSimUndecided) * nsim;
+            // Undecided, Sim or NSim, without a branch.
+            first_write[e] = static_cast<std::uint8_t>(
+                static_cast<unsigned>(ArcSim::Undecided) + sim + 2 * nsim);
           }
+          if (sketches_ != nullptr) build_sketch(u, sd + nsd < du);
           if (sd + nsd != 0) {
             // Each direction is decided by its own tail here (no mirror),
             // so a predicate-settled arc is touched + pruned, once per
@@ -196,22 +287,53 @@ class PpScanRunner {
         });
   }
 
-  /// Intersects one undecided edge with the configured kernel, against the
-  /// exact min_cn bound computed here (so only for the edges that are
-  /// intersected), and mirrors the flag onto the reverse arc
-  /// (similarity-value reuse). Returns Sim?
-  bool compute_arc(VertexId u, EdgeId e) {
+  /// PruneSim's half of the sketch: u's owner builds it into u's slot, or
+  /// gives the slot up when no arc of u is left to decide or a bucket
+  /// would saturate. Only u's owner writes sketch_slot_[u] and u's slot;
+  /// readers start after PruneSim's barrier.
+  void build_sketch(VertexId u, bool has_undecided_arc) {
+    std::uint32_t& slot = sketch_slot_[u];
+    if (slot == kNoSketch) return;
+    if (!has_undecided_arc ||
+        !build_count_sketch(graph_.neighbors(u),
+                            sketches_ + std::size_t{slot} * kSketchBuckets)) {
+      slot = kNoSketch;
+    }
+  }
+
+  /// True when v has a sketch too, the pair passes the per-pair gate, and
+  /// the bound falls below min_cn: the arc is NSim without a kernel call.
+  [[nodiscard]] bool bound_rejects(const std::uint8_t* su, VertexId v,
+                                   std::uint32_t min_cn, VertexId du,
+                                   VertexId dv) const {
+    if (!sketch_can_reject(min_cn, du, dv)) return false;
+    const std::uint8_t* sv = sketch_of(v);
+    return sv != nullptr && sketch_min_sum_(su, sv) + 2 < min_cn;
+  }
+
+  /// Decides one undecided edge against the exact min_cn bound computed
+  /// here (so only for the edges that are decided), and mirrors the flag
+  /// onto the reverse arc (similarity-value reuse). `su` is u's sketch or
+  /// null; when both endpoints have one and the pair passes the gate, a
+  /// bound below min_cn settles NSim without the kernel. Returns Sim?
+  bool compute_arc(VertexId u, EdgeId e, const std::uint8_t* su) {
     const VertexId v = graph_.dst()[e];
-    const std::uint32_t min_cn =
-        min_common_neighbors(params_.eps, graph_.degree(u), graph_.degree(v));
-    const bool sim =
-        kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn);
-    const std::int32_t flag = sim ? kSimFlag : kNSimFlag;
-    sim_.store(e, flag);
-    sim_.store(graph_.reverse_arc(u, e), flag);
-    // One intersection decided two directed arcs: the computed one and the
-    // mirrored reverse (the u < v reuse the funnel singles out).
+    const VertexId du = graph_.degree(u);
+    const VertexId dv = graph_.degree(v);
+    const std::uint32_t min_cn = min_common_neighbors(params_.eps, du, dv);
     obs::AlgoCounters& c = counters_.slot(worker_slot());
+    bool sim = false;
+    if (su != nullptr && bound_rejects(su, v, min_cn, du, dv)) {
+      c.sims_bound_rejected += 1;
+    } else {
+      sim = kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn);
+    }
+    const ArcSim flag = sim ? ArcSim::Sim : ArcSim::NSim;
+    set_arc_state(e, flag);
+    set_arc_state(graph_.reverse_arc(u, e), flag);
+    // One decision settled two directed arcs: the computed one and the
+    // mirrored reverse (the u < v reuse the funnel singles out). A bound
+    // rejection counts as computed, so the CompSim tally keeps its meaning.
     c.arcs_touched += 2;
     c.sims_computed += 1;
     c.sims_reused += 1;
@@ -228,14 +350,14 @@ class PpScanRunner {
 
     // Pass 1: tally already-decided arcs.
     for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
-      const std::int32_t value = sim_.load(e);
-      if (value == kSimFlag) {
+      const ArcSim value = arc_state(e);
+      if (value == ArcSim::Sim) {
         if (++sd >= params_.mu && early) {
           set_role(u, Role::Core);
           counters_.slot(worker_slot()).core_early_exits += 1;
           return;
         }
-      } else if (value == kNSimFlag) {
+      } else if (value == ArcSim::NSim) {
         if (--ed < params_.mu && early) {
           set_role(u, Role::NonCore);
           counters_.slot(worker_slot()).core_early_exits += 1;
@@ -245,6 +367,7 @@ class PpScanRunner {
     }
 
     // Pass 2: compute undecided arcs (only the u < v ones when ordered).
+    const std::uint8_t* su = sketch_of(u);
     for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
       const VertexId v = graph_.dst()[e];
       if (ordered && u >= v) continue;
@@ -252,9 +375,9 @@ class PpScanRunner {
       // may compute and mirror a shared arc — this is the sole writer-
       // exclusion argument for the concurrent sim_ stores in compute_arc.
       assert(!ordered || u < v);
-      const std::int32_t value = sim_.load(e);
-      if (value <= 0) continue;  // settled since pass 1 or during it
-      if (compute_arc(u, e)) {
+      // Settled since pass 1 or during it.
+      if (arc_state(e) != ArcSim::Undecided) continue;
+      if (compute_arc(u, e, su)) {
         if (++sd >= params_.mu && early) {
           set_role(u, Role::Core);
           counters_.slot(worker_slot()).core_early_exits += 1;
@@ -304,7 +427,7 @@ class PpScanRunner {
                ++e) {
             const VertexId v = graph_.dst()[e];
             if (u >= v || role_of(v) != Role::Core) continue;
-            if (sim_.load(e) != kSimFlag) continue;
+            if (arc_state(e) != ArcSim::Sim) continue;
             if (options_.unionfind_pruning && uf_.same_set(u, v)) continue;
             counters_.slot(worker_slot()).uf_unions +=
                 uf_.unite(u, v) ? 1 : 0;
@@ -318,13 +441,14 @@ class PpScanRunner {
     run_phase(
         [this](VertexId u) { return role_of(u) == Role::Core; },
         [this](VertexId u) {
+          const std::uint8_t* su = sketch_of(u);
           for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
                ++e) {
             const VertexId v = graph_.dst()[e];
             if (u >= v || role_of(v) != Role::Core) continue;
-            const std::int32_t value = sim_.load(e);
-            if (value <= 0) {
-              if (value == kSimFlag &&
+            const ArcSim value = arc_state(e);
+            if (value != ArcSim::Undecided) {
+              if (value == ArcSim::Sim &&
                   !(options_.unionfind_pruning && uf_.same_set(u, v))) {
                 // Possible only when phase 4 raced a later flag write —
                 // cannot happen with barriers, but uniting is idempotent.
@@ -334,7 +458,7 @@ class PpScanRunner {
               continue;
             }
             if (options_.unionfind_pruning && uf_.same_set(u, v)) continue;
-            if (compute_arc(u, e)) {
+            if (compute_arc(u, e, su)) {
               counters_.slot(worker_slot()).uf_unions +=
                   uf_.unite(u, v) ? 1 : 0;
             }
@@ -381,17 +505,16 @@ class PpScanRunner {
           c.uf_finds += 1;
           const VertexId cid =
               cluster_id_.load(uf_.find_counted(u, &c.uf_find_steps));
+          const std::uint8_t* su = sketch_of(u);
           for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
                ++e) {
             const VertexId v = graph_.dst()[e];
             if (role_of(v) != Role::NonCore) continue;
-            std::int32_t value = sim_.load(e);
-            if (value > 0) {
-              value = compute_arc(u, e)
-                          ? kSimFlag
-                          : kNSimFlag;
-            }
-            if (value == kSimFlag) local.emplace_back(v, cid);
+            const ArcSim value = arc_state(e);
+            const bool sim = value == ArcSim::Undecided
+                                 ? compute_arc(u, e, su)
+                                 : value == ArcSim::Sim;
+            if (sim) local.emplace_back(v, cid);
           }
         });
     merge_memberships();
@@ -468,6 +591,7 @@ class PpScanRunner {
   const ScanParams& params_;
   const PpScanOptions& options_;
   SimilarFn kernel_;
+  SketchMinSumFn sketch_min_sum_;
   // Declared before the executor so workers (which poll it) are joined
   // before the governor is destroyed.
   RunGovernor governor_;
@@ -481,7 +605,7 @@ class PpScanRunner {
   // before any phase loads one) or a
   // benign same-value race (the mirrored flag is a pure function of the
   // graph, so concurrent writers agree); phase barriers order the phases.
-  AtomicArray<std::int32_t> sim_;
+  AtomicArray<std::uint8_t> sim_;
   // protocol: relaxed-guarded — roles move monotonically Unknown->decided
   // and a vertex's role is a function of the graph, so late readers see
   // either Unknown (recheck) or the same final value.
@@ -494,6 +618,17 @@ class PpScanRunner {
   // Per-worker pruning-funnel slots (same slot layout as
   // membership_slots_); merged into RunStats::counters at the end.
   obs::CounterSlots counters_;
+  // Count sketches (setops/count_sketch.hpp): sketch_slot_[u] is u's slot
+  // in sketches_ or kNoSketch; both stay null when no vertex passes the
+  // per-vertex gate. Plain memory: PruneSim's owner of u writes u's slot
+  // entry and sketch, and later phases only read them, after the barrier.
+  static constexpr std::uint32_t kNoSketch = 0xFFFFFFFFU;
+  static constexpr VertexId kSlotChunk = VertexId{1} << 14;
+  SketchDegreeRange sketch_degrees_;
+  std::vector<std::uint32_t> slot_base_;
+  std::unique_ptr<std::uint32_t[]> sketch_slot_;
+  std::unique_ptr<std::uint8_t[]> sketch_store_;
+  std::uint8_t* sketches_ = nullptr;
   RunStats stats_;
 };
 

@@ -6,10 +6,15 @@
 //                        per-vertex degree thresholds (PruneThresholds);
 //                        the first write of every arc. Settles roles
 //                        decidable from degrees alone.
+//                        The same pass builds each vertex's count sketch
+//                        (setops/count_sketch.hpp) where ε and its degree
+//                        let the sketch bound reject arcs.
 //   2. CheckCore       — min-max pruning with *local* sd/ed (no shared
 //                        bounds → no write-write races); computes only
 //                        u < v arcs so each edge is intersected at most once
 //                        and the result is mirrored to the reverse arc.
+//                        An arc whose sketch bound is below min_cn is NSim
+//                        without an intersection.
 //   3. ConsolidateCore — same, without the u < v constraint, settling roles
 //                        the order constraint left unknown (Theorem 4.2).
 //
@@ -24,9 +29,9 @@
 //                        barrier with a prefix-sum copy — no lock).
 //
 // All vertex computations are bundled by the degree-based dynamic task
-// scheduler (Algorithm 5). Per-arc state lives in one relaxed-atomic int32
-// (see scan_common.hpp for the encoding), which makes the paper's benign
-// read/write races defined behavior at zero cost on x86.
+// scheduler (Algorithm 5). Per-arc state lives in one relaxed-atomic byte
+// (ArcSim in scan_common.hpp), which makes the paper's benign read/write
+// races defined behavior at zero cost on x86.
 #pragma once
 
 #include "concurrent/task_scheduler.hpp"

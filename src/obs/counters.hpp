@@ -13,6 +13,11 @@
 //   * sims_computed — intersection kernel actually invoked. In ppSCAN it
 //     is the source of RunStats::compsim_invocations (no separate shared
 //     counter); the other algorithms keep the two equal.
+//   * sims_bound_rejected — of sims_computed, the arcs ppSCAN's count-
+//     sketch bound decided NSim without a kernel call (setops/
+//     count_sketch.hpp). They stay inside sims_computed, so the CompSim
+//     tally and the invariant below read the same with or without the
+//     bound; sims_computed − sims_bound_rejected is the kernel calls.
 //   * sims_reused — decided by mirroring the reverse arc's result.
 //   Invariant, by construction:
 //     arcs_predicate_pruned + sims_computed + sims_reused == arcs_touched
@@ -40,6 +45,7 @@ struct AlgoCounters {
   std::uint64_t arcs_touched = 0;
   std::uint64_t arcs_predicate_pruned = 0;
   std::uint64_t sims_computed = 0;
+  std::uint64_t sims_bound_rejected = 0;
   std::uint64_t sims_reused = 0;
   std::uint64_t core_early_exits = 0;
   std::uint64_t uf_unions = 0;
@@ -50,6 +56,7 @@ struct AlgoCounters {
     arcs_touched += o.arcs_touched;
     arcs_predicate_pruned += o.arcs_predicate_pruned;
     sims_computed += o.sims_computed;
+    sims_bound_rejected += o.sims_bound_rejected;
     sims_reused += o.sims_reused;
     core_early_exits += o.core_early_exits;
     uf_unions += o.uf_unions;

@@ -302,6 +302,8 @@ JsonValue metrics_to_json(const MetricsReport& r) {
   o.set("arcs_predicate_pruned",
         JsonValue::number_u64(r.counters.arcs_predicate_pruned));
   o.set("sims_computed", JsonValue::number_u64(r.counters.sims_computed));
+  o.set("sims_bound_rejected",
+        JsonValue::number_u64(r.counters.sims_bound_rejected));
   o.set("sims_reused", JsonValue::number_u64(r.counters.sims_reused));
   o.set("core_early_exits", JsonValue::number_u64(r.counters.core_early_exits));
   o.set("uf_unions", JsonValue::number_u64(r.counters.uf_unions));
@@ -367,6 +369,16 @@ std::string validate_metrics_json(const JsonValue& row) {
     return "funnel invariant violated: arcs_touched=" +
            std::to_string(touched) + " but pruned+computed+reused=" +
            std::to_string(decided);
+  }
+  // Optional: rows written before the sketch bound existed lack the key.
+  if (row.has("sims_bound_rejected")) {
+    if (!type_matches(row.at("sims_bound_rejected"), FieldType::U64)) {
+      return "key 'sims_bound_rejected' is not a u64";
+    }
+    if (row.at("sims_bound_rejected").as_u64() >
+        row.at("sims_computed").as_u64()) {
+      return "sims_bound_rejected exceeds sims_computed";
+    }
   }
   if (row.has("queries")) {
     const std::string queries_err = validate_queries(row.at("queries"));
@@ -444,6 +456,9 @@ MetricsReport metrics_from_json(const JsonValue& row) {
   r.counters.arcs_touched = row.at("arcs_touched").as_u64();
   r.counters.arcs_predicate_pruned = row.at("arcs_predicate_pruned").as_u64();
   r.counters.sims_computed = row.at("sims_computed").as_u64();
+  if (row.has("sims_bound_rejected")) {
+    r.counters.sims_bound_rejected = row.at("sims_bound_rejected").as_u64();
+  }
   r.counters.sims_reused = row.at("sims_reused").as_u64();
   r.counters.core_early_exits = row.at("core_early_exits").as_u64();
   r.counters.uf_unions = row.at("uf_unions").as_u64();

@@ -20,21 +20,21 @@ namespace {
 /// *directed* arc writes it, so both (u,v) and (v,u) may be computed — the
 /// redundancy anySCAN accepts.
 struct ArcEval {
-  std::int32_t flag;  // kSimFlag / kNSimFlag
-  bool computed;      // true when an actual intersection ran
+  ArcSim flag;    // Sim / NSim
+  bool computed;  // true when an actual intersection ran
 };
 
 /// `rules` are u's PruneThresholds.
 ArcEval evaluate_arc(const CsrGraph& graph, const ScanParams& params,
                      const PruneThresholds& rules, VertexId u, VertexId v) {
   const VertexId dv = graph.degree(v);
-  if (rules.sim(dv)) return {kSimFlag, false};
-  if (rules.nsim(dv)) return {kNSimFlag, false};
+  if (rules.sim(dv)) return {ArcSim::Sim, false};
+  if (rules.nsim(dv)) return {ArcSim::NSim, false};
   const std::uint32_t need =
       min_common_neighbors(params.eps, graph.degree(u), dv);
   const bool sim =
       similar_merge_early_stop(graph.neighbors(u), graph.neighbors(v), need);
-  return {sim ? kSimFlag : kNSimFlag, true};
+  return {sim ? ArcSim::Sim : ArcSim::NSim, true};
 }
 
 }  // namespace
@@ -50,17 +50,17 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
   RunGovernor governor(options.limits, options.cancel);
   // Charge the big state arrays before allocating; overshoot (or bad_alloc)
   // aborts before any phase with the all-Unknown result.
-  std::vector<std::int32_t> sim;  // per-arc cache owned by the arc's tail
+  std::vector<ArcSim> sim;  // per-arc cache owned by the arc's tail
   ParallelUnionFind uf;
   std::vector<VertexId> cluster_id;
   const std::uint64_t state_bytes =
-      static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::int32_t) +
+      static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(ArcSim) +
       static_cast<std::uint64_t>(n) *
           (2 * sizeof(VertexId) + sizeof(std::uint8_t));
   bool alloc_ok = governor.try_charge(state_bytes, "anyscan state arrays");
   if (alloc_ok) {
     try {
-      sim.assign(graph.num_arcs(), kSimUncached);
+      sim.assign(graph.num_arcs(), ArcSim::Uncached);
       uf.reset(n);
       cluster_id.assign(n, kInvalidVertex);
     } catch (const std::bad_alloc&) {
@@ -119,7 +119,7 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
             [&](VertexId i) {
               const VertexId u = block_begin + i;
               // Dynamic scratch per vertex — deliberately allocation-heavy.
-              std::vector<std::int32_t> local_flags;
+              std::vector<ArcSim> local_flags;
               local_flags.reserve(graph.degree(u));
               std::uint32_t sd = 0;
               std::uint32_t ed = graph.degree(u);
@@ -141,7 +141,7 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
                 }
                 sim[e] = eval.flag;
                 local_flags.push_back(eval.flag);
-                if (eval.flag == kSimFlag) {
+                if (eval.flag == ArcSim::Sim) {
                   ++sd;
                 } else {
                   --ed;
@@ -177,8 +177,8 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
             for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                  ++e) {
               const VertexId v = graph.dst()[e];
-              std::int32_t flag = sim[e];
-              if (flag == kSimUncached) {
+              ArcSim flag = sim[e];
+              if (flag == ArcSim::Uncached) {
                 const ArcEval eval = evaluate_arc(graph, params, rules, u, v);
                 c.arcs_touched += 1;
                 if (eval.computed) {
@@ -190,7 +190,7 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
                 flag = eval.flag;
                 sim[e] = flag;
               }
-              if (flag != kSimFlag) continue;
+              if (flag != ArcSim::Sim) continue;
               if (run.result.roles[v] == Role::Core) {
                 if (u < v) c.uf_unions += uf.unite(u, v) ? 1 : 0;
               } else {

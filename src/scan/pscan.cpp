@@ -22,14 +22,14 @@ class PscanRunner {
     // Charge the state arrays before allocating; overshoot (or bad_alloc)
     // aborts before any phase with the all-Unknown result.
     const std::uint64_t state_bytes =
-        static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::int32_t) +
+        static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(ArcSim) +
         static_cast<std::uint64_t>(n) *
             (3 * sizeof(std::uint32_t) + sizeof(VertexId) +
              sizeof(std::uint8_t));
     alloc_ok_ = governor_.try_charge(state_bytes, "pscan state arrays");
     if (alloc_ok_) {
       try {
-        sim_.assign(graph.num_arcs(), kSimUncached);
+        sim_.assign(graph.num_arcs(), ArcSim::Uncached);
         sd_.assign(n, 0);
         ed_.resize(n);
         uf_.reset(n);
@@ -118,25 +118,25 @@ class PscanRunner {
 
   /// Applies the predicate pruning to arc e of u on first touch (`rules`
   /// are u's PruneThresholds) and returns the arc's value: decided, or
-  /// kSimUndecided.
-  std::int32_t touch_arc(const PruneThresholds& rules, VertexId u, EdgeId e) {
-    std::int32_t value = sim_[e];
-    if (value != kSimUncached) return value;
+  /// ArcSim::Undecided.
+  ArcSim touch_arc(const PruneThresholds& rules, VertexId u, EdgeId e) {
+    ArcSim value = sim_[e];
+    if (value != ArcSim::Uncached) return value;
     const VertexId v = graph_.dst()[e];
     switch (rules.classify(graph_.degree(v))) {
-      case PruneOutcome::Sim: value = kSimFlag; break;
-      case PruneOutcome::NSim: value = kNSimFlag; break;
-      case PruneOutcome::Unknown: value = kSimUndecided; break;
+      case PruneOutcome::Sim: value = ArcSim::Sim; break;
+      case PruneOutcome::NSim: value = ArcSim::NSim; break;
+      case PruneOutcome::Unknown: value = ArcSim::Undecided; break;
     }
     sim_[e] = value;
     sim_[graph_.reverse_arc(u, e)] = value;
-    if (value == kSimFlag || value == kNSimFlag) {
+    if (value != ArcSim::Undecided) {
       // The predicate decides both directions at once (mirror write above):
-      // two arcs touched, two pruned. kSimUndecided is not a decision yet —
+      // two arcs touched, two pruned. Undecided is not a decision yet —
       // compute_arc counts it when the intersection settles the edge.
       run_.stats.counters.arcs_touched += 2;
       run_.stats.counters.arcs_predicate_pruned += 2;
-      apply_decision(u, v, value == kSimFlag);
+      apply_decision(u, v, value == ArcSim::Sim);
     }
     return value;
   }
@@ -167,7 +167,7 @@ class PscanRunner {
     } else {
       sim = kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn);
     }
-    const std::int32_t flag = sim ? kSimFlag : kNSimFlag;
+    const ArcSim flag = sim ? ArcSim::Sim : ArcSim::NSim;
     sim_[e] = flag;
     sim_[graph_.reverse_arc(u, e)] = flag;
     // One intersection settles both directions: the computed arc plus the
@@ -183,14 +183,14 @@ class PscanRunner {
     if (sd_[u] < params_.mu && ed_[u] >= params_.mu) {
       const PruneThresholds rules(params_.eps, graph_.degree(u));
       for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
-        std::int32_t value;
+        ArcSim value;
         if (options_.collect_breakdown) {
           ScopedAccumTimer timer(run_.stats.pruning_seconds);
           value = touch_arc(rules, u, e);
         } else {
           value = touch_arc(rules, u, e);
         }
-        if (value > 0) compute_arc(u, e);
+        if (value == ArcSim::Undecided) compute_arc(u, e);
         if (sd_[u] >= params_.mu || ed_[u] < params_.mu) {
           run_.stats.counters.core_early_exits += 1;
           break;
@@ -212,9 +212,11 @@ class PscanRunner {
       // not-yet-processed core is handled later by ClusterCore(v).
       if (sd_[v] < params_.mu) continue;
       if (uf_.same_set(u, v)) continue;  // union-find pruning
-      std::int32_t value = touch_arc(rules, u, e);
-      if (value > 0) value = compute_arc(u, e) ? kSimFlag : kNSimFlag;
-      if (value == kSimFlag) {
+      ArcSim value = touch_arc(rules, u, e);
+      if (value == ArcSim::Undecided) {
+        value = compute_arc(u, e) ? ArcSim::Sim : ArcSim::NSim;
+      }
+      if (value == ArcSim::Sim) {
         run_.stats.counters.uf_unions += uf_.unite(u, v) ? 1 : 0;
       }
     }
@@ -245,9 +247,11 @@ class PscanRunner {
       for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
         const VertexId v = graph_.dst()[e];
         if (run_.result.roles[v] == Role::Core) continue;
-        std::int32_t value = touch_arc(rules, u, e);
-        if (value > 0) value = compute_arc(u, e) ? kSimFlag : kNSimFlag;
-        if (value == kSimFlag) {
+        ArcSim value = touch_arc(rules, u, e);
+        if (value == ArcSim::Undecided) {
+          value = compute_arc(u, e) ? ArcSim::Sim : ArcSim::NSim;
+        }
+        if (value == ArcSim::Sim) {
           run_.stats.counters.uf_finds += 1;
           run_.result.noncore_memberships.emplace_back(
               v, cluster_id[uf_.find_counted(
@@ -263,7 +267,7 @@ class PscanRunner {
   SimilarFn kernel_;
   RunGovernor governor_;
   bool alloc_ok_ = true;
-  std::vector<std::int32_t> sim_;
+  std::vector<ArcSim> sim_;
   std::vector<std::uint32_t> sd_;
   std::vector<std::uint32_t> ed_;
   UnionFind uf_;

@@ -33,17 +33,20 @@ struct ScanParams {
 
 enum class Role : std::uint8_t { Unknown = 0, Core = 1, NonCore = 2 };
 
-/// Per-arc similarity state, stored in one int32 per directed arc:
-///   kSimFlag      — predicate decided true
-///   kNSimFlag     — predicate decided false
-///   kSimUncached  — not looked at yet
-///   kSimUndecided — the degree rules (PruneThresholds) left it open; an
-///                   intersection decides it, with min_cn computed then
-/// (so value > 0 means "run the kernel", as in the pSCAN reference).
-inline constexpr std::int32_t kSimFlag = -1;
-inline constexpr std::int32_t kNSimFlag = -2;
-inline constexpr std::int32_t kSimUncached = 0;
-inline constexpr std::int32_t kSimUndecided = 1;
+/// Per-arc similarity state, one byte per directed arc:
+///   Uncached  — not looked at yet
+///   Undecided — the degree rules (PruneThresholds) left it open; an
+///               intersection (or ppSCAN's sketch bound) decides it, with
+///               min_cn computed then
+///   Sim       — predicate decided true
+///   NSim      — predicate decided false
+/// The values make PruneSim's branch-free store Undecided + sim + 2·nsim.
+enum class ArcSim : std::uint8_t {
+  Uncached = 0,
+  Undecided = 1,
+  Sim = 2,
+  NSim = 3,
+};
 
 /// Output of a clustering run.
 ///

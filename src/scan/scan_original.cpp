@@ -18,11 +18,11 @@ class ScanOriginalRunner {
         options_(options),
         governor_(options.limits, options.cancel) {
     const std::uint64_t state_bytes =
-        static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::int32_t);
+        static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(ArcSim);
     alloc_ok_ = governor_.try_charge(state_bytes, "scan sim array");
     if (alloc_ok_) {
       try {
-        sim_.assign(graph.num_arcs(), kSimUncached);
+        sim_.assign(graph.num_arcs(), ArcSim::Uncached);
       } catch (const std::bad_alloc&) {
         governor_.record_alloc_failure(state_bytes, "scan sim array");
         alloc_ok_ = false;
@@ -60,7 +60,7 @@ class ScanOriginalRunner {
   /// Decides sim[e] for one arc with a full merge intersection. SCAN caches
   /// per-arc only: the reverse arc is recomputed by the other endpoint's
   /// CheckCore, reproducing the 2·Σ d² workload of Theorem 3.4.
-  std::int32_t compute_arc(VertexId u, EdgeId e) {
+  ArcSim compute_arc(VertexId u, EdgeId e) {
     const VertexId v = graph_.dst()[e];
     ++run_.stats.compsim_invocations;
     std::uint64_t common;
@@ -77,14 +77,14 @@ class ScanOriginalRunner {
     // intersected by its own tail, so the funnel is all sims_computed.
     run_.stats.counters.arcs_touched += 1;
     run_.stats.counters.sims_computed += 1;
-    return sim ? kSimFlag : kNSimFlag;
+    return sim ? ArcSim::Sim : ArcSim::NSim;
   }
 
   Role check_core(VertexId u) {
     std::uint64_t similar = 0;
     for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
-      if (sim_[e] == kSimUncached) sim_[e] = compute_arc(u, e);
-      if (sim_[e] == kSimFlag) ++similar;
+      if (sim_[e] == ArcSim::Uncached) sim_[e] = compute_arc(u, e);
+      if (sim_[e] == ArcSim::Sim) ++similar;
     }
     const Role role = similar >= params_.mu ? Role::Core : Role::NonCore;
     run_.result.roles[u] = role;
@@ -101,7 +101,7 @@ class ScanOriginalRunner {
       const VertexId v = queue.front();
       queue.pop_front();
       for (EdgeId e = graph_.offset_begin(v); e < graph_.offset_end(v); ++e) {
-        if (sim_[e] != kSimFlag) continue;
+        if (sim_[e] != ArcSim::Sim) continue;
         const VertexId w = graph_.dst()[e];
         if (run_.result.roles[w] == Role::Unknown &&
             check_core(w) == Role::Core) {
@@ -126,7 +126,7 @@ class ScanOriginalRunner {
   const ScanOriginalOptions& options_;
   RunGovernor governor_;
   bool alloc_ok_ = true;
-  std::vector<std::int32_t> sim_;
+  std::vector<ArcSim> sim_;
   ScanRun run_;
 };
 

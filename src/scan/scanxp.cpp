@@ -24,19 +24,19 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
   RunGovernor governor(options.limits, options.cancel);
   // Charge the big state arrays up front; a budget overshoot (or a real
   // bad_alloc) aborts before any phase and yields the all-Unknown result.
-  std::vector<std::int32_t> sim;
+  std::vector<ArcSim> sim;
   ParallelUnionFind uf;
   // protocol: relaxed-guarded — cluster-id min-CAS, same argument as
   // ppSCAN's cluster_id_ (monotone lowering + phase barrier re-read).
   AtomicArray<VertexId> cluster_id;
   const std::uint64_t state_bytes =
-      static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::int32_t) +
+      static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(ArcSim) +
       static_cast<std::uint64_t>(n) *
           (2 * sizeof(VertexId) + sizeof(std::uint8_t));
   bool alloc_ok = governor.try_charge(state_bytes, "scanxp state arrays");
   if (alloc_ok) {
     try {
-      sim.assign(graph.num_arcs(), kSimUncached);
+      sim.assign(graph.num_arcs(), ArcSim::Uncached);
       uf.reset(n);
       cluster_id.assign(n, kInvalidVertex);
     } catch (const std::bad_alloc&) {
@@ -102,7 +102,7 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
               const bool s =
                   similarity_holds(params.eps, common + 2, graph.degree(u),
                                    graph.degree(v));
-              const std::int32_t flag = s ? kSimFlag : kNSimFlag;
+              const ArcSim flag = s ? ArcSim::Sim : ArcSim::NSim;
               sim[e] = flag;
               sim[graph.reverse_arc(u, e)] = flag;
               // One intersection per u < v edge decides both directions:
@@ -127,7 +127,7 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
             std::uint32_t sd = 0;
             for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                  ++e) {
-              if (sim[e] == kSimFlag) ++sd;
+              if (sim[e] == ArcSim::Sim) ++sd;
             }
             run.result.roles[u] =
                 sd >= params.mu ? Role::Core : Role::NonCore;
@@ -145,7 +145,7 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
             for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                  ++e) {
               const VertexId v = graph.dst()[e];
-              if (u >= v || sim[e] != kSimFlag) continue;
+              if (u >= v || sim[e] != ArcSim::Sim) continue;
               if (run.result.roles[v] == Role::Core) {
                 counter_slot().uf_unions += uf.unite(u, v) ? 1 : 0;
               }
@@ -193,7 +193,7 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
             for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                  ++e) {
               const VertexId v = graph.dst()[e];
-              if (sim[e] != kSimFlag || run.result.roles[v] == Role::Core) {
+              if (sim[e] != ArcSim::Sim || run.result.roles[v] == Role::Core) {
                 continue;
               }
               obs::AlgoCounters& c = counter_slot();

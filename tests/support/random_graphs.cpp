@@ -1,5 +1,7 @@
 #include "support/random_graphs.hpp"
 
+#include <algorithm>
+
 #include "graph/fixtures.hpp"
 #include "graph/generators.hpp"
 
@@ -29,6 +31,37 @@ std::vector<CsrGraph> property_test_graphs(std::uint64_t seed,
   graphs.push_back(make_clique_chain(4, 5));
   graphs.push_back(make_scan_paper_example());
   return graphs;
+}
+
+CsrGraph random_fuzz_graph(Rng& rng) {
+  switch (rng.next_below(4)) {
+    case 0: {
+      const auto n = static_cast<VertexId>(20 + rng.next_below(150));
+      const EdgeId max_m = static_cast<EdgeId>(n) * (n - 1) / 2;
+      const EdgeId m = 1 + rng.next_below(std::min<EdgeId>(max_m, n * 6));
+      return erdos_renyi(n, m, rng.next_u64());
+    }
+    case 1: {
+      const auto m = static_cast<VertexId>(1 + rng.next_below(6));
+      const auto n = static_cast<VertexId>(m + 2 + rng.next_below(150));
+      return barabasi_albert(n, m, rng.next_u64());
+    }
+    case 2: {
+      RmatParams p;
+      p.scale = 6 + static_cast<int>(rng.next_below(3));
+      p.edge_factor = 2 + static_cast<double>(rng.next_below(8));
+      return rmat(p, rng.next_u64());
+    }
+    default: {
+      LfrParams p;
+      p.n = static_cast<VertexId>(60 + rng.next_below(200));
+      p.avg_degree = 4 + static_cast<double>(rng.next_below(16));
+      p.mixing = 0.05 + 0.4 * rng.next_double();
+      p.min_community = 5;
+      p.max_community = 50;
+      return lfr_like(p, rng.next_u64());
+    }
+  }
 }
 
 std::vector<ScanParams> parameter_grid() {

@@ -19,6 +19,7 @@
 #include "scan/pscan.hpp"
 #include "scan/scan_original.hpp"
 #include "scan/scanxp.hpp"
+#include "setops/count_sketch.hpp"
 
 namespace ppscan {
 namespace {
@@ -237,6 +238,13 @@ TEST(AlgoCounters, PruningFunnelAndResultsArePinned) {
           EXPECT_EQ(run.stats.compsim_invocations, pin.ppscan_compsim_1t)
               << "ppSCAN " << config;
         }
+        // The sketch bound's rejections are a subset of the CompSim tally.
+        const obs::AlgoCounters& c = run.stats.counters;
+        EXPECT_LE(c.sims_bound_rejected, c.sims_computed)
+            << "ppSCAN " << config;
+        if (std::string(pin.eps) >= "0.6") {
+          EXPECT_GT(c.sims_bound_rejected, 0u) << "ppSCAN " << config;
+        }
       }
       AnyScanLiteOptions any;
       any.num_threads = threads;
@@ -252,6 +260,26 @@ TEST(AlgoCounters, PruningFunnelAndResultsArePinned) {
               pin.pscan_pruned)
         << "pSCAN " << label;
     EXPECT_EQ(result_digest(pscan_run.result), pin.digest) << "pSCAN " << label;
+  }
+}
+
+TEST(AlgoCounters, SketchBoundIsOffWhereItsGateIsClosed) {
+  // At K = 256 the per-vertex gate (a(d+1) − 2b)(K + d) > b·d² has no
+  // solution for ε = 0.1, so no vertex is sketched and nothing is rejected.
+  LfrParams lfr;
+  lfr.n = 1000;
+  lfr.avg_degree = 16;
+  lfr.mixing = 0.2;
+  const CsrGraph g = lfr_like(lfr, 7);
+  for (VertexId d = 0; d < 4096; ++d) {
+    ASSERT_FALSE(sketch_worth_building(EpsRational{1, 10}, d)) << d;
+  }
+  for (const int threads : {1, 4}) {
+    PpScanOptions options;
+    options.num_threads = threads;
+    const auto run = ppscan(g, ScanParams::make("0.1", 2), options);
+    EXPECT_EQ(run.stats.counters.sims_bound_rejected, 0u);
+    EXPECT_GT(run.stats.counters.sims_computed, 0u);
   }
 }
 

@@ -152,5 +152,39 @@ TEST(AtomicArrayMt, FillFreeSlotsFirstWrittenByTheirOwners) {
   }
 }
 
+TEST(AtomicArrayMt, AdjacentBytesWrittenByDifferentThreadsDoNotRace) {
+  // ppSCAN's byte-wide sim_: neighboring arcs usually belong to different
+  // writers. Each byte is its own memory location, so thread t's stores to
+  // the bytes i % kThreads == t never race with the stores next to them.
+  constexpr std::size_t kSlots = 1 << 14;
+  constexpr int kThreads = 4;
+  AtomicArray<std::uint8_t> sim;
+  sim.assign_for_overwrite(kSlots);
+  std::barrier phase_end(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Owner-exclusive first writes through the plain pointer (PruneSim),
+      // then relaxed atomic rewrites of the same bytes after the barrier.
+      std::uint8_t* first_write = sim.exclusive_data();
+      for (std::size_t i = static_cast<std::size_t>(t); i < kSlots;
+           i += kThreads) {
+        first_write[i] = 1;
+      }
+      phase_end.arrive_and_wait();
+      for (int round = 0; round < 8; ++round) {
+        for (std::size_t i = static_cast<std::size_t>(t); i < kSlots;
+             i += kThreads) {
+          sim.store(i, static_cast<std::uint8_t>(2 + (i + round) % 2));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(sim.load(i), 2 + (i + 7) % 2) << "slot " << i;
+  }
+}
+
 }  // namespace
 }  // namespace ppscan

@@ -45,6 +45,7 @@ MetricsReport sample_report() {
   r.counters.arcs_touched = 68000000;
   r.counters.arcs_predicate_pruned = 10000000;
   r.counters.sims_computed = 29000000;
+  r.counters.sims_bound_rejected = 21000000;
   r.counters.sims_reused = 29000000;
   r.counters.core_early_exits = 3000000;
   r.counters.uf_unions = 900000;
@@ -138,6 +139,8 @@ TEST(MetricsJson, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.counters.arcs_predicate_pruned,
             original.counters.arcs_predicate_pruned);
   EXPECT_EQ(back.counters.sims_computed, original.counters.sims_computed);
+  EXPECT_EQ(back.counters.sims_bound_rejected,
+            original.counters.sims_bound_rejected);
   EXPECT_EQ(back.counters.sims_reused, original.counters.sims_reused);
   EXPECT_EQ(back.counters.core_early_exits,
             original.counters.core_early_exits);
@@ -185,6 +188,14 @@ TEST(MetricsJson, BrokenFunnelInvariantIsReported) {
   r.counters.arcs_touched += 1;  // pruned + computed + reused no longer adds up
   const auto violation = validate_metrics_json(metrics_to_json(r));
   EXPECT_NE(violation.find("arcs_touched"), std::string::npos) << violation;
+}
+
+TEST(MetricsJson, BoundRejectionsAboveComputedAreReported) {
+  MetricsReport r = sample_report();
+  r.counters.sims_bound_rejected = r.counters.sims_computed + 1;
+  const auto violation = validate_metrics_json(metrics_to_json(r));
+  EXPECT_NE(violation.find("sims_bound_rejected"), std::string::npos)
+      << violation;
 }
 
 TEST(MetricsJson, ServingBlockIsOmittedWhenEmpty) {
@@ -362,6 +373,9 @@ TEST(MetricsJson, RowWithRetiredNumaBlockStillValidates) {
   ASSERT_TRUE(row.has("per_node"));
   EXPECT_EQ(validate_metrics_json(row), "");
   EXPECT_EQ(metrics_from_json(row).steals, 0u);
+  // Written before the sketch bound existed: the optional counter reads 0.
+  ASSERT_FALSE(row.has("sims_bound_rejected"));
+  EXPECT_EQ(metrics_from_json(row).counters.sims_bound_rejected, 0u);
 }
 
 TEST(MetricsJson, ParserRejectsGarbage) {

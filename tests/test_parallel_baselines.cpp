@@ -59,9 +59,12 @@ TEST(ScanXp, CountKernelChoiceDoesNotChangeResult) {
 TEST(ScanXp, ThreadCountDoesNotChangeResult) {
   const auto g = property_test_graphs(4002, 1).front();
   const auto params = ScanParams::make("0.5", 3);
-  const auto one = scanxp(g, params, {.num_threads = 1});
+  ScanXpOptions options;
+  options.num_threads = 1;
+  const auto one = scanxp(g, params, options);
   for (const int t : {2, 4, 8}) {
-    const auto many = scanxp(g, params, {.num_threads = t});
+    options.num_threads = t;
+    const auto many = scanxp(g, params, options);
     EXPECT_TRUE(results_equivalent(one.result, many.result));
   }
 }
@@ -110,7 +113,9 @@ TEST(ParallelBaselines, AgreeWithEachOtherOnCommunityGraph) {
   p.mixing = 0.25;
   const auto g = lfr_like(p, 31);
   const auto params = ScanParams::make("0.55", 4);
-  const auto xp = scanxp(g, params, {.num_threads = 4});
+  ScanXpOptions xp_options;
+  xp_options.num_threads = 4;
+  const auto xp = scanxp(g, params, xp_options);
   AnyScanLiteOptions al;
   al.num_threads = 4;
   const auto any = anyscan_lite(g, params, al);
