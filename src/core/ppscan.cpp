@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "concurrent/executor.hpp"
 #include "concurrent/union_find.hpp"
@@ -195,8 +196,9 @@ class PpScanRunner {
   }
 
   /// u's count sketch, or null when u has none (no sketch this call, u
-  /// gated out, or u's build saturated a bucket).
-  [[nodiscard]] const std::uint8_t* sketch_of(VertexId u) const {
+  /// gated out, or u's build saturated a bucket). Only PruneSim, as u's
+  /// owner, writes through it.
+  [[nodiscard]] std::uint8_t* sketch_of(VertexId u) const {
     if (sketches_ == nullptr) return nullptr;
     const std::uint32_t slot = sketch_slot_[u];
     if (slot == kNoSketch) return nullptr;
@@ -246,7 +248,10 @@ class PpScanRunner {
   // ever runs on it. Roles decidable from the settled flags are set here.
   // Each directed arc is written by its tail; the head decides the reverse
   // arc identically, so no mirroring (and no race) is needed here. The same
-  // pass builds u's count sketch when u has a slot and an undecided arc.
+  // pass counts u's neighbors into u's sketch slot when u has one; the slot
+  // is given up afterwards when no arc of u is left to decide or a bucket
+  // reached 255. Only u's owner writes sketch_slot_[u] and u's slot;
+  // readers start after PruneSim's barrier.
   void phase_prune_sim() {
     run_phase(
         [](VertexId) { return true; },
@@ -257,11 +262,14 @@ class PpScanRunner {
           // Plain stores: u is the only writer of its arcs and no phase
           // reads sim_ until PruneSim's barrier.
           std::uint8_t* first_write = sim_.exclusive_data();
+          std::uint8_t* sketch = sketch_of(u);
+          if (sketch != nullptr) std::fill_n(sketch, kSketchBuckets, 0);
           std::uint32_t sd = 0;
           std::uint32_t nsd = 0;
           for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
                ++e) {
-            const VertexId dv = graph_.degree(graph_.dst()[e]);
+            const VertexId v = graph_.dst()[e];
+            const VertexId dv = graph_.degree(v);
             const bool sim = prune & rules.sim(dv);
             const bool nsim = prune & !sim & rules.nsim(dv);
             sd += sim;
@@ -269,8 +277,12 @@ class PpScanRunner {
             // Undecided, Sim or NSim, without a branch.
             first_write[e] = static_cast<std::uint8_t>(
                 static_cast<unsigned>(ArcSim::Undecided) + sim + 2 * nsim);
+            if (sketch != nullptr) ++sketch[sketch_bucket(v)];
           }
-          if (sketches_ != nullptr) build_sketch(u, sd + nsd < du);
+          if (sketch != nullptr &&
+              (sd + nsd == du || !sketch_counts_exact(sketch, du))) {
+            sketch_slot_[u] = kNoSketch;
+          }
           if (sd + nsd != 0) {
             // Each direction is decided by its own tail here (no mirror),
             // so a predicate-settled arc is touched + pruned, once per
@@ -287,46 +299,35 @@ class PpScanRunner {
         });
   }
 
-  /// PruneSim's half of the sketch: u's owner builds it into u's slot, or
-  /// gives the slot up when no arc of u is left to decide or a bucket
-  /// would saturate. Only u's owner writes sketch_slot_[u] and u's slot;
-  /// readers start after PruneSim's barrier.
-  void build_sketch(VertexId u, bool has_undecided_arc) {
-    std::uint32_t& slot = sketch_slot_[u];
-    if (slot == kNoSketch) return;
-    if (!has_undecided_arc ||
-        !build_count_sketch(graph_.neighbors(u),
-                            sketches_ + std::size_t{slot} * kSketchBuckets)) {
-      slot = kNoSketch;
-    }
-  }
-
-  /// True when v has a sketch too, the pair passes the per-pair gate, and
-  /// the bound falls below min_cn: the arc is NSim without a kernel call.
+  /// True when u and v both have a sketch, the pair passes the per-pair
+  /// gate, and the bound fails the similarity predicate: the arc is NSim
+  /// without a kernel call. Both tests are decided from ε, so no min_cn.
   [[nodiscard]] bool bound_rejects(const std::uint8_t* su, VertexId v,
-                                   std::uint32_t min_cn, VertexId du,
-                                   VertexId dv) const {
-    if (!sketch_can_reject(min_cn, du, dv)) return false;
+                                   VertexId du, VertexId dv) const {
+    if (su == nullptr || !sketch_can_reject(params_.eps, du, dv)) {
+      return false;
+    }
     const std::uint8_t* sv = sketch_of(v);
-    return sv != nullptr && sketch_min_sum_(su, sv) + 2 < min_cn;
+    return sv != nullptr &&
+           sketch_bound_rejects(params_.eps, sketch_min_sum_(su, sv), du, dv);
   }
 
-  /// Decides one undecided edge against the exact min_cn bound computed
-  /// here (so only for the edges that are decided), and mirrors the flag
-  /// onto the reverse arc (similarity-value reuse). `su` is u's sketch or
-  /// null; when both endpoints have one and the pair passes the gate, a
-  /// bound below min_cn settles NSim without the kernel. Returns Sim?
+  /// Decides one undecided edge and mirrors the flag onto the reverse arc
+  /// (similarity-value reuse). `su` is u's sketch or null; when both
+  /// endpoints have one and the pair passes the gate, a bound below min_cn
+  /// settles NSim without the kernel. The exact min_cn is computed only
+  /// for a kernel call. Returns Sim?
   bool compute_arc(VertexId u, EdgeId e, const std::uint8_t* su) {
     const VertexId v = graph_.dst()[e];
     const VertexId du = graph_.degree(u);
     const VertexId dv = graph_.degree(v);
-    const std::uint32_t min_cn = min_common_neighbors(params_.eps, du, dv);
     obs::AlgoCounters& c = counters_.slot(worker_slot());
     bool sim = false;
-    if (su != nullptr && bound_rejects(su, v, min_cn, du, dv)) {
+    if (bound_rejects(su, v, du, dv)) {
       c.sims_bound_rejected += 1;
     } else {
-      sim = kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn);
+      sim = kernel_(graph_.neighbors(u), graph_.neighbors(v),
+                    min_common_neighbors(params_.eps, du, dv));
     }
     const ArcSim flag = sim ? ArcSim::Sim : ArcSim::NSim;
     set_arc_state(e, flag);
@@ -338,6 +339,77 @@ class PpScanRunner {
     c.sims_computed += 1;
     c.sims_reused += 1;
     return sim;
+  }
+
+  // An arc decision is a chain of dependent cache misses: d_v, v's sketch
+  // slot, v's sketch, then the mirror search through N(v). for_each_arc
+  // visits u's arcs in order and prefetches for the arcs ahead, so the
+  // chains of several arcs overlap instead of running one after another.
+  /// Far distance: offsets[v] and v's slot entry, one miss each, must land
+  /// before the near prefetch reads them kFarAhead − kNearAhead arcs later.
+  static constexpr EdgeId kFarAhead = 16;
+  /// Near distance: about one memory latency of arc work, enough for v's
+  /// sketch and N(v) to arrive before the arc is decided.
+  static constexpr EdgeId kNearAhead = 8;
+  /// Lines of N(v) prefetched from its head: a list of up to 128 ids is
+  /// fetched whole, for the mirror search and a kernel call alike; a longer
+  /// one gets its middle line, the search's first probe, as well.
+  static constexpr std::uintptr_t kListLines = 8;
+
+  void prefetch_far(EdgeId e) const {
+    const VertexId v = graph_.dst()[e];
+    __builtin_prefetch(&graph_.offsets()[v]);
+    if (sketches_ != nullptr) __builtin_prefetch(&sketch_slot_[v]);
+  }
+
+  /// Only an arc that is still Undecided and that the phase wants can reach
+  /// compute_arc; predicate-settled arcs (most of a hub's) get no prefetch.
+  template <typename Wanted>
+  void prefetch_near(EdgeId e, const std::uint8_t* su,
+                     const Wanted& wanted) const {
+    const VertexId v = graph_.dst()[e];
+    if (arc_state(e) != ArcSim::Undecided || !wanted(v)) return;
+    if (su != nullptr) {
+      if (const std::uint8_t* sv = sketch_of(v); sv != nullptr) {
+        for (std::size_t line = 0; line < kSketchBuckets; line += 64) {
+          __builtin_prefetch(sv + line);
+        }
+      }
+    }
+    const VertexId* nv = graph_.dst().data() + graph_.offset_begin(v);
+    const VertexId dv = graph_.degree(v);
+    const std::uintptr_t head =
+        reinterpret_cast<std::uintptr_t>(nv) & ~std::uintptr_t{63};
+    const std::uintptr_t end = std::min(
+        reinterpret_cast<std::uintptr_t>(nv + dv), head + kListLines * 64);
+    for (std::uintptr_t line = head; line < end; line += 64) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+    if (dv > kListLines * 64 / sizeof(VertexId)) {
+      __builtin_prefetch(nv + dv / 2);
+    }
+  }
+
+  /// Runs visit(e) over u's arcs in order until it returns false, with the
+  /// lookahead prefetches above; `wanted(v)` is the phase's arc filter.
+  /// Returns true when every arc was visited.
+  template <typename Wanted, typename Visit>
+  bool for_each_arc(VertexId u, const std::uint8_t* su, const Wanted& wanted,
+                    Visit&& visit) const {
+    const EdgeId begin = graph_.offset_begin(u);
+    const EdgeId end = graph_.offset_end(u);
+    for (EdgeId e = begin; e < std::min(begin + kFarAhead, end); ++e) {
+      prefetch_far(e);
+    }
+    for (EdgeId e = begin; e < std::min(begin + kNearAhead, end); ++e) {
+      prefetch_near(e, su, wanted);
+    }
+    for (EdgeId e = begin; e < end; ++e) {
+      if (e + kFarAhead < end) prefetch_far(e + kFarAhead);
+      if (e + kNearAhead < end) prefetch_near(e + kNearAhead, su, wanted);
+      if (!visit(e)) return false;
+    }
+    return true;
   }
 
   // Shared body of CheckCore / ConsolidateCore (Algorithm 3 lines 21-35).
@@ -366,35 +438,32 @@ class PpScanRunner {
       }
     }
 
-    // Pass 2: compute undecided arcs (only the u < v ones when ordered).
+    // Pass 2: compute undecided arcs (only the u < v ones when ordered),
+    // stopping early once sd or ed crosses µ (sd <= ed, so at most one
+    // does).
     const std::uint8_t* su = sketch_of(u);
-    for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u); ++e) {
-      const VertexId v = graph_.dst()[e];
-      if (ordered && u >= v) continue;
+    const auto wanted = [u, ordered](VertexId v) { return !ordered || u < v; };
+    const bool finished = for_each_arc(u, su, wanted, [&](EdgeId e) {
       // Algorithm 3 contract: in the ordered phase only the u < v endpoint
       // may compute and mirror a shared arc — this is the sole writer-
       // exclusion argument for the concurrent sim_ stores in compute_arc.
+      const VertexId v = graph_.dst()[e];
+      if (!wanted(v)) return true;
       assert(!ordered || u < v);
       // Settled since pass 1 or during it.
-      if (arc_state(e) != ArcSim::Undecided) continue;
+      if (arc_state(e) != ArcSim::Undecided) return true;
       if (compute_arc(u, e, su)) {
-        if (++sd >= params_.mu && early) {
-          set_role(u, Role::Core);
-          counters_.slot(worker_slot()).core_early_exits += 1;
-          return;
-        }
+        ++sd;
       } else {
-        if (--ed < params_.mu && early) {
-          set_role(u, Role::NonCore);
-          counters_.slot(worker_slot()).core_early_exits += 1;
-          return;
-        }
+        --ed;
       }
-    }
+      return !early || (sd < params_.mu && ed >= params_.mu);
+    });
+    if (!finished) counters_.slot(worker_slot()).core_early_exits += 1;
 
-    // No early exit fired. When every arc of u is decided, sd == ed and the
-    // role is final; otherwise (order-skipped arcs remain) the bounds may
-    // still be conclusive, else the consolidating phase finishes the job.
+    // When every arc of u is decided, sd == ed and the role is final;
+    // otherwise (order-skipped arcs remain) the bounds may still be
+    // conclusive, else the consolidating phase finishes the job.
     if (sd >= params_.mu) {
       set_role(u, Role::Core);
     } else if (ed < params_.mu) {
@@ -442,10 +511,12 @@ class PpScanRunner {
         [this](VertexId u) { return role_of(u) == Role::Core; },
         [this](VertexId u) {
           const std::uint8_t* su = sketch_of(u);
-          for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
-               ++e) {
+          const auto wanted = [this, u](VertexId v) {
+            return u < v && role_of(v) == Role::Core;
+          };
+          for_each_arc(u, su, wanted, [&](EdgeId e) {
             const VertexId v = graph_.dst()[e];
-            if (u >= v || role_of(v) != Role::Core) continue;
+            if (!wanted(v)) return true;
             const ArcSim value = arc_state(e);
             if (value != ArcSim::Undecided) {
               if (value == ArcSim::Sim &&
@@ -455,14 +526,15 @@ class PpScanRunner {
                 counters_.slot(worker_slot()).uf_unions +=
                     uf_.unite(u, v) ? 1 : 0;
               }
-              continue;
+              return true;
             }
-            if (options_.unionfind_pruning && uf_.same_set(u, v)) continue;
+            if (options_.unionfind_pruning && uf_.same_set(u, v)) return true;
             if (compute_arc(u, e, su)) {
               counters_.slot(worker_slot()).uf_unions +=
                   uf_.unite(u, v) ? 1 : 0;
             }
-          }
+            return true;
+          });
         });
   }
 
@@ -506,16 +578,19 @@ class PpScanRunner {
           const VertexId cid =
               cluster_id_.load(uf_.find_counted(u, &c.uf_find_steps));
           const std::uint8_t* su = sketch_of(u);
-          for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
-               ++e) {
+          const auto wanted = [this](VertexId v) {
+            return role_of(v) == Role::NonCore;
+          };
+          for_each_arc(u, su, wanted, [&](EdgeId e) {
             const VertexId v = graph_.dst()[e];
-            if (role_of(v) != Role::NonCore) continue;
+            if (!wanted(v)) return true;
             const ArcSim value = arc_state(e);
             const bool sim = value == ArcSim::Undecided
                                  ? compute_arc(u, e, su)
                                  : value == ArcSim::Sim;
             if (sim) local.emplace_back(v, cid);
-          }
+            return true;
+          });
         });
     merge_memberships();
   }

@@ -1,6 +1,5 @@
 #include "graph/csr_graph.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "graph/csr_validate.hpp"
@@ -21,13 +20,6 @@ CsrGraph::CsrGraph(std::vector<EdgeId> offsets, std::vector<VertexId> dst)
                   std::to_string(offsets_.front()) + ", " +
                   std::to_string(offsets_.back()) + "]");
   }
-}
-
-EdgeId CsrGraph::arc_index(VertexId u, VertexId v) const {
-  const auto nbrs = neighbors(u);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end() || *it != v) return kInvalidEdge;
-  return offsets_[u] + static_cast<EdgeId>(it - nbrs.begin());
 }
 
 void CsrGraph::validate(bool check_symmetry) const {

@@ -53,12 +53,16 @@ class CsrGraph {
 
   /// Arc index e(u,v) (paper Definition 2.11) via binary search in u's
   /// sorted neighbor list; returns kInvalidEdge when (u,v) is absent.
-  [[nodiscard]] EdgeId arc_index(VertexId u, VertexId v) const;
+  [[nodiscard]] EdgeId arc_index(VertexId u, VertexId v) const {
+    const EdgeId e = lower_bound_arc(u, v);
+    return e < offsets_[u + 1] && dst_[e] == v ? e : kInvalidEdge;
+  }
 
   /// Arc index of the reverse arc e(v,u) given e(u,v) = `arc`. This is the
-  /// lookup pSCAN's similarity-reuse technique performs (paper §3.2.1).
+  /// lookup pSCAN's similarity-reuse technique performs (paper §3.2.1); the
+  /// reverse arc exists in a symmetric graph, so no presence check.
   [[nodiscard]] EdgeId reverse_arc(VertexId u, EdgeId arc) const {
-    return arc_index(dst_[arc], u);
+    return lower_bound_arc(dst_[arc], u);
   }
 
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const {
@@ -66,6 +70,26 @@ class CsrGraph {
   }
 
   static constexpr EdgeId kInvalidEdge = static_cast<EdgeId>(-1);
+
+  /// First arc of u whose head is >= v (offset_end(u) when none), by a
+  /// branch-free lower bound: each halving step is a conditional move, so a
+  /// search never mispredicts. Each step prefetches both candidates for the
+  /// next probe, so on a list longer than a few cache lines the misses of
+  /// consecutive steps overlap instead of forming one chain.
+  [[nodiscard]] EdgeId lower_bound_arc(VertexId u, VertexId v) const {
+    const VertexId* first = dst_.data() + offsets_[u];
+    EdgeId len = offsets_[u + 1] - offsets_[u];
+    while (len > 1) {
+      const EdgeId half = len / 2;
+      const EdgeId next = (len - half) / 2;
+      __builtin_prefetch(first + next);
+      __builtin_prefetch(first + half + next);
+      first = first[half] < v ? first + half : first;
+      len -= half;
+    }
+    return static_cast<EdgeId>(first - dst_.data()) +
+           static_cast<EdgeId>(len == 1 && *first < v);
+  }
 
   /// Checks the CSR invariants and throws GraphIoError (see
   /// util/graph_io_error.hpp) on the first violation.

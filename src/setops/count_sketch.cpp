@@ -5,12 +5,15 @@
 
 namespace ppscan {
 
-bool build_count_sketch(Neighbors nbrs, std::uint8_t* out) {
-  std::fill_n(out, kSketchBuckets, std::uint8_t{0});
-  for (const VertexId w : nbrs) {
-    if (++out[sketch_bucket(w)] == 255) return false;
+bool sketch_counts_exact(const std::uint8_t* sketch, std::uint64_t degree) {
+  if (degree < 255) return true;
+  std::uint64_t sum = 0;
+  std::uint8_t top = 0;
+  for (std::size_t i = 0; i < kSketchBuckets; ++i) {
+    sum += sketch[i];
+    top = std::max(top, sketch[i]);
   }
-  return true;
+  return sum == degree && top < 255;
 }
 
 std::uint32_t sketch_min_sum_scalar(const std::uint8_t* a,

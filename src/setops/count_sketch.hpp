@@ -7,10 +7,11 @@
 //
 //     |Γ(u)∩Γ(v)| = |N(u)∩N(v)| + 2  ≤  Σ_b min(c_u[b], c_v[b]) + 2.
 //
-// The bound can only overestimate, so "bound < min_cn" decides NSim exactly
-// and never Sim. Counters are exact: a vertex with a bucket that would reach
-// 255 gets no sketch (build_count_sketch returns false), so no counter ever
-// saturates and the min-sum fits 16 bits.
+// The bound can only overestimate, so "bound < min_cn" (the bound fails the
+// similarity predicate) decides NSim exactly and never Sim. Counters are
+// exact: a vertex with a bucket that would reach 255 gets no sketch
+// (sketch_counts_exact returns false), so no counter ever saturates and the
+// min-sum fits 16 bits.
 //
 // The min-sum is `min_epu8` + `sad_epu8` per vector in the AVX-512BW and
 // AVX2 versions; sketch_min_sum_fn() picks the best the CPU supports, like
@@ -20,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "setops/intersect.hpp"
 #include "setops/similarity.hpp"
 
 namespace ppscan {
@@ -36,9 +36,11 @@ inline constexpr VertexId kSketchMinDegree = 16;
   return static_cast<std::uint32_t>(w * 0x9E3779B1U) >> 24;
 }
 
-/// Counts `nbrs` into the kSketchBuckets counters at `out`. Returns false
-/// when some bucket would reach 255; `out` then holds no usable sketch.
-bool build_count_sketch(Neighbors nbrs, std::uint8_t* out);
+/// Checks a sketch counted (with wrapping byte adds) from a list of
+/// `degree` neighbors: false when some bucket reached 255, so the sketch is
+/// unusable. Below degree 255 no bucket can; above it, a bucket that went
+/// past 255 wrapped and left the byte sum short of `degree`.
+bool sketch_counts_exact(const std::uint8_t* sketch, std::uint64_t degree);
 
 /// Σ_b min(a[b], b[b]) over kSketchBuckets counters (any byte values, 255
 /// included, so the three versions can be compared on random input).
@@ -84,13 +86,22 @@ SketchDegreeRange sketch_degree_range(const EpsRational& eps);
 /// Per-pair gate: check the bound only when min_cn − 2 exceeds the
 /// expected collision noise of the two sketches, lo·(1 − e^(−hi/K)) for
 /// lo/hi the smaller/larger degree, in the integer stand-in
-///     (min_cn − 2)(K + hi) > lo·hi.
-[[nodiscard]] inline bool sketch_can_reject(std::uint32_t min_cn, VertexId du,
-                                            VertexId dv) {
-  if (min_cn <= 2) return false;
+///     min_cn > 2 + ⌊lo·hi / (K + hi)⌋.
+/// min_cn is the least cn for which similarity_holds is true, so the gate
+/// is decided from ε without computing min_cn.
+[[nodiscard]] inline bool sketch_can_reject(const EpsRational& eps,
+                                            VertexId du, VertexId dv) {
   const std::uint64_t lo = du < dv ? du : dv;
   const std::uint64_t hi = du < dv ? dv : du;
-  return std::uint64_t{min_cn - 2} * (kSketchBuckets + hi) > lo * hi;
+  return !similarity_holds(eps, 2 + lo * hi / (kSketchBuckets + hi), du, dv);
+}
+
+/// The bound test: the pair is dissimilar when the closed-count bound
+/// min_sum + 2 falls below min_cn, i.e. when it fails the predicate.
+[[nodiscard]] inline bool sketch_bound_rejects(const EpsRational& eps,
+                                               std::uint32_t min_sum,
+                                               VertexId du, VertexId dv) {
+  return !similarity_holds(eps, std::uint64_t{min_sum} + 2, du, dv);
 }
 
 }  // namespace ppscan

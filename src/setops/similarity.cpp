@@ -10,13 +10,6 @@ namespace {
 
 using U128 = unsigned __int128;
 
-/// cn²·b² ≥ a²·P with 128-bit intermediates.
-bool holds_raw(std::uint64_t cn, std::uint64_t a, std::uint64_t b, U128 p) {
-  const U128 lhs = U128(cn) * cn * b * b;
-  const U128 rhs = U128(a) * a * p;
-  return lhs >= rhs;
-}
-
 }  // namespace
 
 EpsRational EpsRational::parse(const std::string& text) {
@@ -65,22 +58,15 @@ EpsRational EpsRational::from_double(double value) {
   return {num / g, kDen / g};
 }
 
-bool similarity_holds(const EpsRational& eps, std::uint64_t cn, VertexId d_u,
-                      VertexId d_v) {
-  const U128 p = U128(d_u + 1) * (d_v + 1);
-  return holds_raw(cn, eps.num, eps.den, p);
-}
-
 std::uint32_t min_common_neighbors(const EpsRational& eps, VertexId d_u,
                                    VertexId d_v) {
-  const U128 p = U128(d_u + 1) * (d_v + 1);
   // Double-precision first guess, then exact integer fix-up (±2 at most).
-  const double guess =
-      std::sqrt(static_cast<double>(d_u + 1) * static_cast<double>(d_v + 1)) *
-      eps.to_double();
+  const double guess = std::sqrt((static_cast<double>(d_u) + 1) *
+                                 (static_cast<double>(d_v) + 1)) *
+                       eps.to_double();
   auto c = static_cast<std::uint64_t>(guess);
-  while (!holds_raw(c, eps.num, eps.den, p)) ++c;
-  while (c > 0 && holds_raw(c - 1, eps.num, eps.den, p)) --c;
+  while (!similarity_holds(eps, c, d_u, d_v)) ++c;
+  while (c > 0 && similarity_holds(eps, c - 1, d_u, d_v)) --c;
   return static_cast<std::uint32_t>(c);
 }
 

@@ -36,9 +36,15 @@ struct EpsRational {
 };
 
 /// True iff cn common closed-neighbors satisfy the similarity predicate for
-/// degrees d_u, d_v.
-bool similarity_holds(const EpsRational& eps, std::uint64_t cn, VertexId d_u,
-                      VertexId d_v);
+/// degrees d_u, d_v: cn²·b² ≥ a²·(d_u+1)(d_v+1) in 128-bit arithmetic.
+/// Inline: ppSCAN's sketch test calls it once or twice per arc.
+[[nodiscard]] inline bool similarity_holds(const EpsRational& eps,
+                                           std::uint64_t cn, VertexId d_u,
+                                           VertexId d_v) {
+  using U128 = unsigned __int128;
+  const U128 p = U128(std::uint64_t{d_u} + 1) * (std::uint64_t{d_v} + 1);
+  return U128(cn) * cn * eps.den * eps.den >= U128(eps.num) * eps.num * p;
+}
 
 /// ⌈ε·√((d_u+1)(d_v+1))⌉ as used by the early-termination bounds — the
 /// smallest integer cn for which similarity_holds() is true.

@@ -14,6 +14,7 @@
 #include "graph/fixtures.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_builder.hpp"
+#include "setops/intersect.hpp"
 #include "support/random_graphs.hpp"
 #include "support/reference_scan.hpp"
 #include "util/rng.hpp"
@@ -22,6 +23,15 @@ namespace ppscan {
 namespace {
 
 using Sketch = std::vector<std::uint8_t>;
+
+/// Counts `nbrs` into the kSketchBuckets counters at `out` the way PruneSim
+/// does (wrapping byte adds, then sketch_counts_exact). Returns false when
+/// some bucket reached 255, so `out` holds no usable sketch.
+bool build_count_sketch(Neighbors nbrs, std::uint8_t* out) {
+  std::fill_n(out, kSketchBuckets, std::uint8_t{0});
+  for (const VertexId w : nbrs) ++out[sketch_bucket(w)];
+  return sketch_counts_exact(out, nbrs.size());
+}
 
 /// Checks bound >= closed count on every edge; returns how many edges had
 /// both sketches (a saturated vertex has none).
@@ -110,6 +120,18 @@ TEST(CountSketch, SaturatedBucketGetsNoSketch) {
       EXPECT_EQ(out[b], 0) << "bucket " << b;
     }
   }
+}
+
+TEST(CountSketch, WrappedBucketGetsNoSketch) {
+  // Past 255 a byte counter wraps: 256 ids leave 0 in their bucket, 510
+  // leave 254. Both builds must still be refused.
+  Sketch out(kSketchBuckets);
+  EXPECT_FALSE(build_count_sketch(ids_in_bucket(7, 256), out.data()));
+  EXPECT_FALSE(build_count_sketch(ids_in_bucket(7, 510), out.data()));
+  // A degree above 255 spread over many buckets is fine.
+  std::vector<VertexId> spread(600);
+  for (VertexId w = 0; w < spread.size(); ++w) spread[w] = w;
+  EXPECT_TRUE(build_count_sketch(spread, out.data()));
 }
 
 TEST(CountSketch, PpScanMatchesOracleWhenHubsSaturate) {
@@ -202,11 +224,13 @@ TEST(CountSketch, Avx512MinSumAgreesWithScalar) {
 
 TEST(CountSketch, GatesFollowTheirRules) {
   // Never at min_cn <= 2 (such arcs are Sim), never below the degree floor.
-  EXPECT_FALSE(sketch_can_reject(2, 100, 100));
+  ASSERT_EQ(min_common_neighbors(EpsRational{1, 100}, 100, 100), 2u);
+  EXPECT_FALSE(sketch_can_reject(EpsRational{1, 100}, 100, 100));
   EXPECT_FALSE(sketch_worth_building(EpsRational{4, 5}, kSketchMinDegree - 1));
-  // (min_cn − 2)(K + hi) > lo·hi: 48·356 > 10000, 8·356 < 10000.
-  EXPECT_TRUE(sketch_can_reject(50, 100, 100));
-  EXPECT_FALSE(sketch_can_reject(10, 100, 100));
+  // min_cn > 2 + ⌊lo·hi / (K + hi)⌋ = 2 + ⌊10000 / 356⌋ = 30 at degrees
+  // 100: ε = 1/2 needs 51 there, ε = 1/10 needs 11.
+  EXPECT_TRUE(sketch_can_reject(EpsRational{1, 2}, 100, 100));
+  EXPECT_FALSE(sketch_can_reject(EpsRational{1, 10}, 100, 100));
   // (a(d+1) − 2b)(K + d) > b·d² at ε = 0.8 holds for d = 100 and fails for
   // a degree far above K; at ε = 0.2 it fails for d = 100.
   EXPECT_TRUE(sketch_worth_building(EpsRational{4, 5}, 100));
@@ -226,6 +250,67 @@ TEST(CountSketch, DegreeRangeIsExactlyThePerVertexGate) {
     }
   }
   EXPECT_TRUE(sketch_degree_range(EpsRational{1, 10}).empty());
+}
+
+/// The per-pair gate as it reads against min_cn, in 128-bit arithmetic so
+/// the reference cannot overflow at degrees near 2³².
+bool gate_by_min_cn(std::uint32_t min_cn, VertexId du, VertexId dv) {
+  using U128 = unsigned __int128;
+  if (min_cn <= 2) return false;
+  const U128 lo = std::min(du, dv);
+  const U128 hi = std::max(du, dv);
+  return U128(min_cn - 2) * (kSketchBuckets + hi) > lo * hi;
+}
+
+constexpr EpsRational kTenEps[] = {
+    {1, 10}, {1, 5},  {1, 4}, {1, 3},  {2, 5},
+    {1, 2},  {3, 5}, {7, 10}, {4, 5}, {19, 20}};
+
+TEST(CountSketch, EpsTestsMatchTheMinCnFormulasExhaustively) {
+  // Every (d_u, d_v) below 700, every bound sum up to min(d_u, d_v) + 2.
+  constexpr VertexId kDegrees = 700;
+  for (const EpsRational& eps : kTenEps) {
+    std::uint64_t mismatches = 0;
+    for (VertexId du = 0; du < kDegrees; ++du) {
+      for (VertexId dv = 0; dv < kDegrees; ++dv) {
+        const std::uint32_t min_cn = min_common_neighbors(eps, du, dv);
+        mismatches += sketch_can_reject(eps, du, dv) !=
+                      gate_by_min_cn(min_cn, du, dv);
+        const std::uint32_t top = std::min(du, dv) + 2;
+        for (std::uint32_t sum = 0; sum <= top; ++sum) {
+          mismatches +=
+              sketch_bound_rejects(eps, sum, du, dv) != (sum + 2 < min_cn);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << eps.num << "/" << eps.den;
+  }
+}
+
+TEST(CountSketch, EpsTestsMatchTheMinCnFormulasNearTheDegreeLimit) {
+  constexpr VertexId kTop = 0xFFFFFFFEU;  // 2³² − 2
+  const VertexId degrees[] = {0,        1,        16,       699,
+                              65535,    kTop / 2, kTop - 4, kTop - 3,
+                              kTop - 2, kTop - 1, kTop};
+  for (const EpsRational& eps : kTenEps) {
+    for (const VertexId du : degrees) {
+      for (const VertexId dv : degrees) {
+        const std::uint32_t min_cn = min_common_neighbors(eps, du, dv);
+        EXPECT_EQ(sketch_can_reject(eps, du, dv),
+                  gate_by_min_cn(min_cn, du, dv))
+            << eps.num << "/" << eps.den << " du=" << du << " dv=" << dv;
+        // The sums around min_cn − 2, where the rejection flips.
+        const std::uint32_t mid = min_cn < 2 ? 0 : min_cn - 2;
+        for (std::uint32_t sum = mid < 3 ? 0 : mid - 3; sum <= mid + 3;
+             ++sum) {
+          EXPECT_EQ(sketch_bound_rejects(eps, sum, du, dv),
+                    std::uint64_t{sum} + 2 < min_cn)
+              << eps.num << "/" << eps.den << " du=" << du << " dv=" << dv
+              << " sum=" << sum;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "graph/fixtures.hpp"
@@ -64,6 +65,83 @@ TEST(CsrGraph, ReverseArcRoundTrip) {
       EXPECT_EQ(g.reverse_arc(g.dst()[e], rev), e);
     }
   }
+}
+
+/// Checks every arc's mirror against std::lower_bound on the head's list.
+void expect_mirrors_match(const CsrGraph& g) {
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (EdgeId e = g.offset_begin(u); e < g.offset_end(u); ++e) {
+      const VertexId v = g.dst()[e];
+      const auto list = g.neighbors(v);
+      const EdgeId expected =
+          g.offset_begin(v) +
+          static_cast<EdgeId>(std::lower_bound(list.begin(), list.end(), u) -
+                              list.begin());
+      ASSERT_EQ(g.reverse_arc(u, e), expected) << "arc " << u << "->" << v;
+    }
+  }
+}
+
+/// Checks the lower bound and arc_index of every key from 0 to one past
+/// the largest id in u's list against std::lower_bound.
+void expect_keys_match(const CsrGraph& g, VertexId u) {
+  const auto nbrs = g.neighbors(u);
+  for (VertexId key = 0; key <= g.num_vertices(); ++key) {
+    const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), key);
+    const EdgeId expected =
+        g.offset_begin(u) + static_cast<EdgeId>(it - nbrs.begin());
+    ASSERT_EQ(g.lower_bound_arc(u, key), expected)
+        << "u=" << u << " key=" << key;
+    ASSERT_EQ(g.arc_index(u, key), it != nbrs.end() && *it == key
+                                       ? expected
+                                       : CsrGraph::kInvalidEdge)
+        << "u=" << u << " key=" << key;
+  }
+}
+
+void expect_search_matches_lower_bound(const CsrGraph& g) {
+  expect_mirrors_match(g);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) expect_keys_match(g, u);
+}
+
+TEST(CsrGraph, BranchFreeSearchMatchesLowerBoundOnFixtures) {
+  for (const CsrGraph& g :
+       {triangle_plus_tail(), make_clique(6), make_path(50), make_cycle(64),
+        make_star(600), make_two_cliques_bridge(30), make_clique_chain(6, 20),
+        make_scan_paper_example()}) {
+    expect_search_matches_lower_bound(g);
+  }
+}
+
+TEST(CsrGraph, BranchFreeSearchOnEveryListLengthUpTo65) {
+  // Vertex 0 gets `length` neighbors at odd ids, so every even key between
+  // them is absent, and each odd leaf links to the next for longer lists.
+  for (VertexId length = 1; length <= 65; ++length) {
+    EdgeList edges;
+    for (VertexId i = 0; i < length; ++i) {
+      edges.emplace_back(0, 2 * i + 1);
+      if (i + 1 < length) edges.emplace_back(2 * i + 1, 2 * i + 3);
+    }
+    const CsrGraph g =
+        GraphBuilder::from_edges(std::move(edges), 2 * length + 2);
+    ASSERT_EQ(g.degree(0), length);
+    expect_search_matches_lower_bound(g);
+  }
+}
+
+TEST(CsrGraph, BranchFreeSearchOnAHub) {
+  // A hub of degree 12,000 over every third id, plus a ring on its leaves.
+  constexpr VertexId kLeaves = 12000;
+  EdgeList edges;
+  for (VertexId i = 1; i <= kLeaves; ++i) {
+    edges.emplace_back(0, 3 * i);
+    edges.emplace_back(3 * i, 3 * (i % kLeaves + 1));
+  }
+  const CsrGraph g = GraphBuilder::from_edges(std::move(edges));
+  ASSERT_GE(g.degree(0), 10000u);
+  expect_mirrors_match(g);
+  expect_keys_match(g, 0);
+  expect_keys_match(g, 3);
 }
 
 TEST(CsrGraph, HasEdgeSymmetry) {

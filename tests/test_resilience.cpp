@@ -220,12 +220,36 @@ TEST(QueryServiceResilience, ParkedProducerIsWokenByStop) {
 }
 
 TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
-  const auto g = erdos_renyi(4000, 48000, 41);
+  // At ε ≤ 0.02 every edge of this graph is similar, so each query answers
+  // one cluster of all 64k vertices and walks all 2M arcs on the one
+  // worker: the overload is real by construction.
+  const auto g = erdos_renyi(64000, 1000000, 41);
   const GsIndex index(g);
   ServiceOptions options;
   options.num_threads = 1;
+  options.queue_capacity = 16;  // bounds the admitted backlog drained below
   options.cache_results = false;
   options.shed_target_delay = std::chrono::milliseconds(1);
+  const auto params_of = [](int i) {
+    ScanParams p;
+    p.eps = EpsRational{static_cast<std::uint64_t>(i % 2) + 1, 100};
+    p.mu = 2;
+    return p;
+  };
+  // Precondition: the shed below is guaranteed only while one query costs
+  // at least 5x the shed target. A faster index that breaks this fails
+  // here, loudly, instead of making the assertions below flaky.
+  {
+    GsIndex::QueryScratch scratch;
+    for (int i = 0; i < 6; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const ScanRun run = index.query(params_of(i), scratch, nullptr);
+      const auto cost = std::chrono::steady_clock::now() - start;
+      ASSERT_EQ(run.result.num_cores(), g.num_vertices());
+      ASSERT_GE(cost, 5 * options.shed_target_delay)
+          << "query " << i << " is too cheap to overload one worker";
+    }
+  }
   obs::TraceCollector trace(options.num_threads);
   options.trace = &trace;
   QueryService service(index, options);
@@ -233,16 +257,19 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   // Feed faster than one worker can drain, pausing briefly every few
   // submissions so the worker gets to dequeue *something* and publish
   // the observed sojourn — the signal the CoDel gate sheds on. (A pure
-  // burst would hit queue-full before the first sojourn update.)
+  // burst would hit queue-full before the first sojourn update.) The
+  // first shed needs the worker to dequeue a second request, so the feed
+  // runs until the sheds arrive, however slow the build makes a query,
+  // with 30 s as a backstop.
   std::vector<std::future<QueryResponse>> admitted;
   std::uint64_t overloaded = 0;
   std::chrono::milliseconds max_hint{0};
-  for (int i = 0; i < 600 && overloaded < 8; ++i) {
-    ScanParams p;
-    p.eps = EpsRational{static_cast<std::uint64_t>(i % 97) + 1, 100};
-    p.mu = 2;
+  const auto feed_end =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int i = 0;
+       overloaded < 8 && std::chrono::steady_clock::now() < feed_end; ++i) {
     std::future<QueryResponse> f;
-    const auto result = service.try_submit_ex(p, RunLimits{}, &f);
+    const auto result = service.try_submit_ex(params_of(i), RunLimits{}, &f);
     if (result.admitted()) {
       admitted.push_back(std::move(f));
     } else if (result.outcome == AdmissionOutcome::Overloaded) {
@@ -253,8 +280,8 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  // A single worker running multi-ms queries cannot keep the observed
-  // sojourn under 1 ms against a microsecond-cadence producer.
+  // A single worker running queries of 5 ms or more cannot keep the
+  // observed sojourn under 1 ms against a sub-millisecond-cadence producer.
   EXPECT_GE(overloaded, 1u);
   EXPECT_GE(max_hint.count(), 1);  // the hint reflects observed congestion
   for (auto& f : admitted) {
