@@ -15,10 +15,11 @@
 //     includes queue wait, the number an SLO actually sees.
 //   * open/overload — arrivals paced at 2x the *measured* closed/cold
 //     capacity through the gated try_submit_ex path, with the CoDel-style
-//     shed (20 ms sojourn target), a 100 ms default deadline and the
-//     degradation ladder on (docs/resilience.md). The resilience claim
-//     this row records: under 2x load the service sheds and degrades
-//     instead of letting accepted-query p99 collapse toward the deadline.
+//     shed (20 ms sojourn target) and a 100 ms default deadline
+//     (docs/resilience.md). The resilience claim this row records: under
+//     2x load the service sheds the excess, and a query whose deadline
+//     expires gets its own classified partial, instead of letting
+//     accepted-query p99 collapse toward the deadline.
 //
 // Every answer the harness checks is bit-identical to a fresh
 // single-threaded GsIndex::query (spot-checked before the load). Rows land
@@ -188,17 +189,15 @@ LoadRow run_open_loop(const GsIndex& index, serve::ServiceOptions options,
 
 /// Overload: arrivals paced at `offered_qps` (the caller passes 2x the
 /// measured closed/cold capacity) through try_submit_ex — the gated path
-/// with the breaker/shed ladder. Refusals are *not* retried: the row
+/// with the overload shed. Refusals are *not* retried: the row
 /// measures what the service does to the excess, not how clients cope.
 /// Unlike the other shapes, each arrival carries a fresh (ε, µ) — an
 /// all-cached workload absorbs any offered rate from the memo table and
-/// proves nothing; the prewarmed grid stays in the cache as the
-/// degradation ladder's fallback source.
+/// proves nothing.
 LoadRow run_overload_loop(const GsIndex& index,
                           serve::ServiceOptions options, double offered_qps,
                           double duration_s) {
   serve::QueryService service(index, options);
-  for (const auto& params : workload_grid()) service.submit(params).get();
 
   std::vector<std::future<serve::QueryResponse>> inflight;
   inflight.reserve(static_cast<std::size_t>(offered_qps * duration_s) + 16);
@@ -407,7 +406,6 @@ int main(int argc, char** argv) {
     auto options = base;
     options.queue_capacity = 256;
     options.shed_target_delay = std::chrono::milliseconds(20);
-    options.degraded_serving = true;
     options.default_limits.deadline = std::chrono::milliseconds(100);
     const double overload_qps = std::max(rows[0].qps() * 2.0, offered);
     rows.push_back(run_overload_loop(index, options, overload_qps, duration));
@@ -415,7 +413,7 @@ int main(int argc, char** argv) {
 
   Table table({"mode", "telemetry", "threads", "clients", "queries",
                "elapsed(s)", "queries/s", "p50(ms)", "p99(ms)", "max(ms)",
-               "hits", "partial", "rejected", "shed", "degraded"});
+               "hits", "partial", "rejected", "shed"});
   for (const auto& row : rows) {
     table.add_row({row.mode, row.telemetry ? "on" : "off",
                    Table::fmt(std::uint64_t(threads)),
@@ -428,8 +426,7 @@ int main(int argc, char** argv) {
                    Table::fmt(row.snap.partial),
                    Table::fmt(row.snap.rejected),
                    Table::fmt(row.snap.shed_queue_full +
-                              row.snap.shed_overload + row.snap.shed_breaker),
-                   Table::fmt(row.snap.degraded_hits)});
+                              row.snap.shed_overload)});
   }
   table.print(std::cout, "QueryService load, " + dataset + ", " +
                              std::to_string(threads) + " executor threads");

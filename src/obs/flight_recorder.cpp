@@ -73,9 +73,7 @@ const char* FlightRecorder::kind_name(EventKind kind) {
     case EventKind::Lifecycle: return "lifecycle";
     case EventKind::Admission: return "admission";
     case EventKind::Refusal: return "refusal";
-    case EventKind::Breaker: return "breaker";
     case EventKind::Exception: return "exception";
-    case EventKind::Degraded: return "degraded";
   }
   return "?";
 }
@@ -180,7 +178,7 @@ bool validate_flight_json(const JsonValue& doc, std::string* error) {
     return fail("flight: more events than capacity");
   }
   static const char* kKinds[] = {"lifecycle", "admission", "refusal",
-                                 "breaker",   "exception", "degraded"};
+                                 "exception"};
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows.at(i);
     const std::string at = "flight: events[" + std::to_string(i) + "]";

@@ -1,14 +1,13 @@
 // FlightRecorder — the serving layer's black box (docs/observability.md,
-// "Live telemetry"; docs/resilience.md, breaker-open dump).
+// "Live telemetry").
 //
 // A bounded ring of the most recent *serving events* — admissions,
-// refusals, breaker transitions, exceptions, degraded serves, lifecycle
-// marks — kept so a post-mortem has the last seconds of history even when
-// the process dies ungracefully. Three dump paths, one schema
+// refusals, exceptions, lifecycle marks — kept so a post-mortem has the
+// last seconds of history even when the process dies ungracefully. Three dump paths, one schema
 // ("ppscan-flight-v1", validate_flight_json):
 //
-//   * dump_json()/dump_to_file() — the normal path: stop() and
-//     breaker-open snapshots, built with JsonValue under the lock.
+//   * dump_json()/dump_to_file() — the normal path: the stop() snapshot,
+//     built with JsonValue under the lock.
 //   * dump_signal_safe(fd) — the crash path: called from a fatal-signal
 //     handler (install_flight_signal_dump), so it may not allocate, lock,
 //     or call snprintf. Events are fixed-width POD and the writer uses
@@ -38,9 +37,7 @@ class FlightRecorder {
     Lifecycle,   ///< start/stop/drain marks
     Admission,   ///< request accepted (id = query id)
     Refusal,     ///< shed or refused (label names the cause)
-    Breaker,     ///< circuit-breaker state transition
     Exception,   ///< firewall-classified execution failure
-    Degraded,    ///< degradation ladder substituted a cached run
   };
 
   static constexpr std::size_t kLabelBytes = 32;
@@ -68,8 +65,8 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t recorded() const PPSCAN_EXCLUDES(flight_mu);
   [[nodiscard]] std::size_t capacity() const { return ring_capacity_; }
 
-  /// Schema "ppscan-flight-v1" dump; `reason` says why (stop,
-  /// breaker-open, signal, ...).
+  /// Schema "ppscan-flight-v1" dump; `reason` says why (stop, signal,
+  /// ...).
   [[nodiscard]] JsonValue dump_json(const char* reason) const
       PPSCAN_EXCLUDES(flight_mu);
   /// dump_json() pretty-printed to `path`; false on I/O failure.

@@ -85,11 +85,6 @@ constexpr FieldSpec kResilienceSpec[] = {
     {"exceptions", FieldType::U64},
     {"shed_queue_full", FieldType::U64},
     {"shed_overload", FieldType::U64},
-    {"shed_breaker", FieldType::U64},
-    {"retries_advised", FieldType::U64},
-    {"breaker_transitions", FieldType::U64},
-    {"breaker_state", FieldType::String},
-    {"degraded_hits", FieldType::U64},
 };
 
 JsonValue query_row_to_json(const QueryRowMetrics& q) {
@@ -104,7 +99,6 @@ JsonValue query_row_to_json(const QueryRowMetrics& q) {
   o.set("num_cores", JsonValue::number_u64(q.num_cores));
   o.set("abort_reason", JsonValue::string(q.abort_reason));
   o.set("cache_hit", JsonValue::boolean(q.cache_hit));
-  o.set("degraded", JsonValue::boolean(q.degraded));
   return o;
 }
 
@@ -113,12 +107,6 @@ JsonValue resilience_to_json(const ResilienceMetrics& r) {
   o.set("exceptions", JsonValue::number_u64(r.exceptions));
   o.set("shed_queue_full", JsonValue::number_u64(r.shed_queue_full));
   o.set("shed_overload", JsonValue::number_u64(r.shed_overload));
-  o.set("shed_breaker", JsonValue::number_u64(r.shed_breaker));
-  o.set("retries_advised", JsonValue::number_u64(r.retries_advised));
-  o.set("breaker_transitions",
-        JsonValue::number_u64(r.breaker_transitions));
-  o.set("breaker_state", JsonValue::string(r.breaker_state));
-  o.set("degraded_hits", JsonValue::number_u64(r.degraded_hits));
   return o;
 }
 
@@ -179,9 +167,6 @@ std::string validate_queries(const JsonValue& arr) {
     }
     if (!q.has("cache_hit") || !q.at("cache_hit").is_bool()) {
       return where + " missing boolean 'cache_hit'";
-    }
-    if (!q.has("degraded") || !q.at("degraded").is_bool()) {
-      return where + " missing boolean 'degraded'";
     }
     // Latency decomposition: additive keys, checked only when present so
     // rows committed before the telemetry layer stay valid. When both
@@ -481,7 +466,6 @@ MetricsReport metrics_from_json(const JsonValue& row) {
       qr.num_cores = q.at("num_cores").as_u64();
       qr.abort_reason = q.at("abort_reason").as_string();
       qr.cache_hit = q.at("cache_hit").as_bool();
-      qr.degraded = q.at("degraded").as_bool();
       r.queries.push_back(std::move(qr));
     }
   }
@@ -507,12 +491,6 @@ MetricsReport metrics_from_json(const JsonValue& row) {
     r.resilience.exceptions = res.at("exceptions").as_u64();
     r.resilience.shed_queue_full = res.at("shed_queue_full").as_u64();
     r.resilience.shed_overload = res.at("shed_overload").as_u64();
-    r.resilience.shed_breaker = res.at("shed_breaker").as_u64();
-    r.resilience.retries_advised = res.at("retries_advised").as_u64();
-    r.resilience.breaker_transitions =
-        res.at("breaker_transitions").as_u64();
-    r.resilience.breaker_state = res.at("breaker_state").as_string();
-    r.resilience.degraded_hits = res.at("degraded_hits").as_u64();
   }
   return r;
 }

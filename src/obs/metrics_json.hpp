@@ -40,24 +40,15 @@ struct QueryRowMetrics {
   std::uint64_t num_cores = 0;
   std::string abort_reason = "none";
   bool cache_hit = false;
-  /// Degradation ladder substituted the nearest cached run (the
-  /// abort_reason then records why the real answer was unavailable).
-  bool degraded = false;
 };
 
 /// The serving resilience funnel (serve/query_service.hpp snapshot fields;
-/// docs/resilience.md): firewall-classified exceptions, sheds split by
-/// cause, retry hints issued, breaker activity, degraded substitutions.
-/// Optional on a serving row — emitted/validated only when present.
+/// docs/resilience.md): firewall-classified exceptions and sheds split by
+/// cause. Optional on a serving row — emitted/validated only when present.
 struct ResilienceMetrics {
   std::uint64_t exceptions = 0;
   std::uint64_t shed_queue_full = 0;
   std::uint64_t shed_overload = 0;
-  std::uint64_t shed_breaker = 0;
-  std::uint64_t retries_advised = 0;
-  std::uint64_t breaker_transitions = 0;
-  std::string breaker_state = "closed";
-  std::uint64_t degraded_hits = 0;
 };
 
 /// The serving latency distribution: geometric buckets (upper bound in µs)

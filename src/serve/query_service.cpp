@@ -1,7 +1,6 @@
 #include "serve/query_service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -46,7 +45,6 @@ const char* to_string(AdmissionOutcome outcome) {
     case AdmissionOutcome::Admitted: return "admitted";
     case AdmissionOutcome::QueueFull: return "queue-full";
     case AdmissionOutcome::Overloaded: return "overloaded";
-    case AdmissionOutcome::BreakerOpen: return "breaker-open";
   }
   return "?";
 }
@@ -111,41 +109,9 @@ bool QueryService::try_submit(const ScanParams& params,
   return try_submit_ex(params, limits, out).admitted();
 }
 
-AdmissionResult QueryService::admission_gate(Request& request) {
-  // The shed decision reads only what an admission already pays for: the
-  // stats mutex (held by our caller) and one relaxed load of the workers'
-  // last sojourn observation.
-  const auto now = request.submit_time;
-  if (options_.breaker_failure_threshold > 0) {
-    if (breaker_state_ == BreakerState::Open) {
-      const auto elapsed = now - breaker_opened_at_;
-      if (elapsed < options_.breaker_cooldown) {
-        const auto remaining =
-            std::chrono::ceil<std::chrono::milliseconds>(
-                options_.breaker_cooldown - elapsed);
-        return {AdmissionOutcome::BreakerOpen,
-                std::max(remaining, std::chrono::milliseconds(1))};
-      }
-      breaker_state_ = BreakerState::HalfOpen;
-      breaker_probe_in_flight_ = false;
-      breaker_transitions_ += 1;
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "serve.breaker.half-open", request.id);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Breaker,
-                        "serve.breaker.half-open", request.id,
-                        "cooldown elapsed");
-      }
-    }
-    if (breaker_state_ == BreakerState::HalfOpen) {
-      if (breaker_probe_in_flight_) {
-        return {AdmissionOutcome::BreakerOpen, options_.breaker_cooldown};
-      }
-      // This admission IS the probe; its outcome settles the breaker.
-      breaker_probe_in_flight_ = true;
-      request.breaker_probe = true;
-    }
-  }
+AdmissionResult QueryService::admission_gate() const {
+  // The shed decision reads only one relaxed load of the workers' last
+  // sojourn observation.
   if (options_.shed_target_delay.count() > 0) {
     const std::uint64_t sojourn_ns =
         queue_sojourn_ns_.load(std::memory_order_relaxed);
@@ -158,11 +124,6 @@ AdmissionResult QueryService::admission_gate(Request& request) {
       // drain — the observed sojourn itself, floored at 1ms.
       const auto hint = std::chrono::milliseconds(
           std::max<std::uint64_t>(1, sojourn_ns / 1'000'000));
-      if (request.breaker_probe) {
-        // Shed probes don't resolve the breaker; rearm for the next try.
-        breaker_probe_in_flight_ = false;
-        request.breaker_probe = false;
-      }
       return {AdmissionOutcome::Overloaded, hint};
     }
   }
@@ -185,7 +146,7 @@ AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
 
   // Admission-side cache probe: a memoized result answers without touching
   // the queue at all (and cannot be refused — the whole point of caching,
-  // so it also bypasses the shed/breaker gate).
+  // so it also bypasses the shed).
   if (options_.cache_results) {
     const CacheKey key{params.eps.num, params.eps.den, params.mu};
     if (auto hit = cache_lookup(key)) {
@@ -205,10 +166,9 @@ AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
       return {AdmissionOutcome::Admitted, std::chrono::milliseconds(0)};
     }
   }
-  AdmissionResult gate;
+  const AdmissionResult gate = admission_gate();
   {
     CheckedLock lock(stats_mutex_);
-    gate = admission_gate(request);
     if (gate.admitted()) {
       submitted_ += 1;
       trace_query_locked(obs::TraceEventKind::SpanBegin, "serve.query",
@@ -219,23 +179,12 @@ AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
       }
     } else {
       rejected_ += 1;
-      retries_advised_ += 1;
-      if (gate.outcome == AdmissionOutcome::Overloaded) {
-        shed_overload_ += 1;
-        PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                  "serve.shed.overload", request.id);
-        if (flight_) {
-          flight_->record(obs::FlightRecorder::EventKind::Refusal,
-                          "serve.shed.overload", request.id);
-        }
-      } else {
-        shed_breaker_ += 1;
-        PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                  "serve.shed.breaker", request.id);
-        if (flight_) {
-          flight_->record(obs::FlightRecorder::EventKind::Refusal,
-                          "serve.shed.breaker", request.id);
-        }
+      shed_overload_ += 1;
+      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
+                                "serve.shed.overload", request.id);
+      if (flight_) {
+        flight_->record(obs::FlightRecorder::EventKind::Refusal,
+                        "serve.shed.overload", request.id);
       }
     }
   }
@@ -248,14 +197,12 @@ AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
     submitted_ -= 1;  // refused, not admitted
     rejected_ += 1;
     shed_queue_full_ += 1;
-    retries_advised_ += 1;
     PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
                               "serve.shed.queue-full", request.id);
     if (flight_) {
       flight_->record(obs::FlightRecorder::EventKind::Refusal,
                       "serve.shed.queue-full", request.id);
     }
-    if (request.breaker_probe) breaker_probe_in_flight_ = false;
     return {AdmissionOutcome::QueueFull,
             std::chrono::milliseconds(sojourn_ms)};
   }
@@ -375,7 +322,6 @@ void QueryService::execute_guarded(Request& request,
     Delivery delivery;
     delivery.run = std::make_shared<const ScanRun>(
         exception_aborted_run("QDispatch", what));
-    delivery.classified = AbortReason::Exception;
     respond(request, std::move(delivery));
   };
   try {
@@ -430,15 +376,9 @@ void QueryService::execute(Request& request,
   }
 
   if (admission_expired) {
-    if (auto degraded = degraded_delivery(key, AbortReason::DeadlineExpired)) {
-      degraded->queue_seconds = queue_seconds;
-      respond(request, std::move(*degraded));
-      return;
-    }
     Delivery delivery;
     delivery.run = std::make_shared<const ScanRun>(admission_aborted_run());
     delivery.queue_seconds = queue_seconds;
-    delivery.classified = AbortReason::DeadlineExpired;
     respond(request, std::move(delivery));
     return;
   }
@@ -466,7 +406,6 @@ void QueryService::execute(Request& request,
   const double exec_seconds =
       seconds_between(exec_start, std::chrono::steady_clock::now());
   const bool complete = !result.partial();
-  const AbortReason classified = result.stats.abort_reason;
   // count_clusters() relies on complete labels; partial runs (rare) may
   // leave cores unlabelled, so they keep num_clusters()'s canonical count.
   const std::uint64_t clusters = complete ? count_clusters(result.result)
@@ -478,21 +417,12 @@ void QueryService::execute(Request& request,
   if (complete && options_.cache_results) {
     cache_store(key, {run, clusters, cores});
   }
-  if (!complete) {
-    if (auto degraded = degraded_delivery(key, classified)) {
-      degraded->queue_seconds = queue_seconds;
-      degraded->execute_seconds = exec_seconds;
-      respond(request, std::move(*degraded));
-      return;
-    }
-  }
   Delivery delivery;
   delivery.run = std::move(run);
   delivery.execute_seconds = exec_seconds;
   delivery.queue_seconds = queue_seconds;
   delivery.num_clusters = clusters;
   delivery.num_cores = cores;
-  delivery.classified = classified;
   respond(request, std::move(delivery));
 }
 
@@ -503,29 +433,16 @@ void QueryService::respond(Request& request, Delivery delivery) {
   response.execute_seconds = delivery.execute_seconds;
   response.queue_seconds = delivery.queue_seconds;
   response.cache_hit = delivery.cache_hit;
-  response.degraded = delivery.degraded;
-  response.classified_reason = delivery.classified;
   response.id = request.id;
   response.run = std::move(delivery.run);
 
-  // Set when this delivery transitions the breaker to Open; the flight
-  // dump happens after the lock is released (no file I/O under stats).
-  bool breaker_opened_now = false;
+  const AbortReason reason = response.run->stats.abort_reason;
   {
     CheckedLock lock(stats_mutex_);
     completed_ += 1;
     if (delivery.cache_hit) cache_hits_ += 1;
     if (response.run->partial()) partial_ += 1;
-    if (delivery.degraded) {
-      degraded_hits_ += 1;
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "serve.degraded", request.id);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Degraded,
-                        "serve.degraded", request.id);
-      }
-    }
-    if (delivery.classified == AbortReason::Exception) {
+    if (reason == AbortReason::Exception) {
       exceptions_ += 1;
       PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
                                 "serve.exception", request.id);
@@ -536,62 +453,6 @@ void QueryService::respond(Request& request, Delivery delivery) {
       }
     }
     if (!delivery.cache_hit) counters_ += response.run->stats.counters;
-    // Circuit-breaker feedback: only executed (non-cache-hit) outcomes
-    // count — a memoized answer says nothing about execution health. The
-    // half-open probe's outcome settles the breaker; a streak of
-    // exception-classified failures opens it.
-    if (options_.breaker_failure_threshold > 0 && delivery.cache_hit) {
-      // A half-open probe can be answered by execute()'s second cache
-      // probe (another query populated the entry between admission and
-      // execution). That outcome says nothing about execution health, but
-      // the probe slot MUST be released: leaving breaker_probe_in_flight_
-      // set wedges the breaker half-open forever — every later non-cached
-      // admission refused BreakerOpen with no probe left to settle it.
-      // Stay HalfOpen so the next admission becomes a fresh probe.
-      if (request.breaker_probe) breaker_probe_in_flight_ = false;
-    }
-    if (options_.breaker_failure_threshold > 0 && !delivery.cache_hit) {
-      const bool failed = delivery.classified == AbortReason::Exception;
-      if (request.breaker_probe) {
-        breaker_probe_in_flight_ = false;
-        if (breaker_state_ == BreakerState::HalfOpen) {
-          breaker_state_ = failed ? BreakerState::Open : BreakerState::Closed;
-          if (failed) breaker_opened_at_ = std::chrono::steady_clock::now();
-          breaker_consecutive_failures_ = 0;
-          breaker_transitions_ += 1;
-          breaker_opened_now = failed;
-          PPSCAN_TRACE_MASTER_EVENT(
-              options_.trace, obs::TraceEventKind::Mark,
-              failed ? "serve.breaker.open" : "serve.breaker.closed",
-              request.id);
-          if (flight_) {
-            flight_->record(
-                obs::FlightRecorder::EventKind::Breaker,
-                failed ? "serve.breaker.open" : "serve.breaker.closed",
-                request.id, "probe");
-          }
-        }
-      } else if (failed) {
-        breaker_consecutive_failures_ += 1;
-        if (breaker_state_ == BreakerState::Closed &&
-            breaker_consecutive_failures_ >=
-                options_.breaker_failure_threshold) {
-          breaker_state_ = BreakerState::Open;
-          breaker_opened_at_ = std::chrono::steady_clock::now();
-          breaker_transitions_ += 1;
-          breaker_opened_now = true;
-          PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                    "serve.breaker.open", request.id);
-          if (flight_) {
-            flight_->record(obs::FlightRecorder::EventKind::Breaker,
-                            "serve.breaker.open", request.id,
-                            "failure streak");
-          }
-        }
-      } else {
-        breaker_consecutive_failures_ = 0;
-      }
-    }
     const double ms = response.latency_seconds * 1e3;
     latency_.record(ms);
     if (options_.max_recorded_queries > 0) {
@@ -604,9 +465,8 @@ void QueryService::respond(Request& request, Delivery delivery) {
       record.execute_ms = delivery.execute_seconds * 1e3;
       record.num_clusters = delivery.num_clusters;
       record.num_cores = delivery.num_cores;
-      record.abort_reason = delivery.classified;
+      record.abort_reason = reason;
       record.cache_hit = delivery.cache_hit;
-      record.degraded = delivery.degraded;
       if (recent_.size() < options_.max_recorded_queries) {
         recent_.push_back(std::move(record));
       } else {
@@ -616,11 +476,6 @@ void QueryService::respond(Request& request, Delivery delivery) {
     }
     trace_query_locked(obs::TraceEventKind::SpanEnd, "serve.query",
                        request.id);
-  }
-  if (breaker_opened_now && flight_ && !options_.flight_dump_path.empty()) {
-    // Breaker-open is exactly when a post-mortem wants the last seconds of
-    // admission history; snapshot it while the evidence is fresh.
-    flight_->dump_to_file(options_.flight_dump_path, "breaker-open");
   }
   // Fulfill outside the lock: the waiting thread may run immediately.
   request.promise.set_value(std::move(response));
@@ -643,46 +498,6 @@ void QueryService::cache_store(const CacheKey& key, CachedResult value) {
     cache_.clear();
   }
   cache_[key] = std::move(value);
-}
-
-std::optional<QueryService::CachedResult> QueryService::cache_nearest(
-    const CacheKey& key) {
-  CheckedLock lock(cache_mutex_);
-  if (cache_.empty()) return std::nullopt;
-  const double eps =
-      static_cast<double>(key.num) / static_cast<double>(key.den);
-  const CachedResult* best = nullptr;
-  double best_eps_dist = 0;
-  double best_mu_dist = 0;
-  for (const auto& [k, v] : cache_) {
-    const double eps_dist = std::fabs(
-        static_cast<double>(k.num) / static_cast<double>(k.den) - eps);
-    const double mu_dist = std::fabs(static_cast<double>(k.mu) -
-                                     static_cast<double>(key.mu));
-    if (best == nullptr || eps_dist < best_eps_dist ||
-        (eps_dist == best_eps_dist && mu_dist < best_mu_dist)) {
-      best = &v;
-      best_eps_dist = eps_dist;
-      best_mu_dist = mu_dist;
-    }
-  }
-  return *best;
-}
-
-std::optional<QueryService::Delivery> QueryService::degraded_delivery(
-    const CacheKey& key, AbortReason reason) {
-  if (!options_.degraded_serving || !options_.cache_results) {
-    return std::nullopt;
-  }
-  auto nearest = cache_nearest(key);
-  if (!nearest.has_value()) return std::nullopt;
-  Delivery delivery;
-  delivery.run = std::move(nearest->run);
-  delivery.degraded = true;
-  delivery.num_clusters = nearest->num_clusters;
-  delivery.num_cores = nearest->num_cores;
-  delivery.classified = reason;
-  return delivery;
 }
 
 ScanRun QueryService::admission_aborted_run() const {
@@ -816,15 +631,6 @@ ServiceSnapshot QueryService::snapshot() const {
     snap.exceptions = exceptions_;
     snap.shed_queue_full = shed_queue_full_;
     snap.shed_overload = shed_overload_;
-    snap.shed_breaker = shed_breaker_;
-    snap.retries_advised = retries_advised_;
-    snap.breaker_transitions = breaker_transitions_;
-    switch (breaker_state_) {
-      case BreakerState::Closed: snap.breaker_state = "closed"; break;
-      case BreakerState::Open: snap.breaker_state = "open"; break;
-      case BreakerState::HalfOpen: snap.breaker_state = "half-open"; break;
-    }
-    snap.degraded_hits = degraded_hits_;
     snap.counters = counters_;
     snap.latency = latency_;
     if (windowed_.enabled()) {

@@ -39,11 +39,9 @@
 //     untouched. Under sustained overload the non-blocking admission path
 //     sheds CoDel-style — when the observed queue sojourn exceeds
 //     shed_target_delay, not only when the queue is full — with a
-//     retry-after hint; a consecutive-exception circuit breaker
-//     (closed → open → half-open probe → closed) fails fast when execution
-//     itself is broken; and, when enabled, a degradation ladder answers a
-//     doomed query with the nearest-(ε, µ) cached result flagged
-//     `degraded` before falling back to the classified partial.
+//     retry-after hint. A doomed query (deadline spent in the queue, a
+//     governed trip, an exception) gets its own classified partial — every
+//     answer is for the (ε, µ) that was asked.
 //
 // Threading contract: submit()/try_submit() are safe from any thread.
 // snapshot() is safe from any thread. stop() joins the workers, drains
@@ -113,22 +111,9 @@ struct ServiceOptions {
   /// queue push every latency to the deadline. Blocking submit() is never
   /// shed: its contract is backpressure.
   std::chrono::milliseconds shed_target_delay{0};
-  /// Consecutive exception-classified failures that trip the circuit
-  /// breaker (0 = breaker off). While open, non-blocking admission refuses
-  /// with BreakerOpen; after breaker_cooldown one half-open probe query is
-  /// admitted — success closes the breaker, failure re-opens it.
-  std::uint32_t breaker_failure_threshold = 0;
-  std::chrono::milliseconds breaker_cooldown{100};
-  /// Degradation ladder: answer a query that would return a classified
-  /// partial (admission-expired, governed trip, exception) with the
-  /// nearest-(ε, µ) *complete* cached result instead, flagged `degraded`.
-  /// Stale-but-whole beats fresh-but-empty for dashboard-style consumers;
-  /// default off because it trades exactness for availability.
-  bool degraded_serving = false;
-  /// Optional resilience trace hook (docs/resilience.md): shed, breaker
-  /// transition, exception, and degraded-serve events are emitted as
-  /// instant Mark events into the collector's master slot, arg = request
-  /// id (0 where no request is at hand). Every emission happens with the
+  /// Optional resilience trace hook (docs/resilience.md): shed and
+  /// exception events are emitted as instant Mark events into the
+  /// collector's master slot, arg = request id. Every emission happens with the
   /// service's stats mutex held, so writers are serialized — the
   /// buffer's single-writer rule is met by mutual exclusion, and any
   /// worker count fits. The collector must outlive the service. With a
@@ -147,12 +132,11 @@ struct ServiceOptions {
   /// Rolling horizon of the windowed SLO view (last-N-seconds p50/p99).
   std::chrono::milliseconds window_horizon{10000};
   /// Flight-recorder ring capacity (0 = recorder off): recent serving
-  /// events (admissions, refusals, breaker transitions, exceptions,
-  /// degraded serves) retained for post-mortem dumps.
+  /// events (admissions, refusals, exceptions) retained for post-mortem
+  /// dumps.
   std::size_t flight_capacity = 256;
   /// When non-empty, the flight recorder dumps schema-valid JSON here on
-  /// stop() and on every breaker-open transition (the dump happens off
-  /// the stats lock). Fatal-signal dumps are the CLI's job:
+  /// stop(). Fatal-signal dumps are the CLI's job:
   /// obs::install_flight_signal_dump(service.flight(), path).
   std::string flight_dump_path;
 };
@@ -171,33 +155,24 @@ struct QueryResponse {
   /// delivery overhead.
   double queue_seconds = 0;
   bool cache_hit = false;
-  /// True when the degradation ladder answered with a *different* (nearest
-  /// ε, µ) cached run because this query's own execution was doomed; the
-  /// served run is complete, and the reason the real answer was unavailable
-  /// is in `classified_reason`.
+  /// Always false; kept only because bench/e2e's answer check reads it.
   bool degraded = false;
-  /// The query's own outcome classification: equals run->stats.abort_reason
-  /// on a normal delivery, but preserves the original abort (deadline,
-  /// exception, …) when `degraded` substituted a complete cached run.
-  AbortReason classified_reason = AbortReason::None;
   /// Service-assigned id, dense in submission order.
   std::uint64_t id = 0;
 };
 
-/// Why non-blocking admission refused (or didn't). The ladder is checked
-/// in this order: breaker, overload shed, queue capacity.
+/// Why non-blocking admission refused (or didn't). The overload shed is
+/// checked before queue capacity.
 enum class AdmissionOutcome : std::uint8_t {
   Admitted = 0,    ///< enqueued (or answered from cache); *out is valid
   QueueFull = 1,   ///< bounded queue at capacity
   Overloaded = 2,  ///< queue sojourn above shed_target_delay (CoDel shed)
-  BreakerOpen = 3, ///< circuit breaker open (or half-open probe in flight)
 };
 
 const char* to_string(AdmissionOutcome outcome);
 
 /// Result of try_submit_ex(): the refusal cause plus a backoff hint sized
-/// from the observed congestion (RetryPolicy::next_delay honors it).
-/// retry_after is zero on admission.
+/// from the observed congestion. retry_after is zero on admission.
 struct AdmissionResult {
   AdmissionOutcome outcome = AdmissionOutcome::Admitted;
   std::chrono::milliseconds retry_after{0};
@@ -222,7 +197,6 @@ struct QueryRecord {
   std::uint64_t num_cores = 0;
   AbortReason abort_reason = AbortReason::None;
   bool cache_hit = false;
-  bool degraded = false;  ///< degradation ladder substituted a cached run
 };
 
 /// The 28-bucket geometric latency histogram now lives in obs
@@ -242,11 +216,6 @@ struct ServiceSnapshot {
   std::uint64_t exceptions = 0;        ///< firewall-classified failures
   std::uint64_t shed_queue_full = 0;   ///< refusals: queue at capacity
   std::uint64_t shed_overload = 0;     ///< refusals: sojourn over target
-  std::uint64_t shed_breaker = 0;      ///< refusals: breaker open
-  std::uint64_t retries_advised = 0;   ///< refusals carrying a retry hint
-  std::uint64_t breaker_transitions = 0;  ///< state changes since start
-  std::string breaker_state = "closed";   ///< closed | open | half-open
-  std::uint64_t degraded_hits = 0;     ///< ladder substitutions served
   /// Funnel aggregated over executed (non-cache-hit) queries.
   obs::AlgoCounters counters;
   LatencyHistogram latency;
@@ -285,19 +254,19 @@ class QueryService {
   /// the admission queue is full; throws ServiceStoppedError after stop()
   /// (a parked producer is woken by stop() and gets the same classified
   /// refusal — never a hang). Blocking submission is exempt from the
-  /// overload shed and the breaker: its contract is backpressure.
+  /// overload shed: its contract is backpressure.
   std::future<QueryResponse> submit(const ScanParams& params);
   std::future<QueryResponse> submit(const ScanParams& params,
                                     const RunLimits& limits);
 
   /// Non-blocking admission: false (and one `rejected` count) on any
-  /// refusal — queue full, overload shed, or breaker open. On success *out
+  /// refusal — queue full or overload shed. On success *out
   /// is the response future. Throws ServiceStoppedError after stop().
   bool try_submit(const ScanParams& params, const RunLimits& limits,
                   std::future<QueryResponse>* out);
 
   /// Non-blocking admission with the full refusal taxonomy and a
-  /// retry-after hint (see AdmissionResult / RetryPolicy). Cache hits are
+  /// retry-after hint (see AdmissionResult). Cache hits are
   /// always admitted — a memoized answer costs nothing to serve, so
   /// shedding it would only manufacture failures.
   AdmissionResult try_submit_ex(const ScanParams& params,
@@ -324,9 +293,6 @@ class QueryService {
     std::chrono::steady_clock::time_point submit_time;
     std::uint64_t id = 0;
     std::promise<QueryResponse> promise;
-    /// This request is the circuit breaker's half-open probe; its outcome
-    /// decides closed vs re-open.
-    bool breaker_probe = false;
   };
 
   struct CacheKey {
@@ -350,19 +316,14 @@ class QueryService {
     std::uint64_t num_cores = 0;
   };
 
-  /// Everything respond() needs to deliver one response. classified is the
-  /// query's own outcome (run->stats.abort_reason on a normal delivery; the
-  /// original abort when `degraded` substituted a complete cached run) —
-  /// it feeds the record ring, the exception counter, and the breaker.
+  /// Everything respond() needs to deliver one response.
   struct Delivery {
     std::shared_ptr<const ScanRun> run;
     bool cache_hit = false;
-    bool degraded = false;
     double execute_seconds = 0;
     double queue_seconds = 0;
     std::uint64_t num_clusters = 0;
     std::uint64_t num_cores = 0;
-    AbortReason classified = AbortReason::None;
   };
 
   std::future<QueryResponse> enqueue(Request request);
@@ -374,8 +335,8 @@ class QueryService {
   /// "QDispatch"-classified failure if anything escapes it.
   void execute_guarded(Request& request, GsIndex::QueryScratch& scratch);
   void execute(Request& request, GsIndex::QueryScratch& scratch);
-  /// Delivers the response: records stats + breaker feedback under the
-  /// mutex, then fulfills the promise (after the lock — the waiter may run
+  /// Delivers the response: records stats under the mutex, then fulfills
+  /// the promise (after the lock — the waiter may run
   /// immediately).
   void respond(Request& request, Delivery delivery)
       PPSCAN_EXCLUDES(stats_mutex_);
@@ -383,21 +344,10 @@ class QueryService {
       PPSCAN_EXCLUDES(cache_mutex_);
   void cache_store(const CacheKey& key, CachedResult value)
       PPSCAN_EXCLUDES(cache_mutex_);
-  /// Nearest cached entry to `key` by |ε| distance (then |µ|) — the
-  /// degradation ladder's source. nullopt when the cache is empty.
-  std::optional<CachedResult> cache_nearest(const CacheKey& key)
-      PPSCAN_EXCLUDES(cache_mutex_);
-  /// Degradation ladder: when enabled and the cache has anything, builds a
-  /// degraded Delivery for a query classified as `reason`; nullopt → fall
-  /// back to the classified partial.
-  std::optional<Delivery> degraded_delivery(const CacheKey& key,
-                                            AbortReason reason)
-      PPSCAN_EXCLUDES(cache_mutex_);
-  /// Breaker + overload gate for non-blocking admission, under
-  /// stats_mutex_. On refusal fills the cause counters and the hint; on
-  /// admission may mark the request as the half-open probe.
-  AdmissionResult admission_gate(Request& request)
-      PPSCAN_REQUIRES(stats_mutex_);
+  /// CoDel overload shed for non-blocking admission: Overloaded with a
+  /// retry-after hint when the last observed queue sojourn exceeds
+  /// shed_target_delay, else Admitted.
+  [[nodiscard]] AdmissionResult admission_gate() const;
   /// Post-enqueue stop-race repair (see stop()): if stop() finished its
   /// final drain before our enqueue landed, nobody will ever dequeue it —
   /// the producer drains and executes leftovers itself.
@@ -461,8 +411,8 @@ class QueryService {
   // Everything below is guarded by stats_mutex_ (plain fields, no atomics:
   // the stats path is off the per-entry hot loops and a snapshot wants a
   // consistent cut anyway).
-  // guards: the serving counters, the latency histogram, the per-query
-  // record ring, and the whole circuit-breaker state machine.
+  // guards: the serving counters, the latency histogram and the per-query
+  // record ring.
   mutable CheckedMutex stats_mutex_;
   std::uint64_t submitted_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t completed_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
@@ -472,21 +422,6 @@ class QueryService {
   std::uint64_t exceptions_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t shed_queue_full_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t shed_overload_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t shed_breaker_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t retries_advised_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t degraded_hits_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  /// Circuit breaker state machine (all guarded by stats_mutex_): the
-  /// consecutive-exception count, the state, when it opened, whether the
-  /// half-open probe is outstanding, and the transition counter.
-  enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
-  BreakerState breaker_state_ PPSCAN_GUARDED_BY(stats_mutex_) =
-      BreakerState::Closed;
-  std::uint32_t breaker_consecutive_failures_
-      PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::chrono::steady_clock::time_point breaker_opened_at_
-      PPSCAN_GUARDED_BY(stats_mutex_) = {};
-  bool breaker_probe_in_flight_ PPSCAN_GUARDED_BY(stats_mutex_) = false;
-  std::uint64_t breaker_transitions_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   obs::AlgoCounters counters_ PPSCAN_GUARDED_BY(stats_mutex_);
   LatencyHistogram latency_ PPSCAN_GUARDED_BY(stats_mutex_);
   /// Ring buffer of the most recent per-query records.

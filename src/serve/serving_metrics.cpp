@@ -84,7 +84,6 @@ obs::MetricsReport make_serving_report(const std::string& tool,
     row.num_cores = q.num_cores;
     row.abort_reason = to_string(q.abort_reason);
     row.cache_hit = q.cache_hit;
-    row.degraded = q.degraded;
     report.queries.push_back(std::move(row));
   }
   report.latency = latency_metrics(snapshot.latency);
@@ -92,11 +91,6 @@ obs::MetricsReport make_serving_report(const std::string& tool,
   report.resilience.exceptions = snapshot.exceptions;
   report.resilience.shed_queue_full = snapshot.shed_queue_full;
   report.resilience.shed_overload = snapshot.shed_overload;
-  report.resilience.shed_breaker = snapshot.shed_breaker;
-  report.resilience.retries_advised = snapshot.retries_advised;
-  report.resilience.breaker_transitions = snapshot.breaker_transitions;
-  report.resilience.breaker_state = snapshot.breaker_state;
-  report.resilience.degraded_hits = snapshot.degraded_hits;
   return report;
 }
 
@@ -109,7 +103,7 @@ std::string exposition_text(const ServiceSnapshot& s) {
                    "Queries admitted into the service", "counter");
   obs::prom_sample_u64(out, "ppscan_serve_submitted_total", s.submitted);
   obs::prom_family(out, "ppscan_serve_completed_total",
-                   "Queries answered (including cache hits and degraded)",
+                   "Queries answered (including cache hits and partials)",
                    "counter");
   obs::prom_sample_u64(out, "ppscan_serve_completed_total", s.completed);
   obs::prom_family(out, "ppscan_serve_rejected_total",
@@ -138,27 +132,6 @@ std::string exposition_text(const ServiceSnapshot& s) {
   obs::prom_sample_labeled(out, "ppscan_serve_shed_total",
                            "cause=\"overload\"",
                            static_cast<double>(s.shed_overload));
-  obs::prom_sample_labeled(out, "ppscan_serve_shed_total",
-                           "cause=\"breaker\"",
-                           static_cast<double>(s.shed_breaker));
-  obs::prom_family(out, "ppscan_serve_retries_advised_total",
-                   "Refusals that carried a retry-after hint", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_retries_advised_total",
-                       s.retries_advised);
-  obs::prom_family(out, "ppscan_serve_breaker_transitions_total",
-                   "Circuit-breaker state transitions", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_breaker_transitions_total",
-                       s.breaker_transitions);
-  obs::prom_family(out, "ppscan_serve_breaker_state",
-                   "Circuit-breaker state (0=closed, 1=half-open, 2=open)",
-                   "gauge");
-  const double breaker_code =
-      s.breaker_state == "open" ? 2 : s.breaker_state == "half-open" ? 1 : 0;
-  obs::prom_sample(out, "ppscan_serve_breaker_state", breaker_code);
-  obs::prom_family(out, "ppscan_serve_degraded_total",
-                   "Answers substituted by the degradation ladder",
-                   "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_degraded_total", s.degraded_hits);
 
   // Pruning-funnel aggregates accumulated over executed queries — the
   // paper's arc-triage identity, pruned + computed + reused == touched.

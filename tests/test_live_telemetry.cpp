@@ -197,8 +197,8 @@ TEST(FlightRecorder, DumpJsonValidatesAndSurvivesSerialization) {
   FlightRecorder recorder(8);
   recorder.record(FlightRecorder::EventKind::Lifecycle, "serve.start");
   recorder.record(FlightRecorder::EventKind::Admission, "serve.query", 7);
-  recorder.record(FlightRecorder::EventKind::Breaker, "serve.breaker.open", 0,
-                  "failure streak");
+  recorder.record(FlightRecorder::EventKind::Refusal, "serve.shed.overload", 0,
+                  "sojourn over target");
   const JsonValue doc = recorder.dump_json("stop");
   std::string error;
   EXPECT_TRUE(obs::validate_flight_json(doc, &error)) << error;
@@ -460,7 +460,7 @@ TEST(LiveTelemetry, ExpositionTextReflectsTheSnapshot) {
   expect_line("ppscan_serve_latency_ms_bucket{le=\"+Inf\"} " +
               std::to_string(snap.latency.total));
   expect_line("ppscan_serve_shed_total{cause=\"queue-full\"}");
-  expect_line("ppscan_serve_breaker_state 0");
+  expect_line("ppscan_serve_shed_total{cause=\"overload\"}");
   expect_line("# TYPE ppscan_serve_window_latency_ms histogram");
   expect_line("ppscan_serve_window_seconds");
   expect_line("ppscan_serve_publishes_total " +

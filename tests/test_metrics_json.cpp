@@ -378,6 +378,81 @@ TEST(MetricsJson, RowWithRetiredNumaBlockStillValidates) {
   EXPECT_EQ(metrics_from_json(row).counters.sims_bound_rejected, 0u);
 }
 
+TEST(MetricsJson, ServingRowWithRetiredResilienceKeysStillValidates) {
+  // The overload row of the committed BENCH_serving.json (the row that
+  // carries `degraded: true`), verbatim except that queries[] is cut to its
+  // first two entries. Rows written before the circuit breaker and the
+  // degradation ladder were removed carry shed_breaker, retries_advised,
+  // breaker_transitions, breaker_state and degraded_hits in the resilience
+  // block and `degraded` in every query row; the validator ignores keys
+  // outside the schema, so old committed rows stay readable.
+  const auto row = JsonValue::parse(R"json(
+    {"schema_version": 2, "tool": "bench_query_serving",
+    "algorithm": "GsIndex-serve", "dataset": "lfr-n65536-d32",
+    "eps": "0.2,0.4,0.6,0.8", "mu": 0, "threads": 8, "kernel": "index",
+    "runtime_kind": "worksteal", "num_vertices": 65536,
+    "num_edges": 1017821, "total_seconds": 3.109071021,
+    "similarity_seconds": 0, "pruning_seconds": 0, "stage_prune_seconds": 0,
+    "stage_check_seconds": 0, "stage_core_cluster_seconds": 0,
+    "stage_noncore_cluster_seconds": 0, "busy_seconds": 0, "idle_seconds": 0,
+    "compsim_invocations": 0, "tasks_submitted": 0, "tasks_executed": 0,
+    "steals": 0, "numa_mode": "off", "placement": "default", "numa_nodes": 1,
+    "steals_same_node": 0, "steals_remote": 0, "remote_misses": 0,
+    "per_node": [], "num_clusters": 0, "num_cores": 0,
+    "abort_reason": "none", "abort_phase": "", "phases_completed": 0,
+    "peak_governed_bytes": 0, "arcs_touched": 1260368291,
+    "arcs_predicate_pruned": 0, "sims_computed": 0,
+    "sims_reused": 1260368291, "core_early_exits": 0, "uf_unions": 39989319,
+    "uf_finds": 82074386, "uf_find_steps": 79978638,
+    "queries": [{"id": 3599, "eps": "15/400", "mu": 5,
+    "latency_ms": 100.033917, "num_clusters": 1, "num_cores": 65536,
+    "abort_reason": "deadline-expired", "cache_hit": false,
+    "degraded": true}, {"id": 3600, "eps": "16/400", "mu": 6,
+    "latency_ms": 101.41310100000001, "num_clusters": 1, "num_cores": 65536,
+    "abort_reason": "deadline-expired", "cache_hit": false,
+    "degraded": true}],
+    "latency_histogram": {"count": 1669, "p50_ms": 131.072,
+    "p90_ms": 131.072, "p99_ms": 149.735929, "max_ms": 149.735929,
+    "buckets": [{"le_us": 1, "count": 5}, {"le_us": 2, "count": 4},
+    {"le_us": 16384, "count": 6}, {"le_us": 32768, "count": 12},
+    {"le_us": 65536, "count": 10}, {"le_us": 131072, "count": 1593},
+    {"le_us": 262144, "count": 39}]},
+    "resilience": {"exceptions": 0, "shed_queue_full": 0,
+    "shed_overload": 1944, "shed_breaker": 0, "retries_advised": 1944,
+    "breaker_transitions": 0, "breaker_state": "closed",
+    "degraded_hits": 1612}, "mode": "open/overload", "clients": 1,
+    "queries_per_second": 536.8162993790935, "offered_per_second": 1200}
+  )json");
+  ASSERT_TRUE(row.at("resilience").has("breaker_state"));
+  ASSERT_TRUE(row.at("queries").at(0).at("degraded").as_bool());
+  EXPECT_EQ(validate_metrics_json(row), "");
+  const MetricsReport back = metrics_from_json(row);
+  ASSERT_TRUE(back.has_resilience);
+  EXPECT_EQ(back.resilience.shed_overload, 1944u);
+  ASSERT_EQ(back.queries.size(), 2u);
+  EXPECT_EQ(back.queries[0].abort_reason, "deadline-expired");
+  EXPECT_EQ(back.latency.count, 1669u);
+
+  // A freshly emitted serving row carries none of the retired keys.
+  MetricsReport fresh = serving_report();
+  fresh.has_resilience = true;
+  const auto emitted = metrics_to_json(fresh);
+  EXPECT_EQ(validate_metrics_json(emitted), "");
+  const JsonValue& resilience = emitted.at("resilience");
+  for (const char* key : {"exceptions", "shed_queue_full", "shed_overload"}) {
+    EXPECT_TRUE(resilience.has(key)) << key;
+  }
+  for (const char* key : {"shed_breaker", "retries_advised",
+                          "breaker_transitions", "breaker_state",
+                          "degraded_hits"}) {
+    EXPECT_FALSE(resilience.has(key)) << key;
+  }
+  const JsonValue& queries = emitted.at("queries");
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(queries.at(i).has("degraded")) << i;
+  }
+}
+
 TEST(MetricsJson, ParserRejectsGarbage) {
   EXPECT_THROW(JsonValue::parse("{\"a\": }"), std::runtime_error);
   EXPECT_THROW(JsonValue::parse("{} trailing"), std::runtime_error);

@@ -90,9 +90,15 @@ INSTANTIATE_TEST_SUITE_P(
         PpScanConfig{4, IntersectKind::BlockAvx512, SchedulerKind::StaticRange},
         PpScanConfig{3, IntersectKind::PivotAvx2, SchedulerKind::FixedChunk}),
     [](const ::testing::TestParamInfo<PpScanConfig>& info) {
-      return "t" + std::to_string(info.param.threads) + "_" +
-             to_string(info.param.kernel) + "_" +
-             to_string(info.param.scheduler);
+      // Appended piecewise: GCC 12's -O3 -Wrestrict misfires on
+      // `"t" + std::to_string(...)`.
+      std::string name = "t";
+      name += std::to_string(info.param.threads);
+      name += "_";
+      name += to_string(info.param.kernel);
+      name += "_";
+      name += to_string(info.param.scheduler);
+      return name;
     });
 
 struct AblationConfig {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -145,36 +146,58 @@ TEST(QueryService, CacheHitsAliasTheStoredRunAndAreCounted) {
 TEST(QueryService, CancelAtPhaseReturnsClassifiedPartial) {
   const auto g = erdos_renyi(600, 4800, 17);
   const GsIndex index(g);
-  ServiceOptions options;
-  options.num_threads = 2;
-  options.cache_results = true;
-  QueryService service(index, options);
+  // Second input: the cache already holds a complete run for a
+  // neighbouring (ε, µ). A doomed query still gets its own partial, never
+  // that neighbour — every answer is for the (ε, µ) that was asked.
+  for (const bool warm_neighbour : {false, true}) {
+    SCOPED_TRACE(warm_neighbour ? "neighbour cached" : "cold cache");
+    ServiceOptions options;
+    options.num_threads = 2;
+    options.cache_results = true;
+    QueryService service(index, options);
 
-  const auto params = ScanParams::make("0.3", 2);
-  RunLimits limits;
-  limits.cancel_at_phase = 2;  // QCoreTest completes, QCoreCluster never runs
-  const QueryResponse partial = service.submit(params, limits).get();
-  ASSERT_NE(partial.run, nullptr);
-  EXPECT_TRUE(partial.run->partial());
-  EXPECT_EQ(partial.run->stats.abort_reason, AbortReason::UserCancelled);
-  EXPECT_EQ(partial.run->stats.abort_phase, "QCoreCluster");
-  EXPECT_EQ(partial.run->stats.phases_completed, 1u);
-  // The decided portion is final: every role classified, no clustering yet.
-  for (const Role role : partial.run->result.roles) {
-    EXPECT_NE(role, Role::Unknown);
+    std::shared_ptr<const ScanRun> neighbour;
+    if (warm_neighbour) {
+      neighbour = service.submit(ScanParams::make("0.35", 2)).get().run;
+      ASSERT_NE(neighbour, nullptr);
+      ASSERT_FALSE(neighbour->partial());
+    }
+
+    const auto params = ScanParams::make("0.3", 2);
+    RunLimits limits;
+    limits.cancel_at_phase = 2;  // QCoreTest completes, QCoreCluster never
+    const QueryResponse partial = service.submit(params, limits).get();
+    ASSERT_NE(partial.run, nullptr);
+    EXPECT_NE(partial.run, neighbour);
+    EXPECT_FALSE(partial.cache_hit);
+    EXPECT_TRUE(partial.run->partial());
+    EXPECT_EQ(partial.run->stats.abort_reason, AbortReason::UserCancelled);
+    EXPECT_EQ(partial.run->stats.abort_phase, "QCoreCluster");
+    EXPECT_EQ(partial.run->stats.phases_completed, 1u);
+    // The decided portion is final: every role classified, no clustering
+    // yet.
+    for (const Role role : partial.run->result.roles) {
+      EXPECT_NE(role, Role::Unknown);
+    }
+    EXPECT_TRUE(partial.run->result.noncore_memberships.empty());
+    {
+      const auto snap = service.snapshot();
+      ASSERT_FALSE(snap.recent.empty());
+      EXPECT_EQ(snap.recent.back().eps, "3/10");
+      EXPECT_EQ(snap.recent.back().abort_reason, AbortReason::UserCancelled);
+    }
+
+    // Partials are never memoized and the pooled scratch is reusable: the
+    // same parameters now run to completion and match a fresh query.
+    const QueryResponse full = service.submit(params).get();
+    ASSERT_NE(full.run, nullptr);
+    EXPECT_FALSE(full.cache_hit);
+    EXPECT_FALSE(full.run->partial());
+    expect_identical(full.run->result, index.query(params).result, params);
+
+    const auto snap = service.snapshot();
+    EXPECT_EQ(snap.partial, 1u);
   }
-  EXPECT_TRUE(partial.run->result.noncore_memberships.empty());
-
-  // Partials are never memoized and the pooled scratch is reusable: the
-  // same parameters now run to completion and match a fresh query.
-  const QueryResponse full = service.submit(params).get();
-  ASSERT_NE(full.run, nullptr);
-  EXPECT_FALSE(full.cache_hit);
-  EXPECT_FALSE(full.run->partial());
-  expect_identical(full.run->result, index.query(params).result, params);
-
-  const auto snap = service.snapshot();
-  EXPECT_EQ(snap.partial, 1u);
 }
 
 TEST(QueryService, DeadlinedQueriesReturnClassifiedPartials) {

@@ -5,8 +5,8 @@
 //     classified governed trip (AbortReason::Exception) or, ungoverned, the
 //     first exception rethrown at the master's barrier; workers survive and
 //     the executor stays reusable either way.
-//   * The QueryService's per-query firewall, shedding ladder, circuit
-//     breaker and degradation ladder — a poisoned query fails alone while
+//   * The QueryService's per-query firewall and overload shed — a
+//     poisoned query fails alone while
 //     concurrent queries keep returning answers bit-identical to a fresh
 //     single-threaded GsIndex::query.
 //   * The fault-point chaos harness (PPSCAN_FAULTS=ON builds): per-phase
@@ -33,7 +33,6 @@
 #include "index/gs_index.hpp"
 #include "obs/metrics_json.hpp"
 #include "serve/query_service.hpp"
-#include "serve/retry_policy.hpp"
 #include "serve/serving_metrics.hpp"
 #include "util/fault_point.hpp"
 
@@ -289,7 +288,7 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   }
   const auto snap = service.snapshot();
   EXPECT_GE(snap.shed_overload, overloaded);
-  EXPECT_GE(snap.retries_advised, overloaded);
+  EXPECT_GE(snap.rejected, overloaded);
   EXPECT_GE(snap.rejected, snap.shed_overload);  // total stays the superset
 
   // Every shed is also a trace event (stop() above is the happens-before
@@ -307,68 +306,6 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   }
 }
 
-TEST(QueryServiceResilience, DegradationLadderServesNearestCachedRun) {
-  const auto g = erdos_renyi(1200, 9600, 43);
-  const GsIndex index(g);
-  ServiceOptions options;
-  options.num_threads = 2;
-  options.cache_results = true;
-  options.degraded_serving = true;
-  obs::TraceCollector trace(options.num_threads);
-  options.trace = &trace;
-  QueryService service(index, options);
-
-  // Warm the cache with a completed neighbor.
-  const auto warm_params = ScanParams::make("0.5", 3);
-  const QueryResponse warm = service.submit(warm_params).get();
-  ASSERT_FALSE(warm.run->partial());
-
-  // Doom a nearby query deterministically (the cancel-at-phase test hook
-  // trips it mid-run, timing-independent): instead of its classified
-  // partial, the ladder serves the nearest cached complete run, flagged.
-  RunLimits limits;
-  limits.cancel_at_phase = 2;
-  const QueryResponse doomed =
-      service.submit(ScanParams::make("0.45", 3), limits).get();
-
-  ASSERT_NE(doomed.run, nullptr);
-  EXPECT_TRUE(doomed.degraded);
-  EXPECT_FALSE(doomed.run->partial());  // stale-but-whole, never partial
-  // The served run *is* the cached neighbor (the cache's only entry).
-  EXPECT_EQ(doomed.run.get(), warm.run.get());
-  // ...while the reason the real answer was unavailable is preserved.
-  EXPECT_EQ(doomed.classified_reason, AbortReason::UserCancelled);
-  const auto snap = service.snapshot();
-  EXPECT_GE(snap.degraded_hits, 1u);
-  bool recorded_degraded = false;
-  for (const auto& r : snap.recent) recorded_degraded |= r.degraded;
-  EXPECT_TRUE(recorded_degraded);
-
-  // Degradation is a substitution, not an answer: the doomed parameters
-  // were never cached, so asking again (un-doomed) runs for real.
-  const QueryResponse real = service.submit(ScanParams::make("0.45", 3)).get();
-  EXPECT_FALSE(real.cache_hit);
-  EXPECT_FALSE(real.degraded);
-  expect_identical(real.run->result,
-                   index.query(ScanParams::make("0.45", 3)).result,
-                   ScanParams::make("0.45", 3));
-
-  // The substitution also left a trace event (read after stop() joins the
-  // workers — the snapshot's required happens-before edge).
-  service.stop();
-  bool degraded_mark = false;
-  for (const auto& e : trace.buffer(trace.master_slot()).snapshot()) {
-    if (e.kind == obs::TraceEventKind::Mark &&
-        std::string_view(e.name) == "serve.degraded") {
-      degraded_mark = true;
-      EXPECT_EQ(e.arg, doomed.id);
-    }
-  }
-  if (obs::kTraceEnabled) {
-    EXPECT_TRUE(degraded_mark);
-  }
-}
-
 TEST(QueryServiceResilience, ServingMetricsRowCarriesResilienceBlock) {
   const auto g = erdos_renyi(600, 4800, 47);
   const GsIndex index(g);
@@ -380,7 +317,6 @@ TEST(QueryServiceResilience, ServingMetricsRowCarriesResilienceBlock) {
   const auto report = serve::make_serving_report(
       "test_resilience", "er600", "0.5", g, service.snapshot(), 0.1);
   ASSERT_TRUE(report.has_resilience);
-  EXPECT_EQ(report.resilience.breaker_state, "closed");
   const auto row = obs::metrics_to_json(report);
   EXPECT_EQ(obs::validate_metrics_json(row), "");
   // Round-trip keeps the block.
@@ -388,50 +324,6 @@ TEST(QueryServiceResilience, ServingMetricsRowCarriesResilienceBlock) {
   EXPECT_TRUE(back.has_resilience);
   EXPECT_EQ(back.resilience.exceptions, report.resilience.exceptions);
   EXPECT_EQ(back.queries.size(), report.queries.size());
-}
-
-TEST(RetryPolicy, BackoffGrowsHonorsHintAndCaps) {
-  serve::RetryOptions opts;
-  opts.base_delay = std::chrono::milliseconds(5);
-  opts.multiplier = 2.0;
-  opts.max_delay = std::chrono::milliseconds(40);
-  opts.jitter = 0.0;  // exact arithmetic for this test
-  opts.max_attempts = 4;
-  serve::RetryPolicy policy(opts);
-
-  EXPECT_TRUE(policy.should_retry());
-  EXPECT_EQ(policy.next_delay().count(), 5);
-  EXPECT_EQ(policy.next_delay().count(), 10);
-  // The service hint dominates a smaller backoff...
-  EXPECT_EQ(policy.next_delay(std::chrono::milliseconds(25)).count(), 25);
-  // ...and the cap dominates everything.
-  EXPECT_EQ(policy.next_delay(std::chrono::milliseconds(500)).count(), 40);
-  EXPECT_FALSE(policy.should_retry());  // 4 attempts spent
-  policy.reset();
-  EXPECT_TRUE(policy.should_retry());
-  EXPECT_EQ(policy.next_delay().count(), 5);  // ladder restarted
-}
-
-TEST(RetryPolicy, JitterStaysInsideTheConfiguredBand) {
-  serve::RetryOptions opts;
-  opts.base_delay = std::chrono::milliseconds(100);
-  opts.multiplier = 1.0;  // constant base so the band is easy to check
-  opts.max_delay = std::chrono::milliseconds(1000);
-  opts.jitter = 0.5;
-  opts.max_attempts = 0;  // unlimited
-  serve::RetryPolicy a(opts, /*seed=*/7);
-  serve::RetryPolicy b(opts, /*seed=*/7);
-  bool varied = false;
-  std::int64_t previous = -1;
-  for (int i = 0; i < 32; ++i) {
-    const auto d = a.next_delay().count();
-    EXPECT_GE(d, 50);
-    EXPECT_LE(d, 150);
-    EXPECT_EQ(d, b.next_delay().count());  // same seed, same sequence
-    varied |= (previous >= 0 && d != previous);
-    previous = d;
-  }
-  EXPECT_TRUE(varied);  // jitter actually jitters
 }
 
 // ---------------------------------------------------------------------------
@@ -521,128 +413,6 @@ TEST_F(FaultArmed, OnePoisonedQueryFailsAloneInEachPhase) {
   }
 }
 
-TEST_F(FaultArmed, BreakerOpensOnConsecutiveFailuresAndProbesClosed) {
-  const auto g = erdos_renyi(800, 6400, 59);
-  const GsIndex index(g);
-  ServiceOptions options;
-  options.num_threads = 2;
-  options.cache_results = false;
-  options.breaker_failure_threshold = 3;
-  options.breaker_cooldown = std::chrono::milliseconds(50);
-  QueryService service(index, options);
-
-  fault::arm("serve.execute", fault::Spec{});  // every execution throws
-
-  // Three consecutive classified failures trip the breaker.
-  for (int i = 0; i < 3; ++i) {
-    std::future<QueryResponse> f;
-    const auto result = service.try_submit_ex(
-        ScanParams::make("0.5", 2 + i), RunLimits{}, &f);
-    ASSERT_TRUE(result.admitted()) << "attempt " << i;
-    const QueryResponse r = f.get();
-    EXPECT_EQ(r.classified_reason, AbortReason::Exception);
-  }
-  {
-    std::future<QueryResponse> f;
-    const auto refused =
-        service.try_submit_ex(ScanParams::make("0.5", 7), RunLimits{}, &f);
-    EXPECT_EQ(refused.outcome, AdmissionOutcome::BreakerOpen);
-    EXPECT_GE(refused.retry_after.count(), 1);
-  }
-  {
-    const auto snap = service.snapshot();
-    EXPECT_EQ(snap.breaker_state, "open");
-    EXPECT_GE(snap.breaker_transitions, 1u);
-    EXPECT_GE(snap.shed_breaker, 1u);
-    EXPECT_EQ(snap.exceptions, 3u);
-  }
-
-  // Heal the fault, wait out the cooldown: the half-open probe succeeds
-  // and the breaker closes.
-  fault::reset();
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  std::future<QueryResponse> probe;
-  const auto admitted =
-      service.try_submit_ex(ScanParams::make("0.5", 9), RunLimits{}, &probe);
-  ASSERT_TRUE(admitted.admitted());  // the probe slot
-  const QueryResponse healed = probe.get();
-  EXPECT_EQ(healed.classified_reason, AbortReason::None);
-  EXPECT_EQ(service.snapshot().breaker_state, "closed");
-
-  // Back to normal service.
-  std::future<QueryResponse> f;
-  EXPECT_TRUE(
-      service.try_submit_ex(ScanParams::make("0.5", 11), RunLimits{}, &f)
-          .admitted());
-  ASSERT_NE(f.get().run, nullptr);
-}
-
-// Regression: a half-open probe can be answered by execute()'s *second*
-// cache probe (another query cached the same (ε, µ) between the probe's
-// admission and its execution). The cache-hit delivery used to skip
-// breaker bookkeeping entirely, leaving breaker_probe_in_flight_ set — the
-// breaker wedged half-open forever and every later non-cached admission
-// was refused BreakerOpen with no probe left to settle it.
-TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
-  const auto g = erdos_renyi(400, 3200, 67);
-  const GsIndex index(g);
-  ServiceOptions options;
-  options.num_threads = 1;  // the one worker serializes: warm, then probe
-  options.cache_results = true;
-  options.breaker_failure_threshold = 1;
-  options.breaker_cooldown = std::chrono::milliseconds(25);
-  QueryService service(index, options);
-
-  // One classified failure opens the breaker.
-  {
-    fault::Spec spec;
-    spec.max_fires = 1;
-    fault::arm("serve.execute", spec);
-    std::future<QueryResponse> f;
-    ASSERT_TRUE(
-        service.try_submit_ex(ScanParams::make("0.5", 2), RunLimits{}, &f)
-            .admitted());
-    EXPECT_EQ(f.get().classified_reason, AbortReason::Exception);
-    EXPECT_EQ(service.snapshot().breaker_state, "open");
-  }
-  fault::reset();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  // Occupy the worker with a slow *blocking* query (submit() bypasses
-  // the breaker by contract) for a fresh (ε, µ)...
-  {
-    fault::Spec slow;
-    slow.action = fault::Action::Sleep;
-    slow.sleep_ms = 500;
-    slow.max_fires = 1;
-    fault::arm("serve.execute", slow);
-  }
-  auto warm = service.submit(ScanParams::make("0.5", 3));
-  // ...and admit the same parameters non-blocking while it runs. This
-  // admission misses the cache (the warm run has not finished yet), so it
-  // passes the gate and becomes the half-open probe — but by the time the
-  // worker executes it the warm run has been cached, so the probe
-  // resolves as a cache hit.
-  std::future<QueryResponse> probe;
-  ASSERT_TRUE(
-      service.try_submit_ex(ScanParams::make("0.5", 3), RunLimits{}, &probe)
-          .admitted());
-  EXPECT_EQ(warm.get().classified_reason, AbortReason::None);
-  const QueryResponse probe_r = probe.get();
-  ASSERT_NE(probe_r.run, nullptr);
-  EXPECT_TRUE(probe_r.cache_hit);  // the scenario under test actually ran
-
-  // The probe slot must have been released: a fresh, uncached non-blocking
-  // admission is the *new* probe (still half-open), not a BreakerOpen
-  // refusal; its success closes the breaker.
-  std::future<QueryResponse> next;
-  const auto result =
-      service.try_submit_ex(ScanParams::make("0.5", 4), RunLimits{}, &next);
-  EXPECT_TRUE(result.admitted()) << to_string(result.outcome);
-  EXPECT_EQ(next.get().classified_reason, AbortReason::None);
-  EXPECT_EQ(service.snapshot().breaker_state, "closed");
-}
-
 // Head-of-line regression: one slow query must not hold up the queries
 // admitted behind it while another worker is free. With a batch barrier B
 // and C would each wait in the queue until A's 300 ms sleep ends.
@@ -672,11 +442,11 @@ TEST_F(FaultArmed, SlowQueryDoesNotBlockTheQueueBehindIt) {
   // B and C really overlapped A's sleep.
   EXPECT_EQ(a.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
   for (const QueryResponse& r : behind) {
-    EXPECT_EQ(r.classified_reason, AbortReason::None);
+    EXPECT_EQ(r.run->stats.abort_reason, AbortReason::None);
     EXPECT_LT(r.queue_seconds, 0.050);
     EXPECT_LT(r.latency_seconds, 0.150);
   }
-  EXPECT_EQ(a.get().classified_reason, AbortReason::None);
+  EXPECT_EQ(a.get().run->stats.abort_reason, AbortReason::None);
 }
 
 // Probabilistic soak: several sites armed at low probability (from

@@ -47,7 +47,6 @@
 #include "scan/result_io.hpp"
 #include "scan/validate_result.hpp"
 #include "serve/query_service.hpp"
-#include "serve/retry_policy.hpp"
 #include "serve/serving_metrics.hpp"
 #include "util/env.hpp"
 #include "util/flags.hpp"
@@ -232,9 +231,14 @@ int cmd_stats(const Flags& flags) {
     const auto hist = degree_histogram(graph);
     Table table({"degree-bucket", "vertices"});
     for (std::size_t k = 0; k < hist.size(); ++k) {
-      table.add_row({"[" + std::to_string(1u << k) + ", " +
-                         std::to_string(2u << k) + ")",
-                     Table::fmt(hist[k])});
+      // Appended piecewise: GCC 12's -O3 -Wrestrict misfires on
+      // `"[" + std::to_string(...)`.
+      std::string bucket = "[";
+      bucket += std::to_string(1u << k);
+      bucket += ", ";
+      bucket += std::to_string(2u << k);
+      bucket += ")";
+      table.add_row({bucket, Table::fmt(hist[k])});
     }
     table.print(std::cout, "log2-degree histogram");
   }
@@ -497,11 +501,6 @@ int cmd_serve(const Flags& flags) {
   options.default_limits = parse_limits(flags);
   options.shed_target_delay =
       std::chrono::milliseconds(flags.get_int("shed-target-ms", 0));
-  options.breaker_failure_threshold =
-      static_cast<std::uint32_t>(flags.get_int("breaker-threshold", 0));
-  options.breaker_cooldown =
-      std::chrono::milliseconds(flags.get_int("breaker-cooldown-ms", 100));
-  options.degraded_serving = flags.get_bool("degraded", false);
   // Live telemetry (docs/observability.md, "Live telemetry"): the stats
   // publisher backs both the windowed /metrics families and the stderr
   // heartbeat, so a metrics port without an explicit cadence gets the
@@ -549,20 +548,18 @@ int cmd_serve(const Flags& flags) {
                 : 0;
         std::cerr << "[serve] qps=" << qps
                   << " p99w=" << s.window.quantile_ms(0.99) << "ms shed="
-                  << s.shed_queue_full + s.shed_overload + s.shed_breaker
-                  << " breaker=" << s.breaker_state << "\n";
+                  << s.shed_queue_full + s.shed_overload << "\n";
       }
     });
   }
 
   // Submit the whole session up front, then collect in submission order —
   // the point of the service is concurrent execution, not lockstep.
-  // With a shed target or breaker configured the session goes through the
-  // gated non-blocking path (try_submit_ex + RetryPolicy), so the CLI
-  // exercises the same admission machinery the open-loop clients use;
+  // With a shed target configured each query is offered once through the
+  // non-blocking try_submit_ex, so the CLI exercises the same admission
+  // gate the open-loop clients use and prints a refusal's outcome;
   // otherwise blocking submit() provides plain backpressure.
-  const bool gated = options.shed_target_delay.count() > 0 ||
-                     options.breaker_failure_threshold > 0;
+  const bool gated = options.shed_target_delay.count() > 0;
   std::vector<ScanParams> params;
   std::vector<std::future<serve::QueryResponse>> futures;
   std::vector<serve::AdmissionOutcome> outcomes;
@@ -576,15 +573,9 @@ int cmd_serve(const Flags& flags) {
       outcomes.push_back(serve::AdmissionOutcome::Admitted);
       continue;
     }
-    serve::RetryPolicy retry;
     std::future<serve::QueryResponse> future;
-    serve::AdmissionResult admission;
-    for (;;) {
-      admission =
-          service.try_submit_ex(p, options.default_limits, &future);
-      if (admission.admitted() || !retry.should_retry()) break;
-      std::this_thread::sleep_for(retry.next_delay(admission.retry_after));
-    }
+    const serve::AdmissionResult admission =
+        service.try_submit_ex(p, options.default_limits, &future);
     futures.push_back(std::move(future));
     outcomes.push_back(admission.outcome);
   }
@@ -604,12 +595,8 @@ int cmd_serve(const Flags& flags) {
                    Table::fmt(std::uint64_t{r.run->result.num_clusters()}),
                    Table::fmt(r.run->result.num_cores()),
                    Table::fmt(r.latency_seconds * 1e3),
-                   r.degraded    ? "degraded"
-                   : r.cache_hit ? "hit"
-                                 : "miss",
-                   // The query's own outcome — preserved by the ladder
-                   // even when the served (substituted) run is complete.
-                   to_string(r.classified_reason)});
+                   r.cache_hit ? "hit" : "miss",
+                   to_string(r.run->stats.abort_reason)});
   }
   const double elapsed = serve_timer.elapsed_s();
   if (heartbeat.joinable()) {
@@ -629,12 +616,9 @@ int cmd_serve(const Flags& flags) {
             << " partial); p50=" << snap.latency.quantile_ms(0.5)
             << " ms p99=" << snap.latency.quantile_ms(0.99) << " ms\n";
   std::cout << "resilience: " << snap.exceptions << " exceptions, "
-            << snap.shed_queue_full + snap.shed_overload + snap.shed_breaker
-            << " shed (" << snap.shed_queue_full << " queue-full, "
-            << snap.shed_overload << " overload, " << snap.shed_breaker
-            << " breaker), " << snap.degraded_hits
-            << " degraded; breaker " << snap.breaker_state << " ("
-            << snap.breaker_transitions << " transitions)\n";
+            << snap.shed_queue_full + snap.shed_overload << " shed ("
+            << snap.shed_queue_full << " queue-full, " << snap.shed_overload
+            << " overload)\n";
 
   const auto metrics_out = flags.get_string("metrics-json", "");
   if (!metrics_out.empty()) {
@@ -690,20 +674,16 @@ void usage() {
          "        [--metrics-json file]   (reads \"<eps> <mu>\" per stdin\n"
          "        line; concurrent QueryService over one GS*-Index)\n"
          "        [--shed-target-ms D]    CoDel-style overload shedding\n"
-         "        [--breaker-threshold N] circuit breaker after N failures\n"
-         "        [--breaker-cooldown-ms C] open -> half-open probe delay\n"
-         "        [--degraded]            nearest cached answer when doomed\n"
-         "        (shed/breaker flags switch submission to the gated\n"
-         "         try_submit_ex path with client-side retry/backoff;\n"
-         "         see docs/resilience.md)\n"
+         "        (offers each query once via try_submit_ex and prints\n"
+         "         a refusal's cause; see docs/resilience.md)\n"
          "        [--metrics-port P]      /metrics + /healthz on\n"
          "                                127.0.0.1:P (0 = ephemeral; the\n"
          "                                bound port prints to stderr)\n"
          "        [--stats-interval-ms M] windowed-stats publisher cadence\n"
          "                                + one stderr heartbeat line per\n"
          "                                interval (default off)\n"
-         "        [--flight-out FILE]     flight-recorder JSON on stop,\n"
-         "                                breaker-open, and fatal signals\n";
+         "        [--flight-out FILE]     flight-recorder JSON on stop\n"
+         "                                and fatal signals\n";
 }
 
 }  // namespace
