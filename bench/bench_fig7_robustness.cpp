@@ -7,7 +7,7 @@
 //
 // Robustness experiment 2 — run governance (the second table):
 //   * Overhead: an unconstrained run vs the same run with a deadline armed
-//     far in the future (the supervised wait + per-claim deadline polling
+//     far in the future (the per-claim and per-stride deadline polls
 //     active but never firing). The governed path must stay within ~2% of
 //     the ungoverned one — governance that taxes every healthy run would
 //     never be left enabled.
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
       }
       {
         PpScanOptions governed = options;
-        // Armed but unreachable: the supervisor thread and the per-claim
-        // deadline polls are active, yet nothing ever fires.
+        // Armed but unreachable: the per-claim and per-stride deadline
+        // polls are active, yet nothing ever fires.
         governed.limits.deadline = std::chrono::hours(24);
         WallTimer t;
         const auto run = ppscan::ppscan(graph, gov_params, governed);

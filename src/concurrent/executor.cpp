@@ -51,17 +51,6 @@ Executor::Executor(int num_threads) : num_workers_(num_threads) {
 }
 
 Executor::~Executor() {
-  // The supervisor dereferences worker heartbeats; stop it before the
-  // workers go away.
-  if (supervisor_.joinable()) {
-    supervisor_stop_.store(true, std::memory_order_release);
-    {
-      CheckedLock lock(supervisor_mutex_);
-      ++supervisor_epoch_;
-    }
-    supervisor_cv_.notify_all();
-    supervisor_.join();
-  }
   stop_.store(true, std::memory_order_release);
   wake_workers();
   for (auto& w : workers_) w->thread.join();
@@ -69,130 +58,6 @@ Executor::~Executor() {
 
 int Executor::current_worker() const {
   return t_owner == this ? t_index : -1;
-}
-
-void Executor::install_governor(RunGovernor* governor) {
-  governor_.store(governor, std::memory_order_seq_cst);
-  if (governor != nullptr && governor->supervised()) {
-    if (!supervisor_.joinable()) {
-      supervisor_ = std::thread([this] { supervisor_loop(); });
-    } else {
-      // Wake a sleeping supervisor: its idle tick may be far longer than
-      // this run's deadline, and the first poll must use the new governor.
-      {
-        CheckedLock lock(supervisor_mutex_);
-        ++supervisor_epoch_;
-      }
-      supervisor_cv_.notify_all();
-    }
-  }
-  // Grace period: a supervisor tick that loaded the *previous* pointer may
-  // still be inside its critical section — wait it out so the caller can
-  // retire the old governor immediately (the section is a few loads, so
-  // this spin is microseconds at worst).
-  while (supervisor_busy_.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
-}
-
-void Executor::supervisor_loop() {
-  using std::chrono::milliseconds;
-  // Adaptive tick: fine-grained only when a limit could fire soon. Every
-  // supervisor wakeup preempts a worker on a saturated machine, so the
-  // idle cadence is what governance costs an uncancelled run. Because
-  // install_governor wakes the condvar for each new supervised run, the
-  // cadence only has to serve the *current* governor's limits: a far
-  // deadline halves its way in (remaining/2, so it fires within kTickMin
-  // of the mark), the watchdog ticks at a quarter of its own window, and
-  // kTickMax caps the destructor's join latency. kTickMin stops a near
-  // deadline from busy-spinning the loop.
-  // static so the clamp lambda can odr-use them without a capture.
-  static constexpr auto kTickMin = milliseconds(1);
-  static constexpr auto kTickMax = milliseconds(250);
-  const auto clamp_tick = [](milliseconds t) {
-    return std::clamp(t, kTickMin, kTickMax);
-  };
-  auto tick = kTickMin;  // first tick fast: a deadline may already be near
-  std::uint64_t seen_epoch = 0;
-  std::uint64_t last_sum = 0;
-  auto last_progress = Clock::now();
-  // One wake broadcast per trip: parked workers re-scan once, see the
-  // tripped token at the claim boundary, and skip-drain their ranges.
-  const RunGovernor* announced_for = nullptr;
-  while (!supervisor_stop_.load(std::memory_order_acquire)) {
-    {
-      CheckedLock lock(supervisor_mutex_);
-      // Explicit wait loop, not wait_for(lock, tick, pred): a predicate
-      // lambda reading supervisor_epoch_ would not inherit this scope's
-      // capability under -Wthread-safety (thread_safety.hpp, rule 3).
-      const auto wake_at = Clock::now() + tick;
-      while (!supervisor_stop_.load(std::memory_order_acquire) &&
-             supervisor_epoch_ == seen_epoch) {
-        if (supervisor_cv_.wait_until(lock.native(), wake_at) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      seen_epoch = supervisor_epoch_;
-    }
-    tick = kTickMax;
-    // The store-then-load on busy_/governor_ pairs with the
-    // store-then-load in install_governor (both seq_cst): either the
-    // installer sees busy and waits, or this tick sees the new pointer.
-    supervisor_busy_.store(1, std::memory_order_seq_cst);
-    RunGovernor* gov = governor_.load(std::memory_order_seq_cst);
-    if (gov == nullptr || !gov->supervised()) {
-      supervisor_busy_.store(0, std::memory_order_release);
-      announced_for = nullptr;
-      continue;
-    }
-    gov->poll_deadline();
-    if (gov->limits().deadline.count() > 0 && !gov->should_stop()) {
-      const auto remaining =
-          std::chrono::duration_cast<milliseconds>(
-              gov->limits().deadline - (Clock::now() - gov->start_time()));
-      tick = std::min(tick, clamp_tick(remaining / 2));
-    }
-    if (gov->watchdog_enabled()) {
-      tick = std::min(tick, clamp_tick(gov->limits().stall_timeout / 4));
-      const auto now = Clock::now();
-      if (pending_.load(std::memory_order_acquire) == 0) {
-        // Between phases nothing is supposed to progress; keep the stall
-        // clock parked at "just made progress".
-        last_sum = heartbeat_sum();
-        last_progress = now;
-      } else {
-        const std::uint64_t sum = heartbeat_sum();
-        if (sum != last_sum) {
-          last_sum = sum;
-          last_progress = now;
-        } else if (!gov->should_stop() &&
-                   now - last_progress >= gov->limits().stall_timeout) {
-          // No claim, completion, or skip anywhere for a full stall window
-          // while tasks remain: either a worker is wedged inside a body
-          // (odd heartbeat) or the runtime lost a wakeup (-1). Trip and
-          // report.
-          gov->record_stall(find_stuck_worker());
-        }
-      }
-    }
-    if (gov->should_stop() && announced_for != gov) {
-      announced_for = gov;
-#if PPSCAN_TRACE_ENABLED
-      // The supervisor has its own single-writer slot: a trip landing in
-      // the timeline shows when the drain started relative to the worker
-      // spans it cut short.
-      if (obs::TraceCollector* tc = trace_.load(std::memory_order_acquire);
-          tc != nullptr) {
-        tc->emit(tc->supervisor_slot(), obs::TraceEventKind::GovernorTrip,
-                 "governor-trip",
-                 static_cast<std::uint64_t>(gov->abort_info().reason));
-      }
-#endif
-      wake_workers();
-    }
-    supervisor_busy_.store(0, std::memory_order_release);
-  }
 }
 
 void Executor::begin_phase(RangeFn fn, void* ctx) {
@@ -271,10 +136,9 @@ void Executor::record_task_failure(RunGovernor* gov) {
 }
 
 void Executor::wait_idle() {
-  // Plain futex park even under governance: deadline/watchdog supervision
-  // lives on the dedicated supervisor thread, so the master adds no
-  // periodic wakeups (and no barrier-latency quantization) to governed
-  // runs.
+  // Plain futex park even under governance: the workers poll the deadline
+  // themselves, so the master adds no periodic wakeups (and no
+  // barrier-latency quantization) to governed runs.
   std::uint32_t outstanding = pending_.load(std::memory_order_acquire);
   while (outstanding != 0) {
     pending_.wait(outstanding, std::memory_order_acquire);
@@ -298,23 +162,6 @@ void Executor::wait_idle() {
     task_failed_.store(false, std::memory_order_release);
     if (failure) std::rethrow_exception(failure);
   }
-}
-
-std::uint64_t Executor::heartbeat_sum() const {
-  std::uint64_t sum = 0;
-  for (const auto& w : workers_) {
-    sum += w->heartbeat.load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-
-int Executor::find_stuck_worker() const {
-  for (int i = 0; i < num_workers_; ++i) {
-    const std::uint64_t hb = workers_[static_cast<std::size_t>(i)]
-                                 ->heartbeat.load(std::memory_order_relaxed);
-    if ((hb & 1u) != 0) return i;
-  }
-  return -1;
 }
 
 void Executor::wake_workers() {
@@ -396,18 +243,12 @@ bool Executor::try_claim(int self, TaskRange* out) {
 }
 
 void Executor::execute(TaskRange range, Worker& self, int self_index) {
-  // Claim boundary: heartbeat odd while inside the body, token poll every
-  // claim (one relaxed load, so the cancellation drain costs one claim +
-  // one counter per remaining task, no locks), and the deadline clock read
-  // strided — the supervisor thread already bounds deadline latency to its
-  // tick, the claim-side poll only sharpens it for short tasks.
-  self.heartbeat.fetch_add(1, std::memory_order_relaxed);
+  // Claim boundary: token poll and deadline poll on every claim (one
+  // relaxed load, plus one clock read only when a deadline is set), so the
+  // cancellation drain costs one claim + one counter per remaining task,
+  // no locks.
   RunGovernor* gov = governor_.load(std::memory_order_acquire);
-  const bool stop =
-      gov != nullptr &&
-      (gov->should_stop() ||
-       ((++self.deadline_poll_tick % kDeadlinePollStride) == 0 &&
-        gov->poll_deadline()));
+  const bool stop = gov != nullptr && gov->poll_deadline();
   if (stop) {
     self.skipped.fetch_add(1, std::memory_order_relaxed);
 #if PPSCAN_TRACE_ENABLED
@@ -459,7 +300,6 @@ void Executor::execute(TaskRange range, Worker& self, int self_index) {
 #if !PPSCAN_TRACE_ENABLED
   (void)self_index;
 #endif
-  self.heartbeat.fetch_add(1, std::memory_order_relaxed);
   finish_one_task();
 }
 

@@ -31,22 +31,16 @@
 // feeding the scheduler-ablation and scalability harnesses.
 //
 // Run governance (install_governor): with a RunGovernor installed, workers
-// poll the cancel token at every claim boundary — a tripped run drains in
-// O(one task) per worker, each remaining claimed range counted as skipped
-// instead of executed — piggyback the wall-clock deadline check on the
-// claim, and bump a per-worker heartbeat around every task. A governor
-// with a deadline or stall timeout additionally arms a dedicated
-// supervisor thread (spawned lazily, ~1ms tick) that polls the deadline
-// and watches the heartbeats for a no-progress stall even while every
-// worker is wedged inside a long task body; the master's wait_idle() stays
-// on the plain futex park either way, so supervision adds no barrier
-// latency and no master-side wakeups to the uncancelled path. Without a
-// governor every governed branch is a single null-pointer test on the
-// claim path.
+// poll the cancel token and the wall-clock deadline at every claim boundary
+// — a tripped run drains in O(one task) per worker, each remaining claimed
+// range counted as skipped instead of executed — and the scheduled phase
+// bodies poll both again every kGovernorPollStride vertices inside a range
+// (task_scheduler.hpp), so a deadline also cuts one long range short. The
+// executor runs no thread besides its workers. Without a governor every
+// governed branch is a single null-pointer test on the claim path.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -278,7 +272,9 @@ class Executor {
   /// Installs (or clears, with nullptr) the run governor. Master only, at a
   /// barrier — not while a phase is in flight. The governor must outlive
   /// every subsequent run()/wait_idle() until replaced.
-  void install_governor(RunGovernor* governor);
+  void install_governor(RunGovernor* governor) {
+    governor_.store(governor, std::memory_order_release);
+  }
   [[nodiscard]] RunGovernor* governor() const {
     return governor_.load(std::memory_order_acquire);
   }
@@ -287,8 +283,7 @@ class Executor {
   /// at a barrier, same lifetime contract as install_governor: the
   /// collector must outlive every subsequent run()/wait_idle() until
   /// replaced. Workers record TaskRun/TaskSkip/Steal events into their own
-  /// slot, the supervisor records GovernorTrip into its dedicated slot.
-  /// A no-op (beyond the pointer swap) when tracing is compiled out.
+  /// slot. A no-op (beyond the pointer swap) when tracing is compiled out.
   void install_trace(obs::TraceCollector* trace) {
     trace_.store(trace, std::memory_order_release);
   }
@@ -297,12 +292,6 @@ class Executor {
   }
 
  private:
-  /// Claims between clock reads on the per-claim deadline poll. The trip
-  /// itself is supervisor-driven; this only affects how fast a worker
-  /// notices a deadline between supervisor ticks, so a coarse stride is
-  /// fine and keeps the armed-but-idle overhead under the 2% target.
-  static constexpr std::uint32_t kDeadlinePollStride = 64;
-
   // One cache line per worker: the phase-tagged claim cursor plus the
   // owner-written counters. The Chase–Lev deque and the thread handle live
   // alongside (they have their own internal layout).
@@ -323,32 +312,13 @@ class Executor {
     std::atomic<std::uint64_t> skipped{0};   // protocol: relaxed-counter
     /// Task bodies that threw (caught by the exception firewall).
     std::atomic<std::uint64_t> failed{0};    // protocol: relaxed-counter
-    /// Bumped on task entry and exit (odd = inside a task body). The
-    /// watchdog's progress signal: a stall is "no heartbeat moved while
-    /// tasks were pending"; an odd, frozen heartbeat names the stuck
-    /// worker.
-    /// protocol: relaxed-counter — the watchdog only needs eventual
-    /// movement, never an exact snapshot.
-    std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<std::uint64_t> steals{0};   // protocol: relaxed-counter
     std::atomic<std::uint64_t> busy_ns{0};  // protocol: relaxed-counter
     std::atomic<std::uint64_t> idle_ns{0};  // protocol: relaxed-counter
-    /// Owner-only stride counter for the per-claim deadline poll: the
-    /// clock is read every kDeadlinePollStride-th claim — the supervisor
-    /// thread bounds deadline latency, the claim-side poll only sharpens
-    /// it, so it need not pay a clock read per task.
-    std::uint32_t deadline_poll_tick = 0;
     std::thread thread;
   };
 
   void worker_loop(int index);
-  /// Body of the governance supervisor thread: an adaptive tick loop
-  /// polling the installed governor's deadline and heartbeat progress.
-  /// Runs for the executor's remaining lifetime once any supervised
-  /// governor has been installed; ticks are a few loads when nothing is
-  /// armed, and install_governor wakes it whenever a new run's limits
-  /// need a finer cadence than the idle one.
-  void supervisor_loop();
   /// Claims one range: own segment, own deque, then every other worker's
   /// segment and deque in ring order, then the injector. Counts steals on
   /// `self`.
@@ -376,10 +346,6 @@ class Executor {
   }
   void finish_one_task();
   void wake_workers();
-  [[nodiscard]] std::uint64_t heartbeat_sum() const;
-  /// First worker currently inside a task body (odd heartbeat), -1 if none
-  /// — the stall report's culprit once progress has provably stopped.
-  [[nodiscard]] int find_stuck_worker() const;
 
   static std::uint64_t pack(TaskRange r) {
     return (static_cast<std::uint64_t>(r.beg) << 32) | r.end;
@@ -411,18 +377,14 @@ class Executor {
   // protocol: release-acquire — shutdown flag; workers read it relaxed
   // because the epoch_ acquire in the same scan provides the edge.
   std::atomic<bool> stop_{false};
-  // Written by the master at barriers, read by workers per claim; atomic so
-  // a worker spinning between phases never races the install.
-  // protocol: seqcst-handshake — paired with supervisor_busy_ (see
-  // install_governor); workers' read-only poll is the acquire load.
+  // Governor and trace collector: written by the master at barriers, read
+  // by workers per claim; atomic so a worker spinning between phases never
+  // races the install.
+  // protocol: release-acquire — publisher=master in install_governor
+  // (release store), consumers=workers (acquire load per claim).
   std::atomic<RunGovernor*> governor_{nullptr};
-
-  // Trace collector, installed by the master at a barrier like governor_
-  // (but never touched by the supervisor handshake: the supervisor only
-  // reads it inside a tick that already holds supervisor_busy_ for the
-  // governor, and the collector outlives the run by contract).
   // protocol: release-acquire — publisher=master in install_trace (release
-  // store), consumers=workers/supervisor (acquire load per use).
+  // store), consumers=workers (acquire load per use).
   std::atomic<obs::TraceCollector*> trace_{nullptr};
 
   // Ungoverned-run exception firewall: first_failure_ holds the first
@@ -437,28 +399,6 @@ class Executor {
   // guards: first_failure_ — workers race to fill it, master swaps it out.
   CheckedMutex failure_mutex_;
   std::exception_ptr first_failure_ PPSCAN_GUARDED_BY(failure_mutex_);
-
-  // Governance supervisor thread (lazily spawned by install_governor).
-  // supervisor_busy_ is the grace-period handshake: the supervisor raises
-  // it around each use of the governor pointer, and install_governor spins
-  // until it drops after swapping the pointer — so the caller may destroy
-  // the old governor the moment install_governor returns.
-  // The tick sleep is a condvar wait so install_governor can wake the
-  // supervisor instantly for a fresh run's (possibly much nearer) deadline
-  // — which in turn lets the idle cadence stretch far beyond any single
-  // run's latency needs. supervisor_epoch_ guards against a notify landing
-  // before the wait.
-  std::thread supervisor_;
-  // protocol: release-acquire — supervisor shutdown flag (destructor).
-  std::atomic<bool> supervisor_stop_{false};
-  // protocol: seqcst-handshake — store-then-load vs governor_ so either the
-  // installer sees busy and waits, or the tick sees the new pointer.
-  std::atomic<int> supervisor_busy_{0};
-  // guards: supervisor_epoch_ — the notify-vs-wait race word for the
-  // supervisor's condvar tick.
-  CheckedMutex supervisor_mutex_;
-  std::condition_variable supervisor_cv_;
-  std::uint64_t supervisor_epoch_ PPSCAN_GUARDED_BY(supervisor_mutex_) = 0;
 };
 
 }  // namespace ppscan

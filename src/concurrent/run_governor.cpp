@@ -8,7 +8,6 @@ const char* to_string(AbortReason reason) {
     case AbortReason::UserCancelled: return "user-cancelled";
     case AbortReason::DeadlineExpired: return "deadline-expired";
     case AbortReason::BudgetExceeded: return "budget-exceeded";
-    case AbortReason::Stalled: return "stalled";
     case AbortReason::Exception: return "exception";
   }
   return "?";
@@ -21,9 +20,6 @@ std::string RunAborted::describe() const {
   if (reason == AbortReason::BudgetExceeded && bytes > 0) {
     text += " (" + std::to_string(bytes) + " bytes requested)";
   }
-  if (reason == AbortReason::Stalled && worker >= 0) {
-    text += " (worker " + std::to_string(worker) + " made no progress)";
-  }
   if (reason == AbortReason::Exception && !detail.empty()) {
     text += " (" + detail + ")";
   }
@@ -34,17 +30,6 @@ RunGovernor::RunGovernor(const RunLimits& limits, CancelToken* external)
     : limits_(limits),
       token_(external != nullptr ? external : &owned_token_),
       start_(std::chrono::steady_clock::now()) {}
-
-bool RunGovernor::poll_deadline() {
-  if (limits_.deadline.count() > 0 && !token_->cancelled() &&
-      std::chrono::steady_clock::now() - start_ >= limits_.deadline) {
-    if (token_->trip(AbortReason::DeadlineExpired)) {
-      abort_phase_.store(phase_name_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-    }
-  }
-  return should_stop();
-}
 
 bool RunGovernor::checkpoint() {
   if (limits_.deadline.count() > 0 &&
@@ -114,14 +99,6 @@ void RunGovernor::finish_phase() {
   phases_completed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void RunGovernor::record_stall(int worker) {
-  if (token_->trip(AbortReason::Stalled)) {
-    stalled_worker_.store(worker, std::memory_order_relaxed);
-    abort_phase_.store(phase_name_.load(std::memory_order_acquire),
-                       std::memory_order_release);
-  }
-}
-
 RunAborted RunGovernor::abort_info() const {
   RunAborted info;
   info.reason = token_->reason();
@@ -134,7 +111,6 @@ RunAborted RunGovernor::abort_info() const {
   }
   if (phase != nullptr) info.phase = phase;
   info.bytes = abort_bytes_.load(std::memory_order_relaxed);
-  info.worker = stalled_worker_.load(std::memory_order_relaxed);
   if (info.reason == AbortReason::Exception) {
     info.detail = exception_what_;
   }

@@ -1,20 +1,22 @@
 // Run governance for the execution runtime: cooperative cancellation,
-// wall-clock deadlines, memory budgets and watchdog supervision.
+// wall-clock deadlines and memory budgets.
 //
-// Every clustering call used to run to completion or not at all: a run that
-// blew past a wall-clock deadline could not be stopped, a similarity array
-// on a web-scale graph could exhaust memory and kill the process, and a
-// hung worker parked the master in wait_idle() forever. The RunGovernor
-// turns all of those into a *labeled partial result*:
+// A governed clustering call can be stopped before it completes: by a
+// wall-clock deadline, by a memory budget that would otherwise let a
+// similarity array on a web-scale graph kill the process, or by an external
+// canceller such as a signal handler. The RunGovernor turns each of those
+// into a *labeled partial result*:
 //
 //   * CancelToken — a single atomic word encoding
-//     {running, user-cancelled, deadline-expired, budget-exceeded, stalled}.
-//     Tripping is one CAS (first reason wins) and is async-signal-safe, so
-//     a SIGINT handler can trip it directly. Polling is one relaxed load.
-//     Workers poll at task-claim boundaries and phase bodies poll at range
-//     granularity, so a cancelled run drains in O(one task) without locks.
-//   * RunLimits.deadline — a monotonic-clock check piggybacked on the
-//     executor's claim loop (and polled by its supervisor thread), so the
+//     {running, user-cancelled, deadline-expired, budget-exceeded,
+//     exception}. Tripping is one CAS (first reason wins) and is
+//     async-signal-safe, so a SIGINT handler can trip it directly. Polling
+//     is one relaxed load. Workers poll at task-claim boundaries and phase
+//     bodies poll at range granularity, so a cancelled run drains in
+//     O(one task) without locks.
+//   * RunLimits.deadline — a monotonic-clock check made by the threads that
+//     do the work: at every executor task claim, every kGovernorPollStride
+//     vertices inside a scheduled range, and at every phase entry, so the
 //     deadline fires even while every worker is inside a long range.
 //   * RunLimits.memory_budget_bytes — a counting hook the algorithms charge
 //     before each big phase allocation (similarity arrays, membership
@@ -22,17 +24,12 @@
 //     std::bad_alloc — trips the token with BudgetExceeded instead of
 //     crashing; the run returns a partial result labeled with the phase
 //     and the attempted byte count.
-//   * RunLimits.stall_timeout — the watchdog: each executor worker bumps a
-//     heartbeat on every claim; the executor's supervisor thread trips
-//     Stalled when no worker makes progress for the timeout while tasks
-//     remain, naming the stuck phase and worker.
 //
 // Cooperation contract: governance is *cooperative*. A task body that never
 // returns and never polls the token cannot be reclaimed safely (killing a
-// thread that may hold arbitrary state is worse than reporting); the
-// watchdog converts such a hang from a silent deadlock into a detected,
-// labeled abort, and every phase body in this library polls the token so
-// in-tree runs always drain.
+// thread that may hold arbitrary state is worse than reporting), so every
+// phase body in this library polls the token and no body blocks: in-tree
+// runs always drain.
 #pragma once
 
 #include <atomic>
@@ -49,7 +46,7 @@ enum class AbortReason : std::uint8_t {
   UserCancelled = 1,    // external trip (SIGINT/SIGTERM, caller request)
   DeadlineExpired = 2,  // RunLimits::deadline
   BudgetExceeded = 3,   // RunLimits::memory_budget_bytes (or bad_alloc)
-  Stalled = 4,          // watchdog: no worker progress for stall_timeout
+  // 4 is retired; the values are stable because trace args record them.
   Exception = 5,        // a phase/task body threw; the firewall classified it
 };
 
@@ -96,9 +93,6 @@ struct RunLimits {
   std::chrono::milliseconds deadline{0};
   /// Byte budget for the big phase allocations. 0 = none.
   std::uint64_t memory_budget_bytes = 0;
-  /// Watchdog: abort when no worker heartbeat advances for this long while
-  /// tasks are outstanding. 0 = watchdog off.
-  std::chrono::milliseconds stall_timeout{0};
   /// Deterministic test hook: trip UserCancelled when the run *enters* the
   /// phase with this 1-based ordinal (so phases < N complete, phase N and
   /// later never execute). -1 = off.
@@ -106,7 +100,7 @@ struct RunLimits {
 
   [[nodiscard]] bool any_set() const {
     return deadline.count() > 0 || memory_budget_bytes > 0 ||
-           stall_timeout.count() > 0 || cancel_at_phase >= 0;
+           cancel_at_phase >= 0;
   }
 };
 
@@ -116,7 +110,6 @@ struct RunAborted {
   AbortReason reason = AbortReason::None;
   std::string phase;        // phase active when the trip happened
   std::uint64_t bytes = 0;  // attempted charge for BudgetExceeded
-  int worker = -1;          // stuck worker index for Stalled
   std::string detail;       // e.what() (truncated) for Exception
 
   [[nodiscard]] std::string describe() const;
@@ -125,7 +118,7 @@ struct RunAborted {
 /// Per-run governance state shared by the master, the workers and (via a
 /// pointer) an external canceller such as a signal handler. One governor
 /// per clustering call; thread-safe for the operations the hot paths use
-/// (token polls, deadline polls, charges, heartbeat reads).
+/// (token polls, deadline polls, charges).
 class RunGovernor {
  public:
   /// Ungoverned: no limits, owns its token. should_stop() stays false
@@ -150,7 +143,17 @@ class RunGovernor {
 
   /// Reads the monotonic clock and trips DeadlineExpired when the budget is
   /// spent. No-op (no clock read) without a deadline. Returns should_stop().
-  bool poll_deadline();
+  /// Inline: the executor calls it on every claim and the scheduled range
+  /// bodies every kGovernorPollStride vertices.
+  bool poll_deadline() {
+    if (limits_.deadline.count() > 0 && !token_->cancelled() &&
+        std::chrono::steady_clock::now() - start_ >= limits_.deadline &&
+        token_->trip(AbortReason::DeadlineExpired)) {
+      abort_phase_.store(phase_name_.load(std::memory_order_acquire),
+                         std::memory_order_release);
+    }
+    return should_stop();
+  }
 
   /// Sequential-loop checkpoint: polls the token every call and the
   /// deadline every `kCheckpointStride` calls, so tight per-vertex loops
@@ -180,7 +183,7 @@ class RunGovernor {
   void record_exception(const char* what);
 
   /// Phase bookkeeping. `enter_phase` bumps the 1-based ordinal, publishes
-  /// the name for the watchdog/abort report, and applies the
+  /// the name for the abort report, and applies the
   /// cancel_at_phase test hook. `finish_phase` counts a completed phase —
   /// call it only when the phase ran to its barrier uncancelled.
   void enter_phase(const char* name);
@@ -194,19 +197,6 @@ class RunGovernor {
   }
   [[nodiscard]] int phases_completed() const {
     return phases_completed_.load(std::memory_order_relaxed);
-  }
-
-  /// Watchdog bookkeeping (called by the executor's supervisor thread).
-  void record_stall(int worker);
-  [[nodiscard]] bool supervised() const {
-    return limits_.deadline.count() > 0 || limits_.stall_timeout.count() > 0;
-  }
-  [[nodiscard]] bool watchdog_enabled() const {
-    return limits_.stall_timeout.count() > 0;
-  }
-
-  [[nodiscard]] std::chrono::steady_clock::time_point start_time() const {
-    return start_;
   }
 
   /// Snapshot of why/where the run aborted (reason None when it did not).
@@ -232,9 +222,9 @@ class RunGovernor {
   std::atomic<std::uint64_t> checkpoint_ops_{0};
 
   // Phase names are string literals (static storage), so publishing the
-  // pointer is enough — the watchdog thread may read it at any time.
+  // pointer is enough — a tripping worker may read it at any time.
   // protocol: release-acquire — publisher=master in enter_phase,
-  // consumers=supervisor/abort reporting.
+  // consumers=tripping workers/abort reporting.
   std::atomic<const char*> phase_name_{nullptr};
   // protocol: release-acquire — phase active when the trip happened.
   std::atomic<const char*> abort_phase_{nullptr};
@@ -242,9 +232,6 @@ class RunGovernor {
   std::atomic<int> phase_ordinal_{0};
   // protocol: relaxed-counter — phases that reached their barrier.
   std::atomic<int> phases_completed_{0};
-  // protocol: relaxed-counter — stuck worker index, written once at the
-  // stall trip, read after the drain.
-  std::atomic<int> stalled_worker_{-1};
 
   // Exception detail. Plain storage, not atomic: only the thread that WINS
   // the Exception trip CAS writes it (record_exception), and abort_info()

@@ -50,16 +50,18 @@ struct SchedulerOptions {
   SchedulerKind kind = SchedulerKind::DegreeSum;
   std::uint64_t degree_threshold = 32768;  // paper's tuned value
   VertexId chunk_size = 4096;              // for FixedChunk
-  /// Run governance (cancellation/deadline/budget/watchdog). When set, the
-  /// scheduled bodies poll the cancel token every kGovernorPollStride
-  /// vertices so even a single huge range drains promptly after a trip.
+  /// Run governance (cancellation/deadline/budget). When set, the
+  /// scheduled bodies poll the cancel token and the deadline every
+  /// kGovernorPollStride vertices so even a single huge range drains
+  /// promptly after a trip or once the deadline passes.
   /// Not owned; must outlive the scheduled phases. nullptr = ungoverned
   /// (zero overhead).
   RunGovernor* governor = nullptr;
 };
 
-/// Vertices between cancel-token polls inside a scheduled range. Power of
-/// two; one relaxed atomic load per stride on the governed path.
+/// Vertices between governor polls inside a scheduled range. Power of
+/// two; one relaxed atomic load per stride on the governed path, plus one
+/// clock read when the run has a deadline.
 inline constexpr VertexId kGovernorPollStride = 64;
 
 /// Statistics of one scheduled phase, for the load-balance ablation.
@@ -139,17 +141,18 @@ std::uint64_t bundle_ranges(std::vector<TaskRange>& ranges, VertexId n,
   return ranges.size() - before;
 }
 
-/// Wraps the per-range body with the governed poll: one relaxed token load
-/// every kGovernorPollStride vertices, so a cancelled run abandons even a
-/// huge range in O(stride) work.
+/// Wraps the per-range body with the governed poll: RunGovernor::
+/// poll_deadline every kGovernorPollStride vertices (one relaxed token load,
+/// plus a clock read only when a deadline is set), so a cancelled or
+/// expired run abandons even a huge range in O(stride) work.
 template <typename NeedsWork, typename Work>
 auto make_range_body(NeedsWork& needs_work, Work& work,
                      RunGovernor* governor) {
-  const CancelToken* token = governor != nullptr ? &governor->token() : nullptr;
-  return [&needs_work, &work, token](VertexId beg, VertexId end) {
+  return [&needs_work, &work, governor](VertexId beg, VertexId end) {
     for (VertexId u = beg; u < end; ++u) {
-      if (token != nullptr && ((u - beg) & (kGovernorPollStride - 1)) == 0 &&
-          token->cancelled()) {
+      if (governor != nullptr &&
+          ((u - beg) & (kGovernorPollStride - 1)) == 0 &&
+          governor->poll_deadline()) {
         return;
       }
       if (needs_work(u)) work(u);
@@ -196,8 +199,8 @@ ScheduleStats schedule_vertex_tasks(Executor& executor, VertexId n,
                                     std::vector<TaskRange>* scratch =
                                         nullptr) {
   ScheduleStats stats;
-  if (options.governor != nullptr && options.governor->should_stop()) {
-    return stats;  // cancelled before bundling: the whole phase is skipped
+  if (options.governor != nullptr && options.governor->poll_deadline()) {
+    return stats;  // stopped before bundling: the whole phase is skipped
   }
   std::vector<TaskRange> local;
   std::vector<TaskRange>& ranges = scratch != nullptr ? *scratch : local;

@@ -205,29 +205,10 @@ class PpScanRunner {
     return sketches_ + std::size_t{slot} * kSketchBuckets;
   }
 
-  /// Runs one named phase under the governor: skipped entirely once the
-  /// token is tripped, counted as completed only when it reached its
-  /// barrier uncancelled. With a trace collector, the phase body runs
-  /// inside a Begin/End span on the master slot, and the phase label is
-  /// published so workers can name their task events.
   template <typename Body>
   void phase(const char* name, Body&& body) {
-    if (governor_.should_stop()) return;
-    governor_.enter_phase(name);
-    // Re-check: the cancel_at_phase test hook trips on phase entry.
-    if (governor_.should_stop()) {
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace,
-                                obs::TraceEventKind::GovernorTrip,
-                                "phase-skipped", 0);
-      return;
-    }
-    PPSCAN_TRACE_SET_PHASE(options_.trace, name);
-    PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::PhaseBegin,
-                              name, 0);
-    body();
-    PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::PhaseEnd,
-                              name, 0);
-    if (!governor_.should_stop()) governor_.finish_phase();
+    run_governed_phase(governor_, options_.trace, name,
+                       std::forward<Body>(body));
   }
 
   template <typename NeedsWork, typename Work>

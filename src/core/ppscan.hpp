@@ -52,7 +52,7 @@ struct PpScanOptions {
   bool minmax_pruning = true;     // early termination in phases 2-3
   bool unionfind_pruning = true;  // same-set skip in phases 4-5
 
-  /// Run governance: deadline / memory budget / watchdog / deterministic
+  /// Run governance: deadline / memory budget / deterministic
   /// cancel-at-phase hook. Default-constructed limits govern nothing.
   RunLimits limits;
   /// Optional external cancel token (e.g. tripped from a signal handler).

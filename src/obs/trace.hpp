@@ -5,8 +5,7 @@
 // Design constraints, in order:
 //   1. Zero allocation and no synchronization on the hot path. Every
 //      TraceBuffer has exactly one writer (worker i writes buffer i, the
-//      orchestrating thread writes the master slot, the governor's
-//      supervisor thread writes the supervisor slot), so an event record is
+//      orchestrating thread writes the master slot), so an event record is
 //      two plain stores and a relaxed cursor bump into pre-allocated,
 //      cache-line-padded storage.
 //   2. Fully compiled out when configured with -DPPSCAN_TRACE=OFF: record()
@@ -124,8 +123,8 @@ class TraceBuffer {
 
 /// Owns one TraceBuffer per participating thread plus the collector-wide
 /// steady-clock epoch. Slot layout: [0, num_workers) = executor workers,
-/// master_slot() = the orchestrating (calling) thread, supervisor_slot() =
-/// the governor's supervisor thread. Each slot has exactly one writer.
+/// master_slot() = the orchestrating (calling) thread. Each slot has
+/// exactly one writer.
 class TraceCollector {
  public:
   /// `capacity` 0 reads PPSCAN_TRACE_CAP (events per buffer, default
@@ -134,8 +133,7 @@ class TraceCollector {
 
   [[nodiscard]] int num_workers() const { return num_workers_; }
   [[nodiscard]] int master_slot() const { return num_workers_; }
-  [[nodiscard]] int supervisor_slot() const { return num_workers_ + 1; }
-  [[nodiscard]] int num_slots() const { return num_workers_ + 2; }
+  [[nodiscard]] int num_slots() const { return num_workers_ + 1; }
 
   [[nodiscard]] TraceBuffer& buffer(int slot) { return *buffers_[slot]; }
   [[nodiscard]] const TraceBuffer& buffer(int slot) const {

@@ -11,7 +11,6 @@ namespace {
 
 const char* slot_name(const TraceCollector& tc, int slot) {
   if (slot == tc.master_slot()) return "master";
-  if (slot == tc.supervisor_slot()) return "supervisor";
   return nullptr;  // workers are named with their index below
 }
 

@@ -9,8 +9,7 @@
 //   GovernorTrip/
 //   KernelDispatch          → ph "i" instants (scope "t")
 // Timestamps are microseconds since the collector epoch; tid is the slot
-// index, named via thread_name metadata ("worker N", "master",
-// "supervisor").
+// index, named via thread_name metadata ("worker N", "master").
 #pragma once
 
 #include <ostream>

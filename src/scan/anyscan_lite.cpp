@@ -88,17 +88,7 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
   const auto degree_of = [&](VertexId u) { return graph.degree(u); };
 
   const auto phase = [&](const char* name, auto&& body) {
-    if (governor.should_stop()) return;
-    governor.enter_phase(name);
-    // Re-check: the cancel_at_phase test hook trips on phase entry.
-    if (governor.should_stop()) return;
-    PPSCAN_TRACE_SET_PHASE(options.trace, name);
-    PPSCAN_TRACE_MASTER_EVENT(options.trace, obs::TraceEventKind::PhaseBegin,
-                              name, 0);
-    body();
-    PPSCAN_TRACE_MASTER_EVENT(options.trace, obs::TraceEventKind::PhaseEnd,
-                              name, 0);
-    if (!governor.should_stop()) governor.finish_phase();
+    run_governed_phase(governor, options.trace, name, body);
   };
 
   if (alloc_ok) {

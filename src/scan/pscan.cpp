@@ -65,20 +65,11 @@ class PscanRunner {
   }
 
  private:
+  // Sequential runner: the calling thread is the collector's master slot.
   template <typename Body>
   void phase(const char* name, Body&& body) {
-    if (governor_.should_stop()) return;
-    governor_.enter_phase(name);
-    // Re-check: the cancel_at_phase test hook trips on phase entry.
-    if (governor_.should_stop()) return;
-    // Sequential runner: the calling thread is the collector's master slot.
-    PPSCAN_TRACE_SET_PHASE(options_.trace, name);
-    PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::PhaseBegin,
-                              name, 0);
-    body();
-    PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::PhaseEnd,
-                              name, 0);
-    if (!governor_.should_stop()) governor_.finish_phase();
+    run_governed_phase(governor_, options_.trace, name,
+                       std::forward<Body>(body));
   }
 
   /// Lazy bucket queue over the *current* effective degree: buckets are

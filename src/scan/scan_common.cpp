@@ -11,7 +11,6 @@ void record_governance(const RunGovernor& governor, RunStats& stats) {
   stats.abort_reason = info.reason;
   stats.abort_phase = info.phase;
   stats.abort_bytes = info.bytes;
-  stats.abort_worker = info.worker;
   stats.abort_detail = info.detail;
   stats.phases_completed =
       static_cast<std::uint32_t>(governor.phases_completed());

@@ -11,14 +11,11 @@
 #include "concurrent/run_governor.hpp"
 #include "graph/csr_graph.hpp"
 #include "obs/counters.hpp"
+#include "obs/trace.hpp"
 #include "setops/similarity.hpp"
 #include "util/types.hpp"
 
 namespace ppscan {
-
-namespace obs {
-class TraceCollector;  // obs/trace.hpp; options structs only hold a pointer
-}  // namespace obs
 
 /// SCAN input parameters (paper §2): 0 < ε ≤ 1 and µ ≥ 1. A vertex is a
 /// core when it has at least µ ε-similar neighbors (|N_ε(u)| − 1 ≥ µ).
@@ -122,7 +119,6 @@ struct RunStats {
   AbortReason abort_reason = AbortReason::None;
   std::string abort_phase;
   std::uint64_t abort_bytes = 0;
-  int abort_worker = -1;
   /// e.what() (truncated) when abort_reason == Exception: the typed error
   /// detail the exception firewall preserved for the caller.
   std::string abort_detail;
@@ -162,5 +158,42 @@ struct ScanRun {
 /// Copies the governor's outcome into the run's stats (abort taxonomy,
 /// completed-phase count, peak governed memory).
 void record_governance(const RunGovernor& governor, RunStats& stats);
+
+/// Runs one named phase of a governed algorithm. The phase is skipped once
+/// the run has stopped; the deadline is polled here too, so a deadline that
+/// ran out during serial master work skips the phase before any bundling.
+/// It counts as completed only when it reached its barrier uncancelled.
+/// With a trace collector, the body runs inside a Begin/End span on the
+/// master slot, the phase label is published so workers can name their
+/// task events, and the first phase to see the run stopped records one
+/// GovernorTrip (arg = the AbortReason).
+template <typename Body>
+void run_governed_phase(RunGovernor& governor, obs::TraceCollector* trace,
+                        const char* name, Body&& body) {
+  if (governor.should_stop()) return;  // an earlier phase saw the trip
+  const auto trace_trip = [&] {
+    PPSCAN_TRACE_MASTER_EVENT(trace, obs::TraceEventKind::GovernorTrip,
+                              "governor-trip", governor.token().reason());
+  };
+  if (governor.poll_deadline()) {
+    trace_trip();
+    return;
+  }
+  governor.enter_phase(name);
+  // Re-check: the cancel_at_phase test hook trips on phase entry.
+  if (governor.should_stop()) {
+    trace_trip();
+    return;
+  }
+  PPSCAN_TRACE_SET_PHASE(trace, name);
+  PPSCAN_TRACE_MASTER_EVENT(trace, obs::TraceEventKind::PhaseBegin, name, 0);
+  body();
+  PPSCAN_TRACE_MASTER_EVENT(trace, obs::TraceEventKind::PhaseEnd, name, 0);
+  if (governor.should_stop()) {
+    trace_trip();
+  } else {
+    governor.finish_phase();
+  }
+}
 
 }  // namespace ppscan

@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -56,6 +57,15 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 bool Flags::has(const std::string& name) const {
   return values_.count(name) != 0;
+}
+
+std::string Flags::first_unknown(const std::vector<std::string>& known) const {
+  for (const auto& entry : values_) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      return entry.first;
+    }
+  }
+  return "";
 }
 
 }  // namespace ppscan

@@ -14,7 +14,8 @@ class Flags {
  public:
   /// Parses argv. Non-flag arguments are collected as positionals.
   /// Unknown flags are accepted (they become lookupable values) so harnesses
-  /// can share common parsing code.
+  /// can share common parsing code; first_unknown() lets a front end
+  /// reject them instead.
   Flags(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get_string(const std::string& name,
@@ -26,6 +27,11 @@ class Flags {
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   [[nodiscard]] bool has(const std::string& name) const;
+  /// The first given flag (in name order) not in `known`, or "" when every
+  /// given flag is known. For front ends that reject flags they do not
+  /// read; the bench harnesses keep accepting anything.
+  [[nodiscard]] std::string first_unknown(
+      const std::vector<std::string>& known) const;
   [[nodiscard]] const std::vector<std::string>& positionals() const {
     return positionals_;
   }

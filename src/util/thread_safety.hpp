@@ -25,8 +25,8 @@
 //     *explicit* while-loop, never a predicate lambda reading guarded
 //     fields — lambdas don't inherit the enclosing function's capability
 //     set, so `cv.wait(lock, [&]{ return guarded_; })` is a false
-//     positive under -Wthread-safety. See the supervisor loop in
-//     concurrent/executor.cpp for the canonical restructured wait.
+//     positive under -Wthread-safety. See QueryService::publisher_loop in
+//     serve/query_service.cpp for the canonical restructured wait.
 //
 // Lock *ordering* is deliberately out of scope here: clang's
 // acquired_before/acquired_after attributes are still flagged

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "graph/edge_list_io.hpp"
@@ -186,18 +185,6 @@ void SlowPhaseBody::operator()(VertexId beg, VertexId end) {
   while (std::chrono::steady_clock::now() < until) {
   }
   executed_.fetch_add(end - beg, std::memory_order_relaxed);
-}
-
-void HungWorker::operator()(VertexId beg, VertexId end) {
-  if (beg <= hang_task_ && hang_task_ < end) {
-    hang_started_.store(true, std::memory_order_release);
-    while (!released_.load(std::memory_order_acquire) &&
-           (token_ == nullptr || !token_->cancelled())) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    return;
-  }
-  others_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace ppscan::testing

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "concurrent/run_governor.hpp"
 #include "graph/csr_graph.hpp"
 #include "util/graph_io_error.hpp"
 #include "util/types.hpp"
@@ -47,8 +46,7 @@ std::vector<FaultCase> make_text_fault_corpus(
 // Misbehaving task bodies for the run-governance tests. Governance is
 // cooperative, so its failure modes are defined by how a phase body
 // misbehaves: a body that is merely *slow* (long enough that a deadline
-// lands mid-phase instead of between phases) and a body that *wedges* one
-// task outright (never returns on its own — the watchdog's prey).
+// lands mid-phase instead of between phases).
 
 /// Phase body that burns ~`per_task` of wall time per executed range and
 /// never polls the governor — the in-tree bodies all poll, so deadline
@@ -67,39 +65,6 @@ class SlowPhaseBody {
  private:
   std::chrono::microseconds per_task_;
   std::atomic<std::uint64_t> executed_{0};
-};
-
-/// Phase body that executes every range instantly except the one containing
-/// `hang_task`, which blocks until release() is called or `token` trips.
-/// Wiring the run's own CancelToken as `token` closes the loop for watchdog
-/// tests: the stall trips the token, which un-wedges the hung task, so the
-/// phase drains and the run returns a Stalled-labeled partial result
-/// instead of deadlocking the test binary.
-class HungWorker {
- public:
-  explicit HungWorker(VertexId hang_task, const CancelToken* token = nullptr)
-      : hang_task_(hang_task), token_(token) {}
-
-  void operator()(VertexId beg, VertexId end);
-
-  /// Manual un-wedge for tests that do not route a token.
-  void release() { released_.store(true, std::memory_order_release); }
-
-  /// True once the designated task has started hanging.
-  [[nodiscard]] bool hang_started() const {
-    return hang_started_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::uint64_t other_tasks_executed() const {
-    return others_.load(std::memory_order_relaxed);
-  }
-
- private:
-  VertexId hang_task_;
-  const CancelToken* token_;
-  std::atomic<bool> released_{false};
-  std::atomic<bool> hang_started_{false};
-  std::atomic<std::uint64_t> others_{0};
 };
 
 }  // namespace ppscan::testing

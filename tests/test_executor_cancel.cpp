@@ -1,7 +1,7 @@
-// Cancellation and supervision tests for the work-stealing executor, sized
-// for ThreadSanitizer like test_executor_stress: they run in the `tsan` CI
-// job, and the asan-ubsan job runs them too (the cancellation drain and the
-// watchdog touch every synchronization edge the executor has).
+// Cancellation and deadline tests for the work-stealing executor, sized for
+// ThreadSanitizer like test_executor_stress: they run in the `tsan` CI job,
+// and the asan-ubsan job runs them too (the cancellation drain touches
+// every synchronization edge the executor has).
 #include "concurrent/executor.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@ namespace ppscan {
 namespace {
 
 using std::chrono::milliseconds;
-using std::chrono::steady_clock;
 
 std::vector<TaskRange> unit_tasks(VertexId count) {
   std::vector<TaskRange> tasks;
@@ -104,7 +103,7 @@ TEST(ExecutorCancel, StreamingSubmitsDrainAfterMidStreamTrip) {
 
 TEST(ExecutorCancel, DeadlineLandsMidPhaseAndSkipsTheRemainder) {
   // SlowPhaseBody never polls, so only the claim-boundary deadline check
-  // (piggybacked poll in execute()) and the supervised wait tick can fire.
+  // (the poll in execute()) can fire.
   RunLimits limits;
   limits.deadline = milliseconds(5);
   RunGovernor governor(limits);
@@ -125,62 +124,6 @@ TEST(ExecutorCancel, DeadlineLandsMidPhaseAndSkipsTheRemainder) {
   EXPECT_GT(stats.tasks_skipped, 0u);
   EXPECT_LT(slow.executed(), kTasks);
   EXPECT_EQ(stats.tasks_executed + stats.tasks_skipped, kTasks);
-  executor.install_governor(nullptr);
-}
-
-TEST(ExecutorCancel, WatchdogDetectsHungWorkerAndNamesPhaseAndWorker) {
-  // One task wedges its worker (fault-injected hang); the remaining tasks
-  // finish, heartbeats freeze, and after stall_timeout of provable
-  // no-progress the supervised wait must trip Stalled naming the stuck
-  // phase and a stuck worker. Routing the run's own token into the hung
-  // body un-wedges it on the trip, so the phase drains and run() returns.
-  constexpr int kWorkers = 4;
-  RunLimits limits;
-  limits.stall_timeout = milliseconds(50);
-  RunGovernor governor(limits);
-  Executor executor(kWorkers);
-  executor.install_governor(&governor);
-  governor.enter_phase("HungPhase");
-
-  testing::HungWorker hung{/*hang_task=*/0, &governor.token()};
-  constexpr VertexId kTasks = 64;
-  const std::vector<TaskRange> tasks = unit_tasks(kTasks);
-  const auto t0 = steady_clock::now();
-  executor.run(tasks.data(), tasks.size(),
-               [&](VertexId beg, VertexId end) { hung(beg, end); });
-  const auto elapsed = steady_clock::now() - t0;
-
-  EXPECT_TRUE(hung.hang_started());
-  const RunAborted info = governor.abort_info();
-  EXPECT_EQ(info.reason, AbortReason::Stalled);
-  EXPECT_EQ(info.phase, "HungPhase");
-  EXPECT_GE(info.worker, 0);
-  EXPECT_LT(info.worker, kWorkers);
-  EXPECT_NE(info.describe().find("stalled in phase HungPhase"),
-            std::string::npos);
-  // The trip cannot legitimately happen before a full stall window passed.
-  EXPECT_GE(elapsed, milliseconds(45));
-  executor.install_governor(nullptr);
-}
-
-TEST(ExecutorCancel, HealthyRunUnderWatchdogDoesNotTrip) {
-  // False-positive guard: plenty of short tasks under an armed watchdog
-  // must finish clean — heartbeats advance, so the stall clock keeps
-  // resetting and nothing trips.
-  RunLimits limits;
-  limits.stall_timeout = milliseconds(100);
-  RunGovernor governor(limits);
-  Executor executor(4);
-  executor.install_governor(&governor);
-  governor.enter_phase("Healthy");
-
-  testing::SlowPhaseBody slow{std::chrono::microseconds(500)};
-  constexpr VertexId kTasks = 64;
-  const std::vector<TaskRange> tasks = unit_tasks(kTasks);
-  executor.run(tasks.data(), tasks.size(),
-               [&](VertexId beg, VertexId end) { slow(beg, end); });
-  EXPECT_FALSE(governor.should_stop());
-  EXPECT_EQ(slow.executed(), kTasks);
   executor.install_governor(nullptr);
 }
 

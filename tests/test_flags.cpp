@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace ppscan {
 namespace {
 
@@ -63,6 +66,17 @@ TEST(Flags, BoolAcceptsSeveralSpellings) {
   EXPECT_TRUE(make({"--a=yes"}).get_bool("a", false));
   EXPECT_TRUE(make({"--a=true"}).get_bool("a", false));
   EXPECT_FALSE(make({"--a=0"}).get_bool("a", true));
+}
+
+TEST(Flags, FirstUnknownNamesAFlagOutsideTheAllowlist) {
+  const std::vector<std::string> known = {"eps", "mu"};
+  EXPECT_EQ(make({"g.txt", "--eps", "0.5", "--mu=3"}).first_unknown(known),
+            "");
+  EXPECT_EQ(make({}).first_unknown(known), "");
+  EXPECT_EQ(make({"--eps", "0.5", "--numa", "interleave"}).first_unknown(known),
+            "numa");
+  EXPECT_EQ(make({"--verbose"}).first_unknown(known), "verbose");
+  EXPECT_EQ(make({"--mu", "3"}).first_unknown({}), "mu");
 }
 
 }  // namespace

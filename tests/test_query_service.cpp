@@ -201,26 +201,40 @@ TEST(QueryService, CancelAtPhaseReturnsClassifiedPartial) {
 }
 
 TEST(QueryService, DeadlinedQueriesReturnClassifiedPartials) {
-  // Heavy enough that the cold queries ahead of the deadlined one exceed
-  // its 1 ms budget regardless of scheduling (32 × ~0.1 ms even in the
-  // fastest Release build, far more under TSan); the trip lands either at
-  // admission or mid-run, both classified DeadlineExpired.
+  // The 32 queries queued ahead of the deadlined one all run at ε = 0.1,
+  // where each answers one large cluster of this graph, so the queue ahead
+  // outlasts the 1 ms budget by construction (the deadline counts from
+  // submit); the trip lands either at admission or mid-run, both
+  // classified DeadlineExpired.
   const auto g = erdos_renyi(4000, 48000, 11);
   const GsIndex index(g);
   ServiceOptions options;
   options.num_threads = 1;
   options.cache_results = false;
+  constexpr int kQueued = 32;
+  ScanParams queued;
+  queued.eps = EpsRational{1, 10};
+  queued.mu = 2;
+  RunLimits limits;
+  limits.deadline = std::chrono::milliseconds(1);
+  // Precondition: the partial below is guaranteed only while the queue
+  // ahead costs at least 5x the budget. A faster index that breaks this
+  // fails here, loudly, instead of making the assertions below flaky.
+  {
+    GsIndex::QueryScratch scratch;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kQueued; ++i) {
+      const ScanRun run = index.query(queued, scratch, nullptr);
+      ASSERT_FALSE(run.partial());
+    }
+    const auto cost = std::chrono::steady_clock::now() - start;
+    ASSERT_GE(cost, 5 * limits.deadline)
+        << "the queued queries are too cheap to spend the budget";
+  }
   QueryService service(index, options);
 
   std::vector<std::future<QueryResponse>> warm;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    ScanParams p;
-    p.eps = EpsRational{(i % 8) + 1, 10};
-    p.mu = 2;
-    warm.push_back(service.submit(p));
-  }
-  RunLimits limits;
-  limits.deadline = std::chrono::milliseconds(1);
+  for (int i = 0; i < kQueued; ++i) warm.push_back(service.submit(queued));
   auto deadlined = service.submit(ScanParams::make("0.5", 3), limits);
 
   for (auto& f : warm) {

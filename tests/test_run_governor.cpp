@@ -147,27 +147,9 @@ TEST(RunGovernor, CancelAtPhaseHookTripsOnEntry) {
   EXPECT_EQ(governor.phases_completed(), 1);
 }
 
-TEST(RunGovernor, StallRecordNamesWorkerAndPhase) {
-  RunLimits limits;
-  limits.stall_timeout = milliseconds(50);
-  RunGovernor governor(limits);
-  EXPECT_TRUE(governor.supervised());
-  EXPECT_TRUE(governor.watchdog_enabled());
-  governor.enter_phase("ClusterCore");
-  governor.record_stall(3);
-  const RunAborted info = governor.abort_info();
-  EXPECT_EQ(info.reason, AbortReason::Stalled);
-  EXPECT_EQ(info.worker, 3);
-  EXPECT_EQ(info.phase, "ClusterCore");
-  EXPECT_NE(info.describe().find("worker 3"), std::string::npos);
-}
-
 TEST(RunGovernor, DefaultLimitsGovernNothing) {
   RunLimits limits;
   EXPECT_FALSE(limits.any_set());
-  RunGovernor governor(limits);
-  EXPECT_FALSE(governor.supervised());
-  EXPECT_FALSE(governor.watchdog_enabled());
 }
 
 }  // namespace

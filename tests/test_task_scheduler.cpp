@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <vector>
 
 namespace ppscan {
@@ -144,6 +145,44 @@ TEST(TaskScheduler, PredicateReTestedInsideTask) {
   // The whole range is one task on one worker, so it runs in order: only
   // every sixth vertex is still pending when reached (0, 6, ..., 96).
   EXPECT_EQ(visits.load(), 17);
+}
+
+TEST(TaskScheduler, DeadlineCutsAOneTaskPhaseMidRange) {
+  // The whole phase is one range, so no claim boundary comes after the
+  // first: only the strided deadline poll inside the range can stop it.
+  // Each vertex spins for kPerVertex of wall-clock time, so the range has
+  // run for at least (visited x kPerVertex) when it polls.
+  using std::chrono::microseconds;
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  constexpr VertexId n = 4096;  // 4096 x 20 us ~ 82 ms >> the 5 ms deadline
+  constexpr microseconds kPerVertex{20};
+  constexpr milliseconds kDeadline{5};
+  Executor executor(4);
+  RunLimits limits;
+  limits.deadline = kDeadline;
+  RunGovernor governor(limits);
+  executor.install_governor(&governor);  // as the algorithms install it
+  SchedulerOptions options;
+  options.kind = SchedulerKind::FixedChunk;
+  options.chunk_size = n;
+  options.governor = &governor;
+  std::atomic<VertexId> visited{0};
+  const auto stats = schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [&](VertexId) {
+        const auto until = steady_clock::now() + kPerVertex;
+        while (steady_clock::now() < until) {
+        }
+        visited.fetch_add(1, std::memory_order_relaxed);
+      },
+      options);
+  EXPECT_EQ(stats.tasks_submitted, 1u);
+  EXPECT_EQ(governor.abort_info().reason, AbortReason::DeadlineExpired);
+  const VertexId bound =
+      static_cast<VertexId>(kDeadline / kPerVertex) + 2 * kGovernorPollStride;
+  EXPECT_LE(visited.load(), bound);
+  executor.install_governor(nullptr);
 }
 
 TEST(TaskScheduler, ReusesScratch) {

@@ -5,17 +5,20 @@
 //   ppscan_cli convert  <graph> --out <file>      (.txt <-> .bin by suffix)
 //   ppscan_cli cluster  <graph> [--eps 0.5] [--mu 5] [--algorithm ppSCAN]
 //                       [--threads N] [--kernel auto] [--out result.txt]
-//                       [--timeout-ms T] [--mem-budget-mb M] [--stall-ms S]
+//                       [--timeout-ms T] [--mem-budget-mb M]
 //
-// Run governance: --timeout-ms / --mem-budget-mb / --stall-ms bound a
-// cluster or query run; SIGINT/SIGTERM trip the same cooperative cancel
-// token. A limited run that stops early still writes its partial result
-// (undecided vertices keep the 'U' role) and exits nonzero:
-//   124 deadline expired, 125 memory budget exceeded, 126 watchdog stall,
-//   130 cancelled by signal. `validate --partial` certifies such a result.
+// Run governance: --timeout-ms / --mem-budget-mb bound a cluster or query
+// run; SIGINT/SIGTERM trip the same cooperative cancel token. A limited run
+// that stops early still writes its partial result (undecided vertices keep
+// the 'U' role) and exits nonzero: 124 deadline expired, 125 memory budget
+// exceeded, 130 cancelled by signal. `validate --partial` certifies such a
+// result.
 //   ppscan_cli classify <graph> <result.txt> [--threads N]
 //   ppscan_cli query    <graph> [--eps 0.2,0.5] [--mu 2,5] [--threads N]
 //                       (builds a GS*-Index once, then answers the grid)
+//
+// Each subcommand accepts only the flags it reads: any other flag exits 2
+// with a message that names it.
 //
 // Graph files: text edge lists ("u v" per line, SNAP style) or the binary
 // CSR snapshot format; the suffix ".bin"/".csrbin" selects binary.
@@ -28,6 +31,7 @@
 #include <future>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -83,15 +87,14 @@ class ScopedCancelSignals {
 };
 
 /// Shell exit code of an aborted run: 124 mirrors timeout(1), 130 is the
-/// shell's 128+SIGINT convention, 125/126 label the library-specific
-/// budget and watchdog aborts, 70 is sysexits.h EX_SOFTWARE for a
-/// firewall-contained internal exception.
+/// shell's 128+SIGINT convention, 125 labels the library-specific budget
+/// abort, 70 is sysexits.h EX_SOFTWARE for a firewall-contained internal
+/// exception.
 int abort_exit_code(AbortReason reason) {
   switch (reason) {
     case AbortReason::None: return 0;
     case AbortReason::DeadlineExpired: return 124;
     case AbortReason::BudgetExceeded: return 125;
-    case AbortReason::Stalled: return 126;
     case AbortReason::UserCancelled: return 130;
     case AbortReason::Exception: return 70;
   }
@@ -105,8 +108,6 @@ RunLimits parse_limits(const Flags& flags) {
   limits.memory_budget_bytes =
       static_cast<std::uint64_t>(flags.get_int("mem-budget-mb", 0)) * 1024 *
       1024;
-  limits.stall_timeout =
-      std::chrono::milliseconds(flags.get_int("stall-ms", 0));
   // Deterministic test hook (undocumented in --help on purpose).
   limits.cancel_at_phase =
       static_cast<int>(flags.get_int("cancel-at-phase", -1));
@@ -297,8 +298,7 @@ int cmd_cluster(const Flags& flags) {
             << run.stats.compsim_invocations << " intersections)\n";
   if (run.partial()) {
     const RunAborted info{run.stats.abort_reason, run.stats.abort_phase,
-                          run.stats.abort_bytes, run.stats.abort_worker,
-                          run.stats.abort_detail};
+                          run.stats.abort_bytes, run.stats.abort_detail};
     std::cout << "PARTIAL: " << info.describe() << "; "
               << run.stats.phases_completed
               << " phases completed, undecided vertices left Unknown\n";
@@ -503,7 +503,7 @@ int cmd_serve(const Flags& flags) {
       std::chrono::milliseconds(flags.get_int("shed-target-ms", 0));
   // Live telemetry (docs/observability.md, "Live telemetry"): the stats
   // publisher backs both the windowed /metrics families and the stderr
-  // heartbeat, so a metrics port without an explicit cadence gets the
+  // status line, so a metrics port without an explicit cadence gets the
   // 1-second default.
   const long metrics_port = flags.get_int("metrics-port", -1);
   const long stats_interval_ms = flags.get_int("stats-interval-ms", 0);
@@ -530,16 +530,16 @@ int cmd_serve(const Flags& flags) {
     obs::install_flight_signal_dump(service.flight(), flight_out.c_str());
   }
 
-  // Satellite heartbeat: one stderr line per publisher interval, only
-  // when --stats-interval-ms asked for it.
-  std::atomic<bool> heartbeat_stop{false};
-  std::thread heartbeat;
+  // Status line: one stderr line per publisher interval, only when
+  // --stats-interval-ms asked for it.
+  std::atomic<bool> status_stop{false};
+  std::thread status;
   if (stats_interval_ms > 0) {
-    heartbeat = std::thread([&service, &heartbeat_stop, stats_interval_ms] {
-      while (!heartbeat_stop.load(std::memory_order_relaxed)) {
+    status = std::thread([&service, &status_stop, stats_interval_ms] {
+      while (!status_stop.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(stats_interval_ms));
-        if (heartbeat_stop.load(std::memory_order_relaxed)) break;
+        if (status_stop.load(std::memory_order_relaxed)) break;
         const auto s = service.snapshot();
         const double qps =
             s.interval_seconds > 0
@@ -599,9 +599,9 @@ int cmd_serve(const Flags& flags) {
                    to_string(r.run->stats.abort_reason)});
   }
   const double elapsed = serve_timer.elapsed_s();
-  if (heartbeat.joinable()) {
-    heartbeat_stop.store(true, std::memory_order_relaxed);
-    heartbeat.join();
+  if (status.joinable()) {
+    status_stop.store(true, std::memory_order_relaxed);
+    status.join();
   }
   service.stop();
   if (exposition) exposition->stop();
@@ -660,15 +660,16 @@ void usage() {
          "  stats <graph> [--triangles] [--histogram]\n"
          "  convert <graph> --out <file>\n"
          "  cluster <graph> [--eps E] [--mu M] [--algorithm A] [--out R]\n"
-         "          [--timeout-ms T] [--mem-budget-mb M] [--stall-ms S]\n"
+         "          [--timeout-ms T] [--mem-budget-mb M]\n"
          "          (limits / SIGINT yield a partial result; exit codes:\n"
-         "           124 deadline, 125 budget, 126 stall, 130 cancelled)\n"
+         "           124 deadline, 125 budget, 130 cancelled)\n"
          "          [--trace-out trace.json]   per-worker Perfetto trace\n"
          "          [--metrics-json row.json]  schema-v2 metrics row\n"
          "  classify <graph> <result>\n"
          "  validate <graph>                 (check CSR invariants)\n"
          "  validate <graph> <result> [--eps E] [--mu M] [--partial]\n"
          "  query <graph> [--eps list] [--mu list] [--timeout-ms T]\n"
+         "        [--mem-budget-mb M]\n"
          "  serve <graph> [--threads N] [--queue C] [--no-cache]\n"
          "        [--timeout-ms T]\n"
          "        [--metrics-json file]   (reads \"<eps> <mu>\" per stdin\n"
@@ -680,10 +681,47 @@ void usage() {
          "                                127.0.0.1:P (0 = ephemeral; the\n"
          "                                bound port prints to stderr)\n"
          "        [--stats-interval-ms M] windowed-stats publisher cadence\n"
-         "                                + one stderr heartbeat line per\n"
+         "                                + one stderr status line per\n"
          "                                interval (default off)\n"
          "        [--flight-out FILE]     flight-recorder JSON on stop\n"
-         "                                and fatal signals\n";
+         "                                and fatal signals\n"
+         "an unknown flag exits 2\n";
+}
+
+/// A subcommand and every flag it reads (parse_limits' three included
+/// where it runs); main() rejects any other flag before the command starts.
+struct Command {
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+const Command* find_command(const std::string& name) {
+  static const std::map<std::string, Command> kCommands = {
+      {"generate",
+       {cmd_generate,
+        {"type", "out", "seed", "n", "m", "edges-per-vertex", "scale",
+         "edge-factor", "avg-degree", "mixing", "min-community",
+         "max-community"}}},
+      {"stats", {cmd_stats, {"triangles", "histogram"}}},
+      {"convert", {cmd_convert, {"out"}}},
+      {"cluster",
+       {cmd_cluster,
+        {"eps", "mu", "threads", "kernel", "algorithm", "out", "trace-out",
+         "metrics-json", "timeout-ms", "mem-budget-mb", "cancel-at-phase"}}},
+      {"classify", {cmd_classify, {"threads", "list-hubs"}}},
+      {"validate", {cmd_validate, {"eps", "mu", "partial"}}},
+      {"query",
+       {cmd_query,
+        {"eps", "mu", "threads", "timeout-ms", "mem-budget-mb",
+         "cancel-at-phase"}}},
+      {"serve",
+       {cmd_serve,
+        {"threads", "queue", "no-cache", "shed-target-ms", "metrics-port",
+         "stats-interval-ms", "flight-out", "metrics-json", "eps",
+         "timeout-ms", "mem-budget-mb", "cancel-at-phase"}}},
+  };
+  const auto it = kCommands.find(name);
+  return it == kCommands.end() ? nullptr : &it->second;
 }
 
 }  // namespace
@@ -697,17 +735,19 @@ int main(int argc, char** argv) {
   const std::string command = flags.positionals().empty()
                                   ? ""
                                   : flags.positionals().front();
-  try {
-    if (command == "generate") return cmd_generate(flags);
-    if (command == "stats") return cmd_stats(flags);
-    if (command == "convert") return cmd_convert(flags);
-    if (command == "cluster") return cmd_cluster(flags);
-    if (command == "classify") return cmd_classify(flags);
-    if (command == "validate") return cmd_validate(flags);
-    if (command == "query") return cmd_query(flags);
-    if (command == "serve") return cmd_serve(flags);
+  const Command* cmd = find_command(command);
+  if (cmd == nullptr) {
     usage();
     return 2;
+  }
+  if (const std::string unknown = flags.first_unknown(cmd->flags);
+      !unknown.empty()) {
+    std::cerr << "ppscan_cli " << command << ": unknown flag --" << unknown
+              << "\n";
+    return 2;
+  }
+  try {
+    return cmd->run(flags);
   } catch (const ppscan::GraphIoError& e) {
     std::cerr << "ppscan_cli " << command
               << ": invalid graph input: " << e.what() << "\n";
