@@ -69,9 +69,9 @@ struct LoadRow {
   std::uint64_t clients = 0;
   double offered_qps = 0;  // open loop only; 0 = closed loop
   double elapsed = 0;
-  /// Full telemetry stack live during the load: publisher thread folding
-  /// the window, flight recorder on, and a /metrics scraper hitting the
-  /// exposition endpoint — the overhead BENCH_obs.json quantifies.
+  /// Full telemetry stack live during the load: flight recorder on and a
+  /// /metrics scraper hitting the exposition endpoint — the overhead
+  /// BENCH_obs.json quantifies.
   bool telemetry = false;
   serve::ServiceSnapshot snap;
 
@@ -81,18 +81,14 @@ struct LoadRow {
 };
 
 /// Closed loop: each client keeps exactly one query outstanding. With
-/// `telemetry` the full live stack runs during the load — publisher thread
-/// (250 ms cadence), flight recorder, exposition endpoint and a scraper
-/// pulling /metrics once per second (already 5-15x more often than a
-/// production Prometheus would) — so the ON row pays every cost an
-/// operator's dashboard would impose.
+/// `telemetry` the full live stack runs during the load — flight recorder,
+/// exposition endpoint and a scraper pulling /metrics once per second
+/// (already 5-15x more often than a production Prometheus would) — so the
+/// ON row pays every cost an operator's dashboard would impose.
 LoadRow run_closed_loop(const GsIndex& index, serve::ServiceOptions options,
                         int clients, double duration_s, bool prewarm,
                         bool telemetry, std::string mode) {
-  if (telemetry) {
-    options.stats_interval = std::chrono::milliseconds(250);
-    options.flight_capacity = 256;
-  }
+  if (telemetry) options.flight_capacity = 256;
   serve::QueryService service(index, options);
   const auto grid = workload_grid();
   if (prewarm) {
@@ -265,8 +261,8 @@ struct OverheadResult {
 /// before/after pair cannot resolve a sub-percent effect on a shared
 /// machine (consecutive identical runs here drift by double digits), so
 /// this interleaves fixed-work rounds between two live services — one
-/// bare, one carrying the full telemetry stack (publisher, flight
-/// recorder, exposition endpoint being scraped) — and compares the summed
+/// bare, one carrying the full telemetry stack (flight recorder,
+/// exposition endpoint being scraped) — and compares the summed
 /// wall time. Drift slow relative to a round hits both sides equally.
 OverheadResult measure_hot_overhead(const GsIndex& index,
                                     serve::ServiceOptions base, int clients,
@@ -274,7 +270,6 @@ OverheadResult measure_hot_overhead(const GsIndex& index,
                                     std::uint64_t queries_per_round) {
   const auto grid = workload_grid();
   serve::ServiceOptions on_options = base;
-  on_options.stats_interval = std::chrono::milliseconds(250);
   on_options.flight_capacity = 256;
   serve::QueryService off_service(index, base);
   serve::QueryService on_service(index, on_options);
@@ -373,6 +368,7 @@ int main(int argc, char** argv) {
   serve::ServiceOptions base;
   base.num_threads = threads;
   base.max_recorded_queries = 16;  // keep the committed queries[] small
+  base.flight_capacity = 0;  // telemetry-off rows run bare
 
   std::vector<LoadRow> rows;
   {

@@ -11,7 +11,7 @@
 
 namespace ppscan {
 
-/// Flattens one finished run into a schema-v1 metrics row. `eps` should be
+/// Flattens one finished run into a schema-v2 metrics row. `eps` should be
 /// the ε exactly as the user spelled it (it is provenance, not arithmetic);
 /// `kernel` the *resolved* intersection kernel name; `threads` whatever the
 /// run was configured with (sequential algorithms pass 1).

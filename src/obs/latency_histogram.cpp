@@ -39,13 +39,6 @@ double LatencyHistogram::bucket_le_us(std::size_t i) {
   return static_cast<double>(std::uint64_t{1} << i);
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t i = 0; i < kBuckets; ++i) counts[i] += other.counts[i];
-  total += other.total;
-  max_ms = std::max(max_ms, other.max_ms);
-  sum_ms += other.sum_ms;
-}
-
 LatencyHistogram LatencyHistogram::delta_since(
     const LatencyHistogram& baseline) const {
   LatencyHistogram delta;

@@ -2,12 +2,10 @@
 // (last bucket is unbounded). Cheap enough to update under a stats mutex,
 // coarse enough to answer p50/p99 without storing samples.
 //
-// Lived in serve/query_service.hpp until the live-telemetry layer needed
-// histogram *arithmetic* (merge, delta) that the serving layer should not
-// own: the windowed SLO view (windowed_histogram.hpp) folds lifetime
-// histograms into per-interval deltas, and the Prometheus exposition
-// (exposition.hpp) renders cumulative buckets plus an exact _sum. The
-// serving layer aliases this type, so existing callers are untouched.
+// Lives in obs so the Prometheus exposition (serve/serving_metrics.hpp)
+// and the CLI's interval status line can read it without depending on the
+// serving layer: the exposition renders cumulative buckets plus an exact
+// _sum, and the status line takes delta_since() of two snapshots.
 #pragma once
 
 #include <array>
@@ -32,8 +30,6 @@ struct LatencyHistogram {
   /// Upper bound (µs) of bucket i, for serialization.
   [[nodiscard]] static double bucket_le_us(std::size_t i);
 
-  /// Bucket-wise accumulate `other` into this histogram.
-  void merge(const LatencyHistogram& other);
   /// Bucket-wise `this - baseline`, where `baseline` is an earlier
   /// observation of the same monotone histogram (every bucket of this is
   /// ≥ the baseline's). The delta's max_ms is this histogram's max — an

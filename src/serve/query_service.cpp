@@ -65,20 +65,9 @@ QueryService::QueryService(const GsIndex& index, ServiceOptions options)
     flight_ = std::make_unique<obs::FlightRecorder>(options_.flight_capacity);
     flight_->record(obs::FlightRecorder::EventKind::Lifecycle, "serve.start");
   }
-  if (options_.stats_interval.count() > 0) {
-    // Live telemetry on: size the windowed ring to the configured horizon
-    // at the publisher's cadence, then start the publisher.
-    CheckedLock lock(stats_mutex_);
-    windowed_ =
-        obs::WindowedLatency(options_.window_horizon, options_.stats_interval);
-    last_publish_time_ = start_time_;
-  }
   workers_.reserve(static_cast<std::size_t>(options_.num_threads));
   for (int w = 0; w < options_.num_threads; ++w) {
     workers_.emplace_back([this] { worker_loop(); });
-  }
-  if (options_.stats_interval.count() > 0) {
-    publisher_ = std::thread([this] { publisher_loop(); });
   }
 }
 
@@ -540,66 +529,12 @@ void QueryService::stop() {
   GsIndex::QueryScratch scratch;
   Request request;
   while (queue_.try_dequeue(&request)) execute_guarded(request, scratch);
-  if (publisher_.joinable()) {
-    {
-      CheckedLock pub_lock(publisher_mutex_);
-      publisher_stop_ = true;
-    }
-    publisher_cv_.notify_all();
-    publisher_.join();
-  }
   if (flight_) {
     flight_->record(obs::FlightRecorder::EventKind::Lifecycle, "serve.stop");
     if (!options_.flight_dump_path.empty()) {
       flight_->dump_to_file(options_.flight_dump_path, "stop");
     }
   }
-}
-
-void QueryService::publisher_loop() {
-  // Fixed-cadence ticks anchored to the service start so a slow tick does
-  // not smear the window grid. The wait is an explicit while-loop on the
-  // native handle (docs/memory_model.md rule 3); publish_tick() runs with
-  // no publisher lock held, so the only lock edge here is 15 → nothing.
-  auto next_tick = start_time_ + options_.stats_interval;
-  for (;;) {
-    {
-      CheckedLock lock(publisher_mutex_);
-      while (!publisher_stop_ &&
-             std::chrono::steady_clock::now() < next_tick) {
-        publisher_cv_.wait_until(lock.native(), next_tick);
-      }
-      if (publisher_stop_) break;
-    }
-    publish_tick();
-    next_tick += options_.stats_interval;
-    // If ticks fell behind (suspended VM, debugger), realign rather than
-    // burst-publish a pile of empty windows.
-    const auto now = std::chrono::steady_clock::now();
-    if (next_tick < now) next_tick = now + options_.stats_interval;
-  }
-  // One final fold so the tail of traffic lands in the last window before
-  // snapshot() consumers read it post-stop.
-  publish_tick();
-}
-
-void QueryService::publish_tick() {
-  const auto now = std::chrono::steady_clock::now();
-  CheckedLock lock(stats_mutex_);
-  windowed_.publish(latency_, now);
-  interval_seconds_ = seconds_between(last_publish_time_, now);
-  last_publish_time_ = now;
-  // Saturating deltas: submitted_ transiently steps back on a queue-full
-  // refund, so a naive subtract could wrap.
-  const auto delta = [](std::uint64_t cur, std::uint64_t prev) {
-    return cur >= prev ? cur - prev : 0;
-  };
-  interval_submitted_ = delta(submitted_, pub_submitted_);
-  interval_completed_ = delta(completed_, pub_completed_);
-  interval_rejected_ = delta(rejected_, pub_rejected_);
-  pub_submitted_ = submitted_;
-  pub_completed_ = completed_;
-  pub_rejected_ = rejected_;
 }
 
 void QueryService::trace_query_locked(obs::TraceEventKind kind,
@@ -633,18 +568,6 @@ ServiceSnapshot QueryService::snapshot() const {
     snap.shed_overload = shed_overload_;
     snap.counters = counters_;
     snap.latency = latency_;
-    if (windowed_.enabled()) {
-      snap.window = windowed_.window(std::chrono::steady_clock::now());
-      snap.window_seconds =
-          std::chrono::duration_cast<std::chrono::duration<double>>(
-              windowed_.horizon())
-              .count();
-      snap.publishes = windowed_.publishes();
-      snap.interval_seconds = interval_seconds_;
-      snap.interval_submitted = interval_submitted_;
-      snap.interval_completed = interval_completed_;
-      snap.interval_rejected = interval_rejected_;
-    }
     snap.recent.reserve(recent_.size());
     for (std::size_t i = 0; i < recent_.size(); ++i) {
       snap.recent.push_back(recent_[(recent_head_ + i) % recent_.size()]);

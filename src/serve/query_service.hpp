@@ -56,7 +56,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -71,7 +70,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/latency_histogram.hpp"
 #include "obs/trace.hpp"
-#include "obs/windowed_histogram.hpp"
 #include "scan/scan_common.hpp"
 #include "serve/mpmc_queue.hpp"
 #include "util/thread_safety.hpp"
@@ -122,15 +120,6 @@ struct ServiceOptions {
   /// query id) plus execution-start marks, so the Perfetto export shows one
   /// swimlane per in-flight query (docs/observability.md).
   obs::TraceCollector* trace = nullptr;
-  /// Live-telemetry publisher cadence (docs/observability.md, "Live
-  /// telemetry"). 0 (the default) runs no publisher thread: snapshot()'s
-  /// windowed fields stay empty and behavior is exactly the pre-telemetry
-  /// service. When > 0 a publisher thread folds the lifetime latency
-  /// histogram into the rolling window and refreshes the interval delta
-  /// counters every stats_interval.
-  std::chrono::milliseconds stats_interval{0};
-  /// Rolling horizon of the windowed SLO view (last-N-seconds p50/p99).
-  std::chrono::milliseconds window_horizon{10000};
   /// Flight-recorder ring capacity (0 = recorder off): recent serving
   /// events (admissions, refusals, exceptions) retained for post-mortem
   /// dumps.
@@ -199,12 +188,6 @@ struct QueryRecord {
   bool cache_hit = false;
 };
 
-/// The 28-bucket geometric latency histogram now lives in obs
-/// (obs/latency_histogram.hpp) so the windowed SLO machinery and the
-/// Prometheus exposition can do histogram arithmetic without depending on
-/// the serving layer; the alias keeps every existing caller compiling.
-using LatencyHistogram = obs::LatencyHistogram;
-
 struct ServiceSnapshot {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;  ///< delivered, including partials and hits
@@ -218,21 +201,10 @@ struct ServiceSnapshot {
   std::uint64_t shed_overload = 0;     ///< refusals: sojourn over target
   /// Funnel aggregated over executed (non-cache-hit) queries.
   obs::AlgoCounters counters;
-  LatencyHistogram latency;
-  /// Live-telemetry view (docs/observability.md). All zero/empty when the
-  /// publisher is off (stats_interval == 0):
-  /// latencies folded over the last `window_seconds` (the rolling SLO
-  /// window — window.quantile_ms(0.99) is the windowed p99) ...
-  LatencyHistogram window;
-  double window_seconds = 0;
-  /// ... publisher tick count, and the delta counters covering the last
-  /// completed publisher interval (sized by interval_seconds, so
-  /// interval_completed / interval_seconds is the current qps).
-  std::uint64_t publishes = 0;
-  double interval_seconds = 0;
-  std::uint64_t interval_submitted = 0;
-  std::uint64_t interval_completed = 0;
-  std::uint64_t interval_rejected = 0;
+  /// Lifetime latency distribution. A window over it is the difference
+  /// of two snapshots (latency.delta_since(earlier.latency)), which is
+  /// what a scraper's rate() over the exposed buckets computes.
+  obs::LatencyHistogram latency;
   /// Flight-recorder events ever recorded (0 when disabled).
   std::uint64_t flight_recorded = 0;
   /// Most recent per-query records, oldest first.
@@ -359,14 +331,6 @@ class QueryService {
   /// the firewall's per-query result (abort_reason Exception).
   [[nodiscard]] ScanRun exception_aborted_run(const char* phase,
                                               const char* what) const;
-  /// Stats publisher thread (stats_interval > 0): a condvar-timed loop
-  /// that calls publish_tick() every interval and once more on shutdown,
-  /// so the final snapshot's window covers the tail of the run.
-  void publisher_loop() PPSCAN_EXCLUDES(publisher_mutex_);
-  /// One publisher tick: under stats_mutex_, folds the lifetime histogram
-  /// into the windowed ring (WindowedLatency::publish) and refreshes the
-  /// interval delta counters from the running totals.
-  void publish_tick() PPSCAN_EXCLUDES(stats_mutex_);
   /// Emits one per-query trace event into the collector's master slot.
   /// The _locked form is for call sites already inside stats_mutex_; the
   /// unlocked form takes it (the master-slot single-writer rule is met by
@@ -423,35 +387,14 @@ class QueryService {
   std::uint64_t shed_queue_full_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t shed_overload_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   obs::AlgoCounters counters_ PPSCAN_GUARDED_BY(stats_mutex_);
-  LatencyHistogram latency_ PPSCAN_GUARDED_BY(stats_mutex_);
+  obs::LatencyHistogram latency_ PPSCAN_GUARDED_BY(stats_mutex_);
   /// Ring buffer of the most recent per-query records.
   std::vector<QueryRecord> recent_ PPSCAN_GUARDED_BY(stats_mutex_);
   std::size_t recent_head_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  /// Live-telemetry state, written only by the publisher's publish_tick()
-  /// but guarded by stats_mutex_ like the totals it derives from, so
-  /// snapshot() reads one consistent cut of lifetime + window.
-  obs::WindowedLatency windowed_ PPSCAN_GUARDED_BY(stats_mutex_);
-  std::chrono::steady_clock::time_point last_publish_time_
-      PPSCAN_GUARDED_BY(stats_mutex_) = {};
-  std::uint64_t pub_submitted_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t pub_completed_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t pub_rejected_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  double interval_seconds_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t interval_submitted_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t interval_completed_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t interval_rejected_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
 
   /// The black box (obs/flight_recorder.hpp); internally synchronized, so
   /// record() is safe from any serving path. Null when disabled.
   std::unique_ptr<obs::FlightRecorder> flight_;
-
-  // guards: publisher_stop_ — the publisher thread's condvar wait word.
-  // Sits between stop_mutex_ (stop() notifies the publisher while holding
-  // it) and stats_mutex_ (publish_tick runs with no publisher lock held).
-  CheckedMutex publisher_mutex_;
-  std::condition_variable publisher_cv_;
-  bool publisher_stop_ PPSCAN_GUARDED_BY(publisher_mutex_) = false;
-  std::thread publisher_;
 
   // guards: stopped_ — serializes stop() callers against each other and
   // against drain_if_stopped()'s leftover-execution repair.

@@ -1,6 +1,7 @@
 #include "serve/serving_metrics.hpp"
 
 #include <cstdio>
+#include <string_view>
 
 #include "obs/exposition.hpp"
 
@@ -12,15 +13,15 @@ namespace {
 /// converted µs → ms to match the family's unit suffix), the mandatory
 /// `+Inf` bucket, then `_sum` and `_count`.
 void prom_histogram(std::string& out, const char* name, const char* help,
-                    const LatencyHistogram& h) {
+                    const obs::LatencyHistogram& h) {
   obs::prom_family(out, name, help, "histogram");
   const std::string bucket_name = std::string(name) + "_bucket";
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
     cumulative += h.counts[i];
     char label[48];
     std::snprintf(label, sizeof label, "le=\"%.6g\"",
-                  LatencyHistogram::bucket_le_us(i) / 1e3);
+                  obs::LatencyHistogram::bucket_le_us(i) / 1e3);
     obs::prom_sample_labeled(out, bucket_name.c_str(), label,
                              static_cast<double>(cumulative));
   }
@@ -30,10 +31,89 @@ void prom_histogram(std::string& out, const char* name, const char* help,
   obs::prom_sample_u64(out, (std::string(name) + "_count").c_str(), h.total);
 }
 
+/// One scalar sample of the scrape. Rows sharing a name are one family
+/// (HELP and TYPE once, then a labeled sample per row). Prometheus stores
+/// every sample as a float64, so a double getter loses nothing a scraper
+/// keeps; counters still print as exact integers.
+struct Family {
+  const char* name;
+  const char* help;
+  const char* type;   ///< "counter" or "gauge"
+  const char* label;  ///< nullptr, or one preformatted `key="value"` pair
+  double (*value)(const ServiceSnapshot&);
+};
+
+double as_sample(std::uint64_t v) { return static_cast<double>(v); }
+
+// The scrape's scalar families, in exposition order; the lifetime latency
+// histogram follows them.
+constexpr Family kFamilies[] = {
+    // Lifecycle / throughput counters.
+    {"ppscan_serve_submitted_total", "Queries admitted into the service",
+     "counter", nullptr,
+     [](const ServiceSnapshot& s) { return as_sample(s.submitted); }},
+    {"ppscan_serve_completed_total",
+     "Queries answered (including cache hits and partials)", "counter",
+     nullptr, [](const ServiceSnapshot& s) { return as_sample(s.completed); }},
+    {"ppscan_serve_rejected_total",
+     "Queries refused at admission (all causes)", "counter", nullptr,
+     [](const ServiceSnapshot& s) { return as_sample(s.rejected); }},
+    {"ppscan_serve_cache_hits_total",
+     "Answers served from the (eps, mu) result cache", "counter", nullptr,
+     [](const ServiceSnapshot& s) { return as_sample(s.cache_hits); }},
+    {"ppscan_serve_partial_total",
+     "Answers delivered partial (deadline or budget abort)", "counter",
+     nullptr, [](const ServiceSnapshot& s) { return as_sample(s.partial); }},
+    {"ppscan_serve_exceptions_total",
+     "Executions classified AbortReason::Exception by the firewall",
+     "counter", nullptr,
+     [](const ServiceSnapshot& s) { return as_sample(s.exceptions); }},
+    // Resilience funnel (docs/resilience.md).
+    {"ppscan_serve_shed_total", "Refusals split by cause", "counter",
+     "cause=\"queue-full\"",
+     [](const ServiceSnapshot& s) { return as_sample(s.shed_queue_full); }},
+    {"ppscan_serve_shed_total", "Refusals split by cause", "counter",
+     "cause=\"overload\"",
+     [](const ServiceSnapshot& s) { return as_sample(s.shed_overload); }},
+    // Pruning-funnel aggregates accumulated over executed queries — the
+    // paper's arc-triage identity, pruned + computed + reused == touched.
+    {"ppscan_serve_arcs_touched_total",
+     "Arcs triaged across executed queries", "counter", nullptr,
+     [](const ServiceSnapshot& s) {
+       return as_sample(s.counters.arcs_touched);
+     }},
+    {"ppscan_serve_arcs_pruned_total",
+     "Arcs decided by the degree predicate alone", "counter", nullptr,
+     [](const ServiceSnapshot& s) {
+       return as_sample(s.counters.arcs_predicate_pruned);
+     }},
+    {"ppscan_serve_sims_computed_total", "Structural similarities computed",
+     "counter", nullptr,
+     [](const ServiceSnapshot& s) {
+       return as_sample(s.counters.sims_computed);
+     }},
+    {"ppscan_serve_sims_reused_total",
+     "Structural similarities reused from the GS*-Index", "counter", nullptr,
+     [](const ServiceSnapshot& s) {
+       return as_sample(s.counters.sims_reused);
+     }},
+    // Shape gauges.
+    {"ppscan_serve_threads", "Executor worker threads", "gauge", nullptr,
+     [](const ServiceSnapshot& s) {
+       return static_cast<double>(s.num_threads);
+     }},
+    {"ppscan_serve_uptime_seconds", "Seconds since service construction",
+     "gauge", nullptr,
+     [](const ServiceSnapshot& s) { return s.uptime_seconds; }},
+    {"ppscan_serve_flight_events_total",
+     "Events recorded by the flight recorder", "counter", nullptr,
+     [](const ServiceSnapshot& s) { return as_sample(s.flight_recorded); }},
+};
+
 }  // namespace
 
 obs::LatencyHistogramMetrics latency_metrics(
-    const LatencyHistogram& histogram) {
+    const obs::LatencyHistogram& histogram) {
   obs::LatencyHistogramMetrics out;
   out.count = histogram.total;
   out.p50_ms = histogram.quantile_ms(0.50);
@@ -41,9 +121,9 @@ obs::LatencyHistogramMetrics latency_metrics(
   out.p99_ms = histogram.quantile_ms(0.99);
   out.max_ms = histogram.max_ms;
   out.sum_ms = histogram.sum_ms;
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
     if (histogram.counts[i] == 0) continue;
-    out.buckets.push_back({LatencyHistogram::bucket_le_us(i),
+    out.buckets.push_back({obs::LatencyHistogram::bucket_le_us(i),
                            histogram.counts[i]});
   }
   return out;
@@ -97,121 +177,25 @@ obs::MetricsReport make_serving_report(const std::string& tool,
 std::string exposition_text(const ServiceSnapshot& s) {
   std::string out;
   out.reserve(8192);
-
-  // Lifecycle / throughput counters.
-  obs::prom_family(out, "ppscan_serve_submitted_total",
-                   "Queries admitted into the service", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_submitted_total", s.submitted);
-  obs::prom_family(out, "ppscan_serve_completed_total",
-                   "Queries answered (including cache hits and partials)",
-                   "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_completed_total", s.completed);
-  obs::prom_family(out, "ppscan_serve_rejected_total",
-                   "Queries refused at admission (all causes)", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_rejected_total", s.rejected);
-  obs::prom_family(out, "ppscan_serve_cache_hits_total",
-                   "Answers served from the (eps, mu) result cache",
-                   "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_cache_hits_total", s.cache_hits);
-  obs::prom_family(out, "ppscan_serve_partial_total",
-                   "Answers delivered partial (deadline or budget abort)",
-                   "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_partial_total", s.partial);
-  obs::prom_family(out, "ppscan_serve_exceptions_total",
-                   "Executions classified AbortReason::Exception by the "
-                   "firewall",
-                   "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_exceptions_total", s.exceptions);
-
-  // Resilience funnel (docs/resilience.md).
-  obs::prom_family(out, "ppscan_serve_shed_total",
-                   "Refusals split by cause", "counter");
-  obs::prom_sample_labeled(out, "ppscan_serve_shed_total",
-                           "cause=\"queue-full\"",
-                           static_cast<double>(s.shed_queue_full));
-  obs::prom_sample_labeled(out, "ppscan_serve_shed_total",
-                           "cause=\"overload\"",
-                           static_cast<double>(s.shed_overload));
-
-  // Pruning-funnel aggregates accumulated over executed queries — the
-  // paper's arc-triage identity, pruned + computed + reused == touched.
-  obs::prom_family(out, "ppscan_serve_arcs_touched_total",
-                   "Arcs triaged across executed queries", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_arcs_touched_total",
-                       s.counters.arcs_touched);
-  obs::prom_family(out, "ppscan_serve_arcs_pruned_total",
-                   "Arcs decided by the degree predicate alone", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_arcs_pruned_total",
-                       s.counters.arcs_predicate_pruned);
-  obs::prom_family(out, "ppscan_serve_sims_computed_total",
-                   "Structural similarities computed", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_sims_computed_total",
-                       s.counters.sims_computed);
-  obs::prom_family(out, "ppscan_serve_sims_reused_total",
-                   "Structural similarities reused from the GS*-Index",
-                   "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_sims_reused_total",
-                       s.counters.sims_reused);
-
-  // Shape gauges.
-  obs::prom_family(out, "ppscan_serve_threads",
-                   "Executor worker threads", "gauge");
-  obs::prom_sample(out, "ppscan_serve_threads",
-                   static_cast<double>(s.num_threads));
-  obs::prom_family(out, "ppscan_serve_uptime_seconds",
-                   "Seconds since service construction", "gauge");
-  obs::prom_sample(out, "ppscan_serve_uptime_seconds", s.uptime_seconds);
-  obs::prom_family(out, "ppscan_serve_flight_events_total",
-                   "Events recorded by the flight recorder", "counter");
-  obs::prom_sample_u64(out, "ppscan_serve_flight_events_total",
-                       s.flight_recorded);
-
-  // Lifetime latency distribution.
+  const char* family = nullptr;
+  for (const Family& f : kFamilies) {
+    if (family == nullptr || std::string_view(family) != f.name) {
+      obs::prom_family(out, f.name, f.help, f.type);
+      family = f.name;
+    }
+    std::string sample = f.name;
+    if (f.label != nullptr) sample += std::string("{") + f.label + "}";
+    if (std::string_view(f.type) == "counter") {
+      obs::prom_sample_u64(out, sample.c_str(),
+                           static_cast<std::uint64_t>(f.value(s)));
+    } else {
+      obs::prom_sample(out, sample.c_str(), f.value(s));
+    }
+  }
   prom_histogram(out, "ppscan_serve_latency_ms",
                  "End-to-end query latency since service start "
                  "(milliseconds)",
                  s.latency);
-
-  // Windowed view: only present when the stats publisher is running
-  // (stats_interval > 0) — absent families are how a scraper tells
-  // "telemetry off" from "no traffic".
-  if (s.window_seconds > 0) {
-    prom_histogram(out, "ppscan_serve_window_latency_ms",
-                   "Query latency over the trailing window (milliseconds)",
-                   s.window);
-    obs::prom_family(out, "ppscan_serve_window_seconds",
-                     "Width of the trailing latency window", "gauge");
-    obs::prom_sample(out, "ppscan_serve_window_seconds", s.window_seconds);
-    obs::prom_family(out, "ppscan_serve_window_p50_ms",
-                     "Windowed latency p50 (milliseconds)", "gauge");
-    obs::prom_sample(out, "ppscan_serve_window_p50_ms",
-                     s.window.quantile_ms(0.50));
-    obs::prom_family(out, "ppscan_serve_window_p90_ms",
-                     "Windowed latency p90 (milliseconds)", "gauge");
-    obs::prom_sample(out, "ppscan_serve_window_p90_ms",
-                     s.window.quantile_ms(0.90));
-    obs::prom_family(out, "ppscan_serve_window_p99_ms",
-                     "Windowed latency p99 (milliseconds)", "gauge");
-    obs::prom_sample(out, "ppscan_serve_window_p99_ms",
-                     s.window.quantile_ms(0.99));
-    obs::prom_family(out, "ppscan_serve_publishes_total",
-                     "Stats-publisher folds since service start", "counter");
-    obs::prom_sample_u64(out, "ppscan_serve_publishes_total", s.publishes);
-    obs::prom_family(out, "ppscan_serve_interval_seconds",
-                     "Wall seconds covered by the last publisher interval",
-                     "gauge");
-    obs::prom_sample(out, "ppscan_serve_interval_seconds",
-                     s.interval_seconds);
-    obs::prom_family(out, "ppscan_serve_interval_qps",
-                     "Completed queries per second over the last publisher "
-                     "interval",
-                     "gauge");
-    const double qps = s.interval_seconds > 0
-                           ? static_cast<double>(s.interval_completed) /
-                                 s.interval_seconds
-                           : 0;
-    obs::prom_sample(out, "ppscan_serve_interval_qps", qps);
-  }
   return out;
 }
 

@@ -26,13 +26,12 @@ namespace ppscan::serve {
 /// snapshot.latency rendered alone (non-empty buckets, quantiles) — the
 /// building block make_serving_report uses.
 [[nodiscard]] obs::LatencyHistogramMetrics latency_metrics(
-    const LatencyHistogram& histogram);
+    const obs::LatencyHistogram& histogram);
 
 /// Renders one snapshot in the Prometheus text-exposition format v0.0.4 —
 /// the /metrics body served by obs::ExpositionServer. The metric catalog
-/// (every ppscan_serve_* family, windowed-quantile semantics) is
-/// documented in docs/observability.md, "Live telemetry", and linted by
-/// tools/lint/check_exposition.py.
+/// (every ppscan_serve_* family) is documented in docs/observability.md,
+/// "Live telemetry", and linted by tools/lint/check_exposition.py.
 [[nodiscard]] std::string exposition_text(const ServiceSnapshot& snapshot);
 
 }  // namespace ppscan::serve

@@ -1,11 +1,10 @@
 // Live-telemetry tests (docs/observability.md, "Live telemetry"): the
-// windowed-histogram fold/rotate/expiry arithmetic with explicit time
-// points (deterministic — no sleeps), the flight recorder's ring and its
+// latency histogram's delta arithmetic, the flight recorder's ring and its
 // three dump paths against the ppscan-flight-v1 validator, the exposition
-// endpoint over a real loopback socket, and the QueryService publisher
-// observed through snapshot(). The final test is the adversarial one CI
-// runs under TSan: eight submitters, a snapshot poller, a live scraper and
-// the publisher thread all hammering one service.
+// endpoint over a real loopback socket, and the /metrics body rendered
+// from QueryService snapshots. The final test is the adversarial one CI
+// runs under TSan: eight submitters, a snapshot poller and a live scraper
+// all hammering one service.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +25,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/latency_histogram.hpp"
-#include "obs/windowed_histogram.hpp"
 #include "serve/query_service.hpp"
 #include "serve/serving_metrics.hpp"
 
@@ -36,7 +34,6 @@ namespace {
 using obs::FlightRecorder;
 using obs::JsonValue;
 using obs::LatencyHistogram;
-using obs::WindowedLatency;
 using serve::QueryResponse;
 using serve::QueryService;
 using serve::ServiceOptions;
@@ -45,21 +42,6 @@ using serve::ServiceSnapshot;
 using namespace std::chrono_literals;
 
 // --- histogram arithmetic ----------------------------------------------
-
-TEST(LatencyHistogram, MergeAccumulatesBucketsTotalsAndSum) {
-  LatencyHistogram a;
-  a.record(0.5);
-  a.record(2.0);
-  LatencyHistogram b;
-  b.record(100.0);
-  a.merge(b);
-  EXPECT_EQ(a.total, 3u);
-  EXPECT_DOUBLE_EQ(a.sum_ms, 102.5);
-  EXPECT_DOUBLE_EQ(a.max_ms, 100.0);
-  std::uint64_t bucket_sum = 0;
-  for (const auto c : a.counts) bucket_sum += c;
-  EXPECT_EQ(bucket_sum, a.total);
-}
 
 TEST(LatencyHistogram, DeltaSinceIsTheGrowthBetweenObservations) {
   LatencyHistogram h;
@@ -80,88 +62,6 @@ TEST(LatencyHistogram, EmptyQuantileIsZero) {
   const LatencyHistogram empty;
   EXPECT_DOUBLE_EQ(empty.quantile_ms(0.5), 0.0);
   EXPECT_DOUBLE_EQ(empty.quantile_ms(0.99), 0.0);
-}
-
-// --- windowed fold / rotate / expiry (explicit clocks, deterministic) ---
-
-TEST(WindowedLatency, DefaultConstructedIsInert) {
-  WindowedLatency w;
-  EXPECT_FALSE(w.enabled());
-  LatencyHistogram lifetime;
-  lifetime.record(1.0);
-  const auto now = WindowedLatency::Clock::now();
-  w.publish(lifetime, now);  // must be a no-op, not a crash
-  EXPECT_EQ(w.publishes(), 0u);
-  EXPECT_EQ(w.window(now).total, 0u);
-}
-
-TEST(WindowedLatency, PublishFoldsLifetimeDeltasIntoTheWindow) {
-  WindowedLatency w(10000ms, 1000ms);
-  ASSERT_TRUE(w.enabled());
-  EXPECT_EQ(w.horizon(), 10000ms);
-
-  const auto t0 = WindowedLatency::Clock::now();
-  LatencyHistogram lifetime;
-  lifetime.record(1.0);
-  lifetime.record(2.0);
-  w.publish(lifetime, t0 + 1s);
-  EXPECT_EQ(w.publishes(), 1u);
-  EXPECT_EQ(w.last_interval().total, 2u);
-  EXPECT_EQ(w.window(t0 + 1s).total, 2u);
-
-  lifetime.record(50.0);
-  w.publish(lifetime, t0 + 2s);
-  EXPECT_EQ(w.last_interval().total, 1u);  // only the new sample
-  EXPECT_DOUBLE_EQ(w.last_interval().sum_ms, 50.0);
-  const LatencyHistogram win = w.window(t0 + 2s);
-  EXPECT_EQ(win.total, 3u);  // both intervals still inside the horizon
-  EXPECT_DOUBLE_EQ(win.sum_ms, 53.0);
-  // The windowed quantile sees the full fold: p99 lands in 50 ms's bucket,
-  // whose upper bound is at least the sample.
-  EXPECT_GE(win.quantile_ms(0.99), 50.0);
-}
-
-TEST(WindowedLatency, TrafficAgesOutOfTheWindowAtTheHorizon) {
-  WindowedLatency w(10000ms, 1000ms);
-  const auto t0 = WindowedLatency::Clock::now();
-  LatencyHistogram lifetime;
-  lifetime.record(3.0);
-  w.publish(lifetime, t0);
-  EXPECT_EQ(w.window(t0).total, 1u);
-  EXPECT_EQ(w.window(t0 + 9999ms).total, 1u);  // still younger than horizon
-  EXPECT_EQ(w.window(t0 + 10s).total, 0u);     // aged out exactly at it
-  EXPECT_DOUBLE_EQ(w.window(t0 + 10s).quantile_ms(0.5), 0.0);
-}
-
-TEST(WindowedLatency, RingOverwriteKeepsOnlyAHorizonOfDeltas) {
-  // 3 s horizon at 1 s cadence → 4 slots; 8 publishes must wrap cleanly
-  // and the window must only ever see the last-horizon slice.
-  WindowedLatency w(3000ms, 1000ms);
-  const auto t0 = WindowedLatency::Clock::now();
-  LatencyHistogram lifetime;
-  for (int tick = 1; tick <= 8; ++tick) {
-    lifetime.record(static_cast<double>(tick));
-    w.publish(lifetime, t0 + std::chrono::seconds(tick));
-  }
-  EXPECT_EQ(w.publishes(), 8u);
-  const LatencyHistogram win = w.window(t0 + 8s);
-  // Slots stamped at t0+6s, +7 s, +8 s qualify (t0+5 s aged out: 8-5 ≥ 3).
-  EXPECT_EQ(win.total, 3u);
-  EXPECT_DOUBLE_EQ(win.sum_ms, 6.0 + 7.0 + 8.0);
-}
-
-TEST(WindowedLatency, QuietIntervalsDrainTheWindow) {
-  // Empty publishes still claim slots — that is what ages traffic out
-  // while the service idles, without waiting a full horizon.
-  WindowedLatency w(3000ms, 1000ms);
-  const auto t0 = WindowedLatency::Clock::now();
-  LatencyHistogram lifetime;
-  lifetime.record(1.0);
-  w.publish(lifetime, t0 + 1s);
-  for (int tick = 2; tick <= 6; ++tick)  // no new samples
-    w.publish(lifetime, t0 + std::chrono::seconds(tick));
-  EXPECT_EQ(w.last_interval().total, 0u);
-  EXPECT_EQ(w.window(t0 + 6s).total, 0u);
 }
 
 // --- flight recorder ----------------------------------------------------
@@ -308,74 +208,13 @@ TEST(ExpositionServer, ServesMetricsAndHealthzOnAnEphemeralPort) {
                std::runtime_error);
 }
 
-// --- the publisher + snapshot, through a real service -------------------
+// --- snapshots of a real service -------------------
 
 ScanParams make_params(std::uint64_t num, std::uint32_t mu) {
   ScanParams p;
   p.eps = EpsRational{num, 5};
   p.mu = mu;
   return p;
-}
-
-TEST(LiveTelemetry, PublisherFillsWindowedSnapshotFields) {
-  const auto g = erdos_renyi(800, 6000, 11);
-  const GsIndex index(g);
-  ServiceOptions options;
-  options.num_threads = 2;
-  options.cache_results = false;
-  options.stats_interval = 25ms;
-  options.window_horizon = 5000ms;
-  QueryService service(index, options);
-
-  for (const std::uint64_t num : {1, 2, 3})
-    for (const std::uint32_t mu : {2u, 3u})
-      ASSERT_NE(service.submit(make_params(num, mu)).get().run, nullptr);
-
-  // The publisher folds on its own cadence; poll instead of trusting one
-  // sleep (CI machines stall).
-  ServiceSnapshot snap;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    snap = service.snapshot();
-    if (snap.publishes > 0 && snap.window.total >= 6) break;
-    std::this_thread::sleep_for(10ms);
-  }
-  EXPECT_GT(snap.publishes, 0u);
-  EXPECT_DOUBLE_EQ(snap.window_seconds, 5.0);
-  EXPECT_EQ(snap.window.total, 6u);  // all six queries inside the horizon
-  EXPECT_LE(snap.window.total, snap.latency.total);
-  EXPECT_GT(snap.window.quantile_ms(0.99), 0.0);
-
-  // Interval deltas never exceed the lifetime totals they derive from.
-  EXPECT_LE(snap.interval_submitted, snap.submitted);
-  EXPECT_LE(snap.interval_completed, snap.completed);
-
-  // The per-query split: queue + execute ≤ latency (delivery overhead is
-  // the slack the validator also allows).
-  ASSERT_FALSE(snap.recent.empty());
-  for (const auto& record : snap.recent) {
-    EXPECT_GE(record.queue_ms, 0.0);
-    EXPECT_GE(record.execute_ms, 0.0);
-    EXPECT_LE(record.queue_ms + record.execute_ms,
-              record.latency_ms + record.latency_ms * 0.05 + 0.5);
-  }
-
-  service.stop();
-  // The shutdown tick folds the tail: the final window covers everything.
-  const auto last = service.snapshot();
-  EXPECT_EQ(last.window.total, last.latency.total);
-}
-
-TEST(LiveTelemetry, PublisherOffKeepsWindowedFieldsEmpty) {
-  const auto g = erdos_renyi(400, 2500, 3);
-  const GsIndex index(g);
-  ServiceOptions options;
-  options.num_threads = 1;
-  QueryService service(index, options);  // stats_interval stays 0
-  ASSERT_NE(service.submit(make_params(2, 3)).get().run, nullptr);
-  const auto snap = service.snapshot();
-  EXPECT_EQ(snap.publishes, 0u);
-  EXPECT_DOUBLE_EQ(snap.window_seconds, 0.0);
-  EXPECT_EQ(snap.window.total, 0u);
 }
 
 TEST(LiveTelemetry, QueryResponseCarriesTheQueueSplit) {
@@ -394,6 +233,18 @@ TEST(LiveTelemetry, QueryResponseCarriesTheQueueSplit) {
   const QueryResponse hit = service.submit(make_params(3, 2)).get();
   ASSERT_TRUE(hit.cache_hit);
   EXPECT_DOUBLE_EQ(hit.execute_seconds, 0.0);
+
+  // The snapshot's per-query records carry the same split: queue +
+  // execute ≤ latency (delivery overhead is the slack the validator also
+  // allows).
+  const ServiceSnapshot snap = service.snapshot();
+  ASSERT_EQ(snap.recent.size(), 2u);
+  for (const auto& record : snap.recent) {
+    EXPECT_GE(record.queue_ms, 0.0);
+    EXPECT_GE(record.execute_ms, 0.0);
+    EXPECT_LE(record.queue_ms + record.execute_ms,
+              record.latency_ms + record.latency_ms * 0.05 + 0.5);
+  }
 }
 
 TEST(LiveTelemetry, ServiceFlightRecorderTracksLifecycleAndAdmissions) {
@@ -432,17 +283,11 @@ TEST(LiveTelemetry, ExpositionTextReflectsTheSnapshot) {
   ServiceOptions options;
   options.num_threads = 2;
   options.cache_results = true;
-  options.stats_interval = 25ms;
   QueryService service(index, options);
   for (int i = 0; i < 4; ++i)
     ASSERT_NE(service.submit(make_params(2, 3)).get().run, nullptr);
 
-  ServiceSnapshot snap;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    snap = service.snapshot();
-    if (snap.publishes > 0 && snap.window.total >= 1) break;
-    std::this_thread::sleep_for(10ms);
-  }
+  const ServiceSnapshot snap = service.snapshot();
   const std::string text = serve::exposition_text(snap);
 
   const auto expect_line = [&text](const std::string& line) {
@@ -461,13 +306,112 @@ TEST(LiveTelemetry, ExpositionTextReflectsTheSnapshot) {
               std::to_string(snap.latency.total));
   expect_line("ppscan_serve_shed_total{cause=\"queue-full\"}");
   expect_line("ppscan_serve_shed_total{cause=\"overload\"}");
-  expect_line("# TYPE ppscan_serve_window_latency_ms histogram");
-  expect_line("ppscan_serve_window_seconds");
-  expect_line("ppscan_serve_publishes_total " +
-              std::to_string(snap.publishes));
   // Every HELP has a TYPE: the same invariants check_exposition.py holds
   // over the live scrape in CI.
   EXPECT_EQ(std::string::npos, text.find("\n\n"));
+}
+
+// A hand-built snapshot pins the whole scrape body byte for byte: family
+// order, HELP text, label syntax, number formatting and the histogram's
+// cumulative buckets.
+TEST(LiveTelemetry, ExpositionTextIsByteExact) {
+  ServiceSnapshot s;
+  s.submitted = 42;
+  s.completed = 40;
+  s.cache_hits = 7;
+  s.rejected = 3;
+  s.partial = 2;
+  s.exceptions = 1;
+  s.shed_queue_full = 1;
+  s.shed_overload = 2;
+  s.counters.arcs_touched = 1000;
+  s.counters.arcs_predicate_pruned = 100;
+  s.counters.sims_computed = 400;
+  s.counters.sims_reused = 500;
+  for (const double ms : {0.0005, 0.003, 0.75, 1.5, 12.0, 250.0})
+    s.latency.record(ms);
+  s.flight_recorded = 17;
+  s.uptime_seconds = 12.5;
+  s.num_threads = 4;
+
+  const char* const expected = R"prom(# HELP ppscan_serve_submitted_total Queries admitted into the service
+# TYPE ppscan_serve_submitted_total counter
+ppscan_serve_submitted_total 42
+# HELP ppscan_serve_completed_total Queries answered (including cache hits and partials)
+# TYPE ppscan_serve_completed_total counter
+ppscan_serve_completed_total 40
+# HELP ppscan_serve_rejected_total Queries refused at admission (all causes)
+# TYPE ppscan_serve_rejected_total counter
+ppscan_serve_rejected_total 3
+# HELP ppscan_serve_cache_hits_total Answers served from the (eps, mu) result cache
+# TYPE ppscan_serve_cache_hits_total counter
+ppscan_serve_cache_hits_total 7
+# HELP ppscan_serve_partial_total Answers delivered partial (deadline or budget abort)
+# TYPE ppscan_serve_partial_total counter
+ppscan_serve_partial_total 2
+# HELP ppscan_serve_exceptions_total Executions classified AbortReason::Exception by the firewall
+# TYPE ppscan_serve_exceptions_total counter
+ppscan_serve_exceptions_total 1
+# HELP ppscan_serve_shed_total Refusals split by cause
+# TYPE ppscan_serve_shed_total counter
+ppscan_serve_shed_total{cause="queue-full"} 1
+ppscan_serve_shed_total{cause="overload"} 2
+# HELP ppscan_serve_arcs_touched_total Arcs triaged across executed queries
+# TYPE ppscan_serve_arcs_touched_total counter
+ppscan_serve_arcs_touched_total 1000
+# HELP ppscan_serve_arcs_pruned_total Arcs decided by the degree predicate alone
+# TYPE ppscan_serve_arcs_pruned_total counter
+ppscan_serve_arcs_pruned_total 100
+# HELP ppscan_serve_sims_computed_total Structural similarities computed
+# TYPE ppscan_serve_sims_computed_total counter
+ppscan_serve_sims_computed_total 400
+# HELP ppscan_serve_sims_reused_total Structural similarities reused from the GS*-Index
+# TYPE ppscan_serve_sims_reused_total counter
+ppscan_serve_sims_reused_total 500
+# HELP ppscan_serve_threads Executor worker threads
+# TYPE ppscan_serve_threads gauge
+ppscan_serve_threads 4
+# HELP ppscan_serve_uptime_seconds Seconds since service construction
+# TYPE ppscan_serve_uptime_seconds gauge
+ppscan_serve_uptime_seconds 12.5
+# HELP ppscan_serve_flight_events_total Events recorded by the flight recorder
+# TYPE ppscan_serve_flight_events_total counter
+ppscan_serve_flight_events_total 17
+# HELP ppscan_serve_latency_ms End-to-end query latency since service start (milliseconds)
+# TYPE ppscan_serve_latency_ms histogram
+ppscan_serve_latency_ms_bucket{le="0.001"} 1
+ppscan_serve_latency_ms_bucket{le="0.002"} 1
+ppscan_serve_latency_ms_bucket{le="0.004"} 2
+ppscan_serve_latency_ms_bucket{le="0.008"} 2
+ppscan_serve_latency_ms_bucket{le="0.016"} 2
+ppscan_serve_latency_ms_bucket{le="0.032"} 2
+ppscan_serve_latency_ms_bucket{le="0.064"} 2
+ppscan_serve_latency_ms_bucket{le="0.128"} 2
+ppscan_serve_latency_ms_bucket{le="0.256"} 2
+ppscan_serve_latency_ms_bucket{le="0.512"} 2
+ppscan_serve_latency_ms_bucket{le="1.024"} 3
+ppscan_serve_latency_ms_bucket{le="2.048"} 4
+ppscan_serve_latency_ms_bucket{le="4.096"} 4
+ppscan_serve_latency_ms_bucket{le="8.192"} 4
+ppscan_serve_latency_ms_bucket{le="16.384"} 5
+ppscan_serve_latency_ms_bucket{le="32.768"} 5
+ppscan_serve_latency_ms_bucket{le="65.536"} 5
+ppscan_serve_latency_ms_bucket{le="131.072"} 5
+ppscan_serve_latency_ms_bucket{le="262.144"} 6
+ppscan_serve_latency_ms_bucket{le="524.288"} 6
+ppscan_serve_latency_ms_bucket{le="1048.58"} 6
+ppscan_serve_latency_ms_bucket{le="2097.15"} 6
+ppscan_serve_latency_ms_bucket{le="4194.3"} 6
+ppscan_serve_latency_ms_bucket{le="8388.61"} 6
+ppscan_serve_latency_ms_bucket{le="16777.2"} 6
+ppscan_serve_latency_ms_bucket{le="33554.4"} 6
+ppscan_serve_latency_ms_bucket{le="67108.9"} 6
+ppscan_serve_latency_ms_bucket{le="134218"} 6
+ppscan_serve_latency_ms_bucket{le="+Inf"} 6
+ppscan_serve_latency_ms_sum 264.253
+ppscan_serve_latency_ms_count 6
+)prom";
+  EXPECT_EQ(serve::exposition_text(s), expected);
 }
 
 // --- the adversarial TSan target ----------------------------------------
@@ -478,7 +422,6 @@ TEST(LiveTelemetry, ConcurrentSubmittersPollerAndScraperStayConsistent) {
   ServiceOptions options;
   options.num_threads = 4;
   options.cache_results = true;
-  options.stats_interval = 10ms;  // publisher races with everything below
   options.flight_capacity = 64;
   QueryService service(index, options);
 
@@ -495,8 +438,6 @@ TEST(LiveTelemetry, ConcurrentSubmittersPollerAndScraperStayConsistent) {
       const auto snap = service.snapshot();
       // Invariants that must hold on every cut, mid-flight included.
       EXPECT_LE(snap.completed, snap.submitted);
-      EXPECT_LE(snap.window.total, snap.latency.total);
-      EXPECT_LE(snap.interval_completed, snap.completed);
       std::this_thread::sleep_for(1ms);
     }
   });
@@ -540,8 +481,6 @@ TEST(LiveTelemetry, ConcurrentSubmittersPollerAndScraperStayConsistent) {
   EXPECT_EQ(snap.submitted, total);
   EXPECT_EQ(snap.completed, total);
   EXPECT_EQ(snap.latency.total, total);
-  EXPECT_EQ(snap.window.total, total);  // the shutdown tick folded the tail
-  EXPECT_GT(snap.publishes, 0u);
   EXPECT_GE(snap.flight_recorded, total);  // one admission event per query
 
   // The final scrape renders the settled counters and still lint-clean

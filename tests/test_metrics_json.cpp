@@ -453,6 +453,161 @@ TEST(MetricsJson, ServingRowWithRetiredResilienceKeysStillValidates) {
   }
 }
 
+// A serving row carrying every block (queries[], latency_histogram and
+// resilience), pinned byte for byte: key order, number formatting and
+// nesting are part of the committed BENCH_*.json format.
+TEST(MetricsJson, ServingRowDumpIsByteExact) {
+  MetricsReport r;
+  r.tool = "bench_query_serving";
+  r.algorithm = "GsIndex-serve";
+  r.dataset = "lfr-n4096";
+  r.eps = "0.2,0.6";
+  r.mu = 0;
+  r.threads = 4;
+  r.kernel = "index";
+  r.runtime_kind = "worksteal";
+  r.num_vertices = 4096;
+  r.num_edges = 32768;
+  r.total_seconds = 1.5;
+  r.busy_seconds = 0.25;
+  r.abort_reason = "none";
+  r.counters.arcs_touched = 900;
+  r.counters.arcs_predicate_pruned = 100;
+  r.counters.sims_computed = 300;
+  r.counters.sims_bound_rejected = 120;
+  r.counters.sims_reused = 500;
+  r.counters.core_early_exits = 7;
+  r.counters.uf_unions = 40;
+  r.counters.uf_finds = 90;
+  r.counters.uf_find_steps = 95;
+  QueryRowMetrics q0;
+  q0.id = 0;
+  q0.eps = "1/5";
+  q0.mu = 2;
+  q0.latency_ms = 4.25;
+  q0.queue_ms = 0.5;
+  q0.execute_ms = 3.5;
+  q0.num_clusters = 12;
+  q0.num_cores = 800;
+  q0.abort_reason = "none";
+  q0.cache_hit = false;
+  QueryRowMetrics q1;
+  q1.id = 1;
+  q1.eps = "3/5";
+  q1.mu = 3;
+  q1.latency_ms = 0.125;
+  q1.queue_ms = 0.0625;
+  q1.execute_ms = 0;
+  q1.num_clusters = 5;
+  q1.num_cores = 210;
+  q1.abort_reason = "deadline-expired";
+  q1.cache_hit = true;
+  r.queries = {q0, q1};
+  r.latency.count = 2;
+  r.latency.p50_ms = 0.128;
+  r.latency.p90_ms = 4.25;
+  r.latency.p99_ms = 4.25;
+  r.latency.max_ms = 4.25;
+  r.latency.sum_ms = 4.375;
+  r.latency.buckets = {{128.0, 1}, {8192.0, 1}};
+  r.has_resilience = true;
+  r.resilience.exceptions = 1;
+  r.resilience.shed_queue_full = 2;
+  r.resilience.shed_overload = 3;
+
+  const char* const expected = R"json({
+  "schema_version": 2,
+  "tool": "bench_query_serving",
+  "algorithm": "GsIndex-serve",
+  "dataset": "lfr-n4096",
+  "eps": "0.2,0.6",
+  "mu": 0,
+  "threads": 4,
+  "kernel": "index",
+  "runtime_kind": "worksteal",
+  "num_vertices": 4096,
+  "num_edges": 32768,
+  "total_seconds": 1.5,
+  "similarity_seconds": 0,
+  "pruning_seconds": 0,
+  "stage_prune_seconds": 0,
+  "stage_check_seconds": 0,
+  "stage_core_cluster_seconds": 0,
+  "stage_noncore_cluster_seconds": 0,
+  "busy_seconds": 0.25,
+  "idle_seconds": 0,
+  "compsim_invocations": 0,
+  "tasks_submitted": 0,
+  "tasks_executed": 0,
+  "steals": 0,
+  "num_clusters": 0,
+  "num_cores": 0,
+  "abort_reason": "none",
+  "abort_phase": "",
+  "phases_completed": 0,
+  "peak_governed_bytes": 0,
+  "arcs_touched": 900,
+  "arcs_predicate_pruned": 100,
+  "sims_computed": 300,
+  "sims_bound_rejected": 120,
+  "sims_reused": 500,
+  "core_early_exits": 7,
+  "uf_unions": 40,
+  "uf_finds": 90,
+  "uf_find_steps": 95,
+  "queries": [
+    {
+      "id": 0,
+      "eps": "1/5",
+      "mu": 2,
+      "latency_ms": 4.25,
+      "queue_ms": 0.5,
+      "execute_ms": 3.5,
+      "num_clusters": 12,
+      "num_cores": 800,
+      "abort_reason": "none",
+      "cache_hit": false
+    },
+    {
+      "id": 1,
+      "eps": "3/5",
+      "mu": 3,
+      "latency_ms": 0.125,
+      "queue_ms": 0.0625,
+      "execute_ms": 0,
+      "num_clusters": 5,
+      "num_cores": 210,
+      "abort_reason": "deadline-expired",
+      "cache_hit": true
+    }
+  ],
+  "latency_histogram": {
+    "count": 2,
+    "p50_ms": 0.128,
+    "p90_ms": 4.25,
+    "p99_ms": 4.25,
+    "max_ms": 4.25,
+    "sum_ms": 4.375,
+    "buckets": [
+      {
+        "le_us": 128,
+        "count": 1
+      },
+      {
+        "le_us": 8192,
+        "count": 1
+      }
+    ]
+  },
+  "resilience": {
+    "exceptions": 1,
+    "shed_queue_full": 2,
+    "shed_overload": 3
+  }
+})json";
+  EXPECT_EQ(metrics_to_json(r).dump(2), expected);
+}
+
 TEST(MetricsJson, ParserRejectsGarbage) {
   EXPECT_THROW(JsonValue::parse("{\"a\": }"), std::runtime_error);
   EXPECT_THROW(JsonValue::parse("{} trailing"), std::runtime_error);

@@ -35,6 +35,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_support/algorithms.hpp"
@@ -501,17 +502,9 @@ int cmd_serve(const Flags& flags) {
   options.default_limits = parse_limits(flags);
   options.shed_target_delay =
       std::chrono::milliseconds(flags.get_int("shed-target-ms", 0));
-  // Live telemetry (docs/observability.md, "Live telemetry"): the stats
-  // publisher backs both the windowed /metrics families and the stderr
-  // status line, so a metrics port without an explicit cadence gets the
-  // 1-second default.
+  // Live telemetry (docs/observability.md, "Live telemetry").
   const long metrics_port = flags.get_int("metrics-port", -1);
   const long stats_interval_ms = flags.get_int("stats-interval-ms", 0);
-  if (stats_interval_ms > 0) {
-    options.stats_interval = std::chrono::milliseconds(stats_interval_ms);
-  } else if (metrics_port >= 0) {
-    options.stats_interval = std::chrono::milliseconds(1000);
-  }
   const auto flight_out = flags.get_string("flight-out", "");
   options.flight_dump_path = flight_out;
   serve::QueryService service(index, options);
@@ -530,25 +523,29 @@ int cmd_serve(const Flags& flags) {
     obs::install_flight_signal_dump(service.flight(), flight_out.c_str());
   }
 
-  // Status line: one stderr line per publisher interval, only when
-  // --stats-interval-ms asked for it.
+  // Status line: one stderr line per --stats-interval-ms, only when that
+  // flag asked for it. Each line covers the interval since the previous
+  // one: qps from the completed-count delta, p99 from the histogram delta.
   std::atomic<bool> status_stop{false};
   std::thread status;
   if (stats_interval_ms > 0) {
     status = std::thread([&service, &status_stop, stats_interval_ms] {
+      serve::ServiceSnapshot prev = service.snapshot();
       while (!status_stop.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(stats_interval_ms));
         if (status_stop.load(std::memory_order_relaxed)) break;
-        const auto s = service.snapshot();
+        serve::ServiceSnapshot s = service.snapshot();
+        const double seconds = s.uptime_seconds - prev.uptime_seconds;
         const double qps =
-            s.interval_seconds > 0
-                ? static_cast<double>(s.interval_completed) /
-                      s.interval_seconds
+            seconds > 0
+                ? static_cast<double>(s.completed - prev.completed) / seconds
                 : 0;
-        std::cerr << "[serve] qps=" << qps
-                  << " p99w=" << s.window.quantile_ms(0.99) << "ms shed="
-                  << s.shed_queue_full + s.shed_overload << "\n";
+        std::cerr << "[serve] qps=" << qps << " p99="
+                  << s.latency.delta_since(prev.latency).quantile_ms(0.99)
+                  << "ms shed=" << s.shed_queue_full + s.shed_overload
+                  << "\n";
+        prev = std::move(s);
       }
     });
   }
@@ -680,9 +677,9 @@ void usage() {
          "        [--metrics-port P]      /metrics + /healthz on\n"
          "                                127.0.0.1:P (0 = ephemeral; the\n"
          "                                bound port prints to stderr)\n"
-         "        [--stats-interval-ms M] windowed-stats publisher cadence\n"
-         "                                + one stderr status line per\n"
-         "                                interval (default off)\n"
+         "        [--stats-interval-ms M] one stderr status line per M ms:\n"
+         "                                the interval's qps, p99 and\n"
+         "                                sheds so far (default off)\n"
          "        [--flight-out FILE]     flight-recorder JSON on stop\n"
          "                                and fatal signals\n"
          "an unknown flag exits 2\n";
