@@ -1,6 +1,5 @@
 #include "concurrent/executor.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -60,17 +59,6 @@ int Executor::current_worker() const {
   return t_owner == this ? t_index : -1;
 }
 
-void Executor::begin_phase(RangeFn fn, void* ctx) {
-  fn_ = fn;
-  ctx_ = ctx;
-  tasks_ = nullptr;
-  // Publishing the new phase tag invalidates every segment cursor (their
-  // tags are now stale) and makes fn_/ctx_ visible to any worker that
-  // acquires phase_ or pops a range pushed after this store.
-  phase_.store(phase_.load(std::memory_order_relaxed) + 1,
-               std::memory_order_release);
-}
-
 void Executor::run(const TaskRange* tasks, std::size_t count, RangeFn fn,
                    void* ctx) {
   fn_ = fn;
@@ -99,18 +87,6 @@ void Executor::run(const TaskRange* tasks, std::size_t count, RangeFn fn,
   phase_.store(p, std::memory_order_release);
   if (count > 0) wake_workers();
   wait_idle();
-}
-
-void Executor::submit(TaskRange range) {
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  const int w = current_worker();
-  if (w >= 0) {
-    workers_[static_cast<std::size_t>(w)]->deque.push(pack(range));
-  } else {
-    // Master thread (the only permitted non-worker submitter).
-    injector_.push(pack(range));
-  }
-  wake_workers();
 }
 
 void Executor::record_task_failure(RunGovernor* gov) {
@@ -167,7 +143,7 @@ void Executor::wait_idle() {
 void Executor::wake_workers() {
   epoch_.fetch_add(1, std::memory_order_release);
   // libstdc++ tracks waiters per futex word and skips the syscall when no
-  // worker is parked, so this is cheap on the submit-heavy path.
+  // worker is parked.
   epoch_.notify_all();
 }
 
@@ -202,42 +178,25 @@ bool Executor::claim_from_segment(int victim, std::uint32_t tag,
 }
 
 bool Executor::try_claim(int self, TaskRange* out) {
-  // Visibility: this acquire pairs with the release store in run() /
-  // begin_phase(), so a tag-validated claim below implies fn_/ctx_/tasks_
-  // of that phase are visible.
+  // Visibility: this acquire pairs with the release store in run(), so a
+  // tag-validated claim below implies fn_/ctx_/tasks_ of that phase are
+  // visible.
   const auto p = phase_.load(std::memory_order_acquire);
-  Worker& me = *workers_[static_cast<std::size_t>(self)];
   std::uint32_t index;
   if (claim_from_segment(self, p, &index)) {
     *out = tasks_[index];
-    return true;
-  }
-  std::uint64_t packed;
-  if (me.deque.pop(&packed)) {
-    *out = unpack(packed);
     return true;
   }
   // Ring scan over every other worker: self + 1, self + 2, … mod n.
   for (int d = 1; d < num_workers_; ++d) {
     const int victim = (self + d) % num_workers_;
     if (claim_from_segment(victim, p, &index)) {
-      me.steals.fetch_add(1, std::memory_order_relaxed);
+      workers_[static_cast<std::size_t>(self)]->steals.fetch_add(
+          1, std::memory_order_relaxed);
       record_steal(self, victim);
       *out = tasks_[index];
       return true;
     }
-    if (workers_[static_cast<std::size_t>(victim)]->deque.steal(&packed)) {
-      me.steals.fetch_add(1, std::memory_order_relaxed);
-      record_steal(self, victim);
-      *out = unpack(packed);
-      return true;
-    }
-  }
-  // Master-submitted ranges are not counted as steals: the injector deque
-  // has no owning worker to steal from.
-  if (injector_.steal(&packed)) {
-    *out = unpack(packed);
-    return true;
   }
   return false;
 }
@@ -325,13 +284,8 @@ void Executor::worker_loop(int index) {
   TaskRange range;
   for (;;) {
     const std::uint32_t seen = epoch_.load(std::memory_order_acquire);
-    if (stop_.load(std::memory_order_relaxed) &&
-        pending_.load(std::memory_order_relaxed) == 0) {
-      // Drain-before-exit: stop_ alone is not enough, submitted work must
-      // finish (parity with the legacy pool's destructor contract).
-      flush_idle();
-      return;
-    }
+    // run() is a full barrier, so nothing is outstanding once stop_ is set.
+    if (stop_.load(std::memory_order_relaxed)) return;
     if (try_claim(index, &range)) {
       flush_idle();
       failures = 0;
@@ -359,24 +313,17 @@ void Executor::worker_loop(int index) {
 
 ExecutorStats Executor::stats() const {
   ExecutorStats s;
-  bool first = true;
   for (const auto& w : workers_) {
     s.tasks_executed += w->executed.load(std::memory_order_relaxed);
     s.tasks_skipped += w->skipped.load(std::memory_order_relaxed);
     s.tasks_failed += w->failed.load(std::memory_order_relaxed);
     s.steals += w->steals.load(std::memory_order_relaxed);
-    const double busy =
+    s.busy_seconds +=
         static_cast<double>(w->busy_ns.load(std::memory_order_relaxed)) *
         1e-9;
-    s.busy_seconds += busy;
     s.idle_seconds +=
         static_cast<double>(w->idle_ns.load(std::memory_order_relaxed)) *
         1e-9;
-    s.max_worker_busy_seconds =
-        first ? busy : std::max(s.max_worker_busy_seconds, busy);
-    s.min_worker_busy_seconds =
-        first ? busy : std::min(s.min_worker_busy_seconds, busy);
-    first = false;
   }
   return s;
 }

@@ -8,23 +8,19 @@
 //
 //   * Persistent workers — spawned once, parked on a futex (C++20
 //     std::atomic::wait) between phases, no condvar and no mutex anywhere.
-//   * Flat-array phase fast path — the master precomputes the task
-//     boundaries of a phase into a flat TaskRange array; each worker owns a
+//   * Flat phases — the master precomputes the task boundaries of a phase
+//     into a flat TaskRange array and calls run(); each worker owns a
 //     contiguous segment of task indices and claims them one CAS at a time
 //     from a per-worker (phase-tagged) cursor. When its segment drains it
 //     claims from neighbors' cursors instead: stealing is the same one-CAS
 //     operation, so load balance costs nothing extra.
-//   * Inline task storage — a task is the POD pair {beg, end} (packed into
-//     one uint64); the per-phase body is installed once as a plain function
-//     pointer + context. The per-task hot path performs zero allocations
-//     and acquires zero mutexes.
-//   * Chase–Lev deques — each worker (plus one injector slot for the master
-//     thread) owns a lock-free deque of packed ranges for dynamically
-//     submitted work: streamed phases, nested submits from inside tasks.
-//     Owner pushes/pops the bottom; thieves CAS the top.
-//   * wait_idle() — an atomic outstanding-task counter; the master parks on
-//     it with a futex wait and is woken by the worker whose decrement
-//     reaches zero.
+//   * Inline task storage — a task is the POD pair {beg, end}, read in place
+//     from the caller's array; the per-phase body is installed once as a
+//     plain function pointer + context. The per-task hot path performs zero
+//     allocations and acquires zero mutexes.
+//   * One barrier — run() returns when an atomic outstanding-task counter
+//     reaches zero; the master parks on it with a futex wait and is woken by
+//     the worker whose decrement gets there.
 //
 // Per-worker counters (tasks executed, steals, busy/idle nanoseconds) are
 // accumulated with relaxed atomics and aggregated by stats() at a barrier,
@@ -58,8 +54,8 @@ namespace ppscan {
 
 class RunGovernor;
 
-/// One task: a half-open vertex range. POD, packed into a single uint64 in
-/// every queue so the hot path never allocates.
+/// One task: a half-open vertex range. POD, claimed in place from the
+/// caller's array so the hot path never allocates.
 struct TaskRange {
   VertexId beg;
   VertexId end;
@@ -75,133 +71,13 @@ struct ExecutorStats {
   std::uint64_t tasks_skipped = 0;   ///< ranges drained by a cancelled run
   /// Ranges whose body threw: the exception firewall caught it at the task
   /// boundary, classified it (governor → AbortReason::Exception; no
-  /// governor → rethrown from the master's wait_idle), and the worker
+  /// governor → rethrown from the master's run()), and the worker
   /// carried on. Disjoint from tasks_executed.
   std::uint64_t tasks_failed = 0;
   std::uint64_t steals = 0;          ///< claims taken from another worker
   double busy_seconds = 0;           ///< summed in-task time over workers
   double idle_seconds = 0;           ///< summed mid-phase scan/park time
-  double max_worker_busy_seconds = 0;
-  double min_worker_busy_seconds = 0;
 };
-
-namespace detail {
-
-/// Chase–Lev work-stealing deque of packed uint64 ranges (Chase & Lev,
-/// SPAA'05; memory orderings after Lê et al., PPoPP'13, with the standalone
-/// fences replaced by seq_cst operations on top_/bottom_ so ThreadSanitizer
-/// — which does not model fences — can verify the executor).
-class RangeDeque {
- public:
-  RangeDeque() : array_(new Array(kInitialCapacity)) {}
-  ~RangeDeque() {
-    delete array_.load(std::memory_order_relaxed);
-    for (Array* a : retired_) delete a;
-  }
-  RangeDeque(const RangeDeque&) = delete;
-  RangeDeque& operator=(const RangeDeque&) = delete;
-
-  /// Owner only. Grows (amortized, cold path) when full.
-  void push(std::uint64_t value) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Array* a = array_.load(std::memory_order_relaxed);
-    if (b - t > a->capacity - 1) a = grow(a, b, t);
-    a->put(b, value);
-    bottom_.store(b + 1, std::memory_order_release);
-  }
-
-  /// Owner only.
-  bool pop(std::uint64_t* out) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Array* a = array_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    bool taken = false;
-    if (t <= b) {
-      *out = a->get(b);
-      taken = true;
-      if (t == b) {
-        // Last element: race against thieves for it.
-        if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-          taken = false;
-        }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return taken;
-  }
-
-  /// Any thread.
-  bool steal(std::uint64_t* out) {
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return false;
-    Array* a = array_.load(std::memory_order_acquire);
-    const std::uint64_t value = a->get(t);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return false;  // lost the race; caller retries elsewhere
-    }
-    *out = value;
-    return true;
-  }
-
-  [[nodiscard]] bool maybe_nonempty() const {
-    return top_.load(std::memory_order_relaxed) <
-           bottom_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Array {
-    explicit Array(std::int64_t cap)
-        : capacity(cap),
-          mask(cap - 1),
-          slots(std::make_unique<std::atomic<std::uint64_t>[]>(
-              static_cast<std::size_t>(cap))) {}
-    void put(std::int64_t i, std::uint64_t v) {
-      slots[static_cast<std::size_t>(i & mask)].store(
-          v, std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t get(std::int64_t i) const {
-      return slots[static_cast<std::size_t>(i & mask)].load(
-          std::memory_order_relaxed);
-    }
-    std::int64_t capacity;
-    std::int64_t mask;
-    // protocol: relaxed-guarded — slot payloads; ordering is provided by
-    // the release/acquire and seq_cst edges on bottom_/top_/array_.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
-  };
-
-  Array* grow(Array* old, std::int64_t b, std::int64_t t) {
-    auto* bigger = new Array(old->capacity * 2);
-    for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
-    // Thieves may still be reading `old`; retire it until destruction
-    // instead of freeing (the memory cost is bounded by 2x the peak size).
-    retired_.push_back(old);
-    array_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  static constexpr std::int64_t kInitialCapacity = 256;  // power of two
-
-  // protocol: chase-lev-top — thief index; claimed by seq_cst CAS,
-  // publisher=thieves+owner(pop tail race), consumers=everyone.
-  std::atomic<std::int64_t> top_{0};
-  // protocol: chase-lev-bottom — owner index; publisher=owner (push release
-  // / pop seq_cst), consumers=thieves (seq_cst load).
-  std::atomic<std::int64_t> bottom_{0};
-  // protocol: release-acquire — grown array pointer; publisher=owner in
-  // grow(), consumers=thieves (acquire in steal), owner reads relaxed.
-  std::atomic<Array*> array_;
-  std::vector<Array*> retired_;  // owner-only, freed in the destructor
-};
-
-}  // namespace detail
 
 class Executor {
  public:
@@ -210,7 +86,8 @@ class Executor {
   /// self + 1, self + 2, … mod num_threads.
   explicit Executor(int num_threads);
 
-  /// Drains outstanding work (parity with the legacy pool), then joins.
+  /// Stops and joins the workers. run() is a full barrier, so no work is
+  /// outstanding here.
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -218,11 +95,19 @@ class Executor {
 
   [[nodiscard]] int num_threads() const { return num_workers_; }
 
-  /// Fast path: runs `fn(ctx, r.beg, r.end)` for every range in
-  /// [tasks, tasks + count) plus any ranges submitted by the tasks
-  /// themselves, then returns (full barrier). The array must stay alive for
-  /// the duration of the call; it is claimed in place — nothing is copied,
-  /// allocated, or locked per task.
+  /// Runs `fn(ctx, r.beg, r.end)` for every range in [tasks, tasks + count),
+  /// then returns (full barrier; the executor stays usable for the next
+  /// phase). The array must stay alive for the duration of the call; it is
+  /// claimed in place — nothing is copied, allocated, or locked per task.
+  ///
+  /// Exception firewall: a task body that throws never unwinds a worker —
+  /// the worker catches at the task boundary, counts the range as failed,
+  /// and keeps claiming. With a governor installed the exception becomes a
+  /// classified trip (AbortReason::Exception, detail = e.what()) and the
+  /// rest of the phase skip-drains like any other cancellation; without
+  /// one, the FIRST exception is captured and rethrown *here*, on the
+  /// master, after every other in-flight task has finished — so sibling
+  /// tasks always complete and the executor stays reusable either way.
   void run(const TaskRange* tasks, std::size_t count, RangeFn fn, void* ctx);
 
   /// Same, with any callable `body(VertexId beg, VertexId end)`.
@@ -236,31 +121,6 @@ class Executor {
         const_cast<void*>(static_cast<const void*>(std::addressof(body))));
   }
 
-  /// Streaming mode: installs the phase body so ranges can be submit()ted
-  /// incrementally (overlapping master-side bundling with execution).
-  /// Terminate the phase with wait_idle(). Must not be called while a
-  /// previous phase is still in flight.
-  void begin_phase(RangeFn fn, void* ctx);
-
-  /// Enqueues one range for the current phase. Callable from the master
-  /// thread (injector deque) or from inside a task (owner deque → enables
-  /// nested parallelism). Never blocks; allocation only on deque growth.
-  void submit(TaskRange range);
-
-  /// Blocks until every outstanding range has finished; futex park, no
-  /// mutex. The executor remains usable afterwards — this is the
-  /// inter-phase barrier.
-  ///
-  /// Exception firewall: a task body that throws never unwinds a worker —
-  /// the worker catches at the task boundary, counts the range as failed,
-  /// and keeps claiming. With a governor installed the exception becomes a
-  /// classified trip (AbortReason::Exception, detail = e.what()) and the
-  /// rest of the phase skip-drains like any other cancellation; without
-  /// one, the FIRST exception is captured and rethrown *here*, on the
-  /// master, after every other in-flight task has finished — so sibling
-  /// tasks always complete and the executor stays reusable either way.
-  void wait_idle();
-
   /// Index of the calling thread if it is a worker of *this* executor,
   /// -1 otherwise (master / foreign threads). Worker-local data structures
   /// (e.g. the phase-7 membership buffers) key on this.
@@ -271,7 +131,7 @@ class Executor {
 
   /// Installs (or clears, with nullptr) the run governor. Master only, at a
   /// barrier — not while a phase is in flight. The governor must outlive
-  /// every subsequent run()/wait_idle() until replaced.
+  /// every subsequent run() until replaced.
   void install_governor(RunGovernor* governor) {
     governor_.store(governor, std::memory_order_release);
   }
@@ -281,8 +141,7 @@ class Executor {
 
   /// Installs (or clears, with nullptr) the trace collector. Master only,
   /// at a barrier, same lifetime contract as install_governor: the
-  /// collector must outlive every subsequent run()/wait_idle() until
-  /// replaced. Workers record TaskRun/TaskSkip/Steal events into their own
+  /// collector must outlive every subsequent run() until replaced. Workers record TaskRun/TaskSkip/Steal events into their own
   /// slot. A no-op (beyond the pointer swap) when tracing is compiled out.
   void install_trace(obs::TraceCollector* trace) {
     trace_.store(trace, std::memory_order_release);
@@ -293,8 +152,7 @@ class Executor {
 
  private:
   // One cache line per worker: the phase-tagged claim cursor plus the
-  // owner-written counters. The Chase–Lev deque and the thread handle live
-  // alongside (they have their own internal layout).
+  // owner-written counters and the thread handle.
   struct alignas(64) Worker {
     /// (phase_tag << 32) | next_task_index. Claims CAS the low half up; a
     /// tag mismatch means the slot belongs to another phase and is empty.
@@ -307,7 +165,6 @@ class Executor {
     /// the phase the claimer read.
     /// protocol: relaxed-guarded — same phase-tag protocol as cursor.
     std::atomic<std::uint64_t> segment_end{0};
-    detail::RangeDeque deque;
     std::atomic<std::uint64_t> executed{0};  // protocol: relaxed-counter
     std::atomic<std::uint64_t> skipped{0};   // protocol: relaxed-counter
     /// Task bodies that threw (caught by the exception firewall).
@@ -319,9 +176,8 @@ class Executor {
   };
 
   void worker_loop(int index);
-  /// Claims one range: own segment, own deque, then every other worker's
-  /// segment and deque in ring order, then the injector. Counts steals on
-  /// `self`.
+  /// Claims one range: own segment, then every other worker's segment in
+  /// ring order. Counts steals on `self`.
   bool try_claim(int self, TaskRange* out);
   /// CAS-claims one task index from `victim`'s segment for phase `tag`.
   bool claim_from_segment(int victim, std::uint32_t tag, std::uint32_t* out);
@@ -346,18 +202,13 @@ class Executor {
   }
   void finish_one_task();
   void wake_workers();
-
-  static std::uint64_t pack(TaskRange r) {
-    return (static_cast<std::uint64_t>(r.beg) << 32) | r.end;
-  }
-  static TaskRange unpack(std::uint64_t v) {
-    return {static_cast<VertexId>(v >> 32),
-            static_cast<VertexId>(v & 0xffffffffu)};
-  }
+  /// Blocks until every outstanding range has finished (futex park, no
+  /// mutex), then rethrows the first ungoverned task exception, if any —
+  /// the tail of run().
+  void wait_idle();
 
   const int num_workers_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  detail::RangeDeque injector_;  // owned by the master thread
 
   // Phase state: written by the master between barriers, published by the
   // release store to phase_ and read by workers after the matching acquire.

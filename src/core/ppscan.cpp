@@ -692,6 +692,21 @@ class PpScanRunner {
 
 ScanRun ppscan(const CsrGraph& graph, const ScanParams& params,
                const PpScanOptions& options) {
+  if (options.cancel != nullptr && options.cancel->cancelled() &&
+      options.num_threads >= 1) {
+    // Tripped before the call: no phase would run, so skip the executor,
+    // the state arrays and the sketch count, and return the all-Unknown
+    // partial result the phases would have left. (A thread count below 1
+    // still reaches the Executor, which rejects it.)
+    const RunGovernor governor(options.limits, options.cancel);
+    ScanRun run;
+    const VertexId n = graph.num_vertices();
+    run.result.roles.assign(n, Role::Unknown);
+    run.result.core_cluster_id.assign(n, kInvalidVertex);
+    run.stats.runtime_kind = "worksteal";
+    record_governance(governor, run.stats);
+    return run;
+  }
   return PpScanRunner(graph, params, options).run();
 }
 

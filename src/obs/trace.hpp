@@ -107,7 +107,7 @@ class TraceBuffer {
 
   /// Copies the retained events oldest-first. NOT safe concurrently with
   /// record(): callers must hold a happens-before edge from the writer
-  /// (thread join, executor wait_idle barrier, or an external
+  /// (thread join, the barrier at the end of Executor::run, or an external
   /// release/acquire handoff as in tests/test_trace_buffer_mt.cpp).
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 

@@ -83,10 +83,10 @@ class AtomicArray {
     return std::atomic_ref<T>(data_[i]);
   }
 
-  // protocol: forwarding-wrapper — accessed through at(), whose callers
-  // above forward the caller's memory_order, or through exclusive_data()
-  // when no atomic access can run; each AtomicArray *member* declares its
-  // own discipline and is checked at its own call sites.
+  // Plain storage, accessed through at(), whose callers above forward the
+  // caller's memory_order, or through exclusive_data() when no atomic
+  // access can run; each AtomicArray *member* declares its own discipline
+  // and is checked at its own call sites.
   std::unique_ptr<T[]> data_;
   std::size_t size_ = 0;
 };

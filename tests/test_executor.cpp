@@ -61,27 +61,6 @@ TEST(Executor, RawFunctionPointerApi) {
   EXPECT_EQ(sum.load(), 99ull * 100 / 2);
 }
 
-TEST(Executor, StreamingSubmitThenWaitIdle) {
-  Executor executor(3);
-  constexpr VertexId n = 5000;
-  std::vector<std::atomic<int>> visited(n);
-  for (auto& v : visited) v.store(0);
-  auto body = [&](VertexId beg, VertexId end) {
-    for (VertexId u = beg; u < end; ++u) visited[u].fetch_add(1);
-  };
-  using B = decltype(body);
-  executor.begin_phase(
-      [](void* ctx, VertexId beg, VertexId end) {
-        (*static_cast<B*>(ctx))(beg, end);
-      },
-      &body);
-  for (VertexId u = 0; u < n; u += 7) {
-    executor.submit({u, std::min<VertexId>(u + 7, n)});
-  }
-  executor.wait_idle();
-  for (VertexId u = 0; u < n; ++u) ASSERT_EQ(visited[u].load(), 1);
-}
-
 TEST(Executor, ReusableAcrossManyPhases) {
   Executor executor(4);
   constexpr int kPhases = 50;
@@ -96,26 +75,6 @@ TEST(Executor, ReusableAcrossManyPhases) {
     // consistent.
     ASSERT_EQ(total.load(), static_cast<std::uint64_t>(n) * (p + 1));
   }
-}
-
-TEST(Executor, NestedSubmitFromInsideTask) {
-  Executor executor(4);
-  constexpr VertexId n = 1000;
-  std::vector<std::atomic<int>> visited(n);
-  for (auto& v : visited) v.store(0);
-  // Seed tasks carry wide ranges; each splits itself into unit submits
-  // instead of executing directly.
-  auto body = [&](VertexId beg, VertexId end) {
-    if (end - beg > 1) {
-      for (VertexId u = beg; u < end; ++u) executor.submit({u, u + 1});
-      return;
-    }
-    visited[beg].fetch_add(1);
-  };
-  std::vector<TaskRange> seeds;
-  for (VertexId u = 0; u < n; u += 100) seeds.push_back({u, u + 100});
-  executor.run(seeds.data(), seeds.size(), body);
-  for (VertexId u = 0; u < n; ++u) ASSERT_EQ(visited[u].load(), 1);
 }
 
 TEST(Executor, CurrentWorkerIdentifiesWorkers) {
@@ -200,27 +159,6 @@ TEST(Executor, SingleThreadExecutesEverything) {
   });
   for (VertexId u = 0; u < n; ++u) ASSERT_EQ(visited[u].load(), 1);
   EXPECT_EQ(executor.stats().steals, 0u);
-}
-
-TEST(Executor, DestructorDrainsSubmittedWork) {
-  std::atomic<int> done{0};
-  {
-    Executor executor(2);
-    auto body = [&](VertexId, VertexId) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    };
-    using B = decltype(body);
-    executor.begin_phase(
-        [](void* ctx, VertexId beg, VertexId end) {
-          (*static_cast<B*>(ctx))(beg, end);
-        },
-        &body);
-    for (VertexId u = 0; u < 20; ++u) executor.submit({u, u + 1});
-    // No wait_idle(): the destructor must finish the 20 tasks before the
-    // body (and `done`) go out of scope — parity with the legacy pool.
-  }
-  EXPECT_EQ(done.load(), 20);
 }
 
 }  // namespace

@@ -76,31 +76,6 @@ TEST(ExecutorCancel, PreTrippedRunSkipsEverythingAndExecutorStaysUsable) {
   EXPECT_EQ(body_runs.load(), kTasks);
 }
 
-TEST(ExecutorCancel, StreamingSubmitsDrainAfterMidStreamTrip) {
-  RunGovernor governor;
-  Executor executor(4);
-  executor.install_governor(&governor);
-
-  std::atomic<std::uint64_t> body_runs{0};
-  auto body = [&](VertexId, VertexId) { body_runs.fetch_add(1); };
-  using B = decltype(body);
-  executor.begin_phase(
-      [](void* ctx, VertexId beg, VertexId end) {
-        (*static_cast<B*>(ctx))(beg, end);
-      },
-      &body);
-  constexpr VertexId kTasks = 512;
-  for (VertexId u = 0; u < kTasks; ++u) {
-    if (u == kTasks / 2) governor.token().trip(AbortReason::UserCancelled);
-    executor.submit({u, u + 1});
-  }
-  executor.wait_idle();  // must not hang: tripped ranges drain as skips
-  const ExecutorStats stats = executor.stats();
-  EXPECT_EQ(stats.tasks_executed + stats.tasks_skipped, kTasks);
-  EXPECT_EQ(stats.tasks_executed, body_runs.load());
-  executor.install_governor(nullptr);
-}
-
 TEST(ExecutorCancel, DeadlineLandsMidPhaseAndSkipsTheRemainder) {
   // SlowPhaseBody never polls, so only the claim-boundary deadline check
   // (the poll in execute()) can fire.

@@ -31,71 +31,34 @@ TEST(ExecutorStress, ManyTinyTasksAcrossManyPhases) {
             static_cast<std::uint64_t>(kPhases) * kTasks);
 }
 
-TEST(ExecutorStress, WaitIdleReuseWithStreamingSubmits) {
-  Executor executor(4);
-  constexpr int kPhases = 200;
-  constexpr VertexId kTasks = 64;
-  std::atomic<std::uint64_t> executed{0};
-  auto body = [&](VertexId, VertexId) { executed.fetch_add(1); };
-  using B = decltype(body);
-  for (int p = 0; p < kPhases; ++p) {
-    executor.begin_phase(
-        [](void* ctx, VertexId beg, VertexId end) {
-          (*static_cast<B*>(ctx))(beg, end);
-        },
-        &body);
-    for (VertexId u = 0; u < kTasks; ++u) executor.submit({u, u + 1});
-    executor.wait_idle();
-    ASSERT_EQ(executed.load(),
-              static_cast<std::uint64_t>(p + 1) * kTasks);
-  }
-}
-
-TEST(ExecutorStress, AlternatingFlatAndStreamingPhases) {
-  // Flat-array claiming and deque submits share phase/pending state; making
-  // them alternate catches cross-phase tag bugs (a stale segment cursor
-  // must never validate against a later phase's state).
-  Executor executor(4);
+TEST(ExecutorStress, AlternatingPhaseSizes) {
+  // Cycling the phase size leaves stale cursors of a larger phase in place
+  // while a smaller one runs (size 0 and 1 touch no or one segment, size
+  // workers - 1 leaves one segment empty): a stale cursor must never
+  // validate against a later phase's segment end (the cross-phase claim
+  // race the phase tags guard), so every task runs exactly once.
+  constexpr int kWorkers = 4;
+  Executor executor(kWorkers);
   constexpr int kRounds = 150;
-  constexpr VertexId kTasks = 96;
+  constexpr VertexId kSizes[] = {0, 1, kWorkers - 1, 4 * kWorkers + 3};
+  constexpr VertexId kMaxTasks = 4 * kWorkers + 3;
   std::vector<TaskRange> tasks;
-  for (VertexId i = 0; i < kTasks; ++i) tasks.push_back({i, i + 1});
-  std::atomic<std::uint64_t> executed{0};
-  auto body = [&](VertexId, VertexId) { executed.fetch_add(1); };
-  using B = decltype(body);
-  const RangeFn trampoline = [](void* ctx, VertexId beg, VertexId end) {
-    (*static_cast<B*>(ctx))(beg, end);
-  };
+  for (VertexId i = 0; i < kMaxTasks; ++i) tasks.push_back({i, i + 1});
+  std::vector<std::atomic<std::uint32_t>> visited(kMaxTasks);
+  std::uint64_t expected = 0;
   for (int r = 0; r < kRounds; ++r) {
-    executor.run(tasks.data(), tasks.size(), trampoline, &body);
-    executor.begin_phase(trampoline, &body);
-    for (VertexId u = 0; u < kTasks; ++u) executor.submit({u, u + 1});
-    executor.wait_idle();
-    ASSERT_EQ(executed.load(),
-              static_cast<std::uint64_t>(r + 1) * kTasks * 2);
-  }
-}
-
-TEST(ExecutorStress, NestedSubmitFanOut) {
-  // Each seed task fans out into unit submits from inside workers,
-  // exercising concurrent owner-push/thief-steal on the Chase-Lev deques.
-  Executor executor(4);
-  constexpr int kRounds = 50;
-  constexpr VertexId kLeaves = 512;
-  std::atomic<std::uint64_t> leaves{0};
-  auto body = [&](VertexId beg, VertexId end) {
-    if (end - beg > 1) {
-      const VertexId mid = beg + (end - beg) / 2;
-      executor.submit({beg, mid});
-      executor.submit({mid, end});
-      return;
+    for (const VertexId size : kSizes) {
+      for (auto& v : visited) v.store(0);
+      executor.run(tasks.data(), size, [&](VertexId beg, VertexId) {
+        visited[beg].fetch_add(1);
+      });
+      for (VertexId i = 0; i < kMaxTasks; ++i) {
+        ASSERT_EQ(visited[i].load(), i < size ? 1u : 0u)
+            << "round " << r << " size " << size << " task " << i;
+      }
+      expected += size;
+      ASSERT_EQ(executor.stats().tasks_executed, expected);
     }
-    leaves.fetch_add(1);
-  };
-  for (int r = 0; r < kRounds; ++r) {
-    const TaskRange root{0, kLeaves};
-    executor.run(&root, 1, body);
-    ASSERT_EQ(leaves.load(), static_cast<std::uint64_t>(r + 1) * kLeaves);
   }
 }
 

@@ -151,6 +151,12 @@ TEST(PartialResults, PreTrippedExternalTokenReturnsImmediately) {
     for (const Role role : run.result.roles) {
       ASSERT_EQ(role, Role::Unknown) << algo.name;
     }
+    if (std::string(algo.name) == "ppSCAN") {
+      // Nothing is charged, spawned or run before the token is checked.
+      EXPECT_EQ(run.stats.abort_phase, "");
+      EXPECT_EQ(run.stats.peak_governed_bytes, 0u);
+      EXPECT_EQ(run.stats.tasks_executed, 0u);
+    }
   }
 }
 

@@ -107,7 +107,7 @@ TEST(ExecutorFirewall, UngovernedThrowRethrownAtBarrierAfterSiblings) {
       if (beg == 421) throw std::runtime_error("ungoverned poison");
       visited[beg].fetch_add(1);
     });
-    FAIL() << "wait_idle did not rethrow the task exception";
+    FAIL() << "run did not rethrow the task exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "ungoverned poison");
   }

@@ -25,6 +25,11 @@ bug in another. This linter encodes those invariants:
                       name, so this must be an error, not a guess.
   protocol-docs       an annotated member is missing from the protocol table
                       in docs/memory_model.md (keeps the docs complete).
+  protocol-stale      a protocol-table row (`| `name` | `discipline` |`)
+                      names a member no annotated declaration has, or a
+                      [disciplines.*] entry in atomics_protocol.toml is
+                      named by no member (keeps the docs and the config
+                      free of deleted code).
   banned-api          rand()/srand()/time(nullptr)/naked new[] in phase-body
                       code (config-driven pattern list).
   vertexid-narrowing  `static_cast<VertexId>(...)` of a size-like 64-bit
@@ -214,11 +219,12 @@ class Discipline:
     summary: str
     allowed: dict[str, set[str]]  # op-kind -> allowed orders
     cas_failure: set[str]
-    dynamic: bool  # allow non-literal (forwarded) order arguments
+    line: int  # of its [disciplines.<name>] header in the config file
 
 
 @dataclasses.dataclass
 class Config:
+    path: pathlib.Path  # the TOML file the disciplines came from
     disciplines: dict[str, Discipline]
     protocol_paths: list[str]
     exclude_paths: list[str]
@@ -230,9 +236,18 @@ class Config:
     trace_hotpath_paths: list[str]
 
 
+def header_line(text: str, header: str) -> int:
+    """1-based line of the first line that starts with `header`, else 1."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.startswith(header):
+            return number
+    return 1
+
+
 def load_config(path: pathlib.Path) -> Config:
     try:
-        data = tomllib.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        data = tomllib.loads(text)
     except (OSError, tomllib.TOMLDecodeError) as exc:
         raise SystemExit(f"ppscan_lint: cannot read config {path}: {exc}")
 
@@ -253,12 +268,13 @@ def load_config(path: pathlib.Path) -> Config:
             summary=spec.get("summary", ""),
             allowed=allowed,
             cas_failure=cas_failure,
-            dynamic=bool(spec.get("dynamic", False)),
+            line=header_line(text, f"[disciplines.{name}]"),
         )
     protocol = data.get("protocol", {})
     narrowing = data.get("narrowing", {})
     trace = data.get("trace", {})
     return Config(
+        path=path,
         disciplines=disciplines,
         protocol_paths=protocol.get("paths", ["src/"]),
         exclude_paths=data.get("exclude_paths", []),
@@ -484,8 +500,7 @@ def check_call_sites(src: SourceFile, registry: dict[str, AtomicDecl],
             args[order_idx] if len(args) > order_idx else None, default)
         allowed = disc.allowed[kind]
         if order == "dynamic":
-            if not disc.dynamic:
-                bad(kind, "<non-literal>", allowed)
+            bad(kind, "<non-literal>", allowed)
         elif order not in allowed:
             bad(kind, order, allowed)
         if kind == "cas":
@@ -498,9 +513,8 @@ def check_call_sites(src: SourceFile, registry: dict[str, AtomicDecl],
                 fail = {"release": "relaxed", "acq_rel": "acquire"}.get(
                     order, order)
             if fail == "dynamic":
-                if not disc.dynamic:
-                    bad("cas-failure", "<non-literal>", disc.cas_failure)
-            elif fail not in disc.cas_failure and fail != "dynamic":
+                bad("cas-failure", "<non-literal>", disc.cas_failure)
+            elif fail not in disc.cas_failure:
                 bad("cas-failure", fail, disc.cas_failure)
     return findings
 
@@ -629,6 +643,10 @@ def check_required_asserts(sources: dict[str, SourceFile],
 # --------------------------------------------------------------------------
 
 
+# A protocol-table row: `| `member` | `discipline` | ...`.
+PROTOCOL_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*`[^`]+`\s*\|")
+
+
 def check_docs(decls: list[AtomicDecl], cfg: Config,
                root: pathlib.Path) -> list[Finding]:
     if not cfg.docs_file:
@@ -645,6 +663,25 @@ def check_docs(decls: list[AtomicDecl], cfg: Config,
                 d.path, d.line, "protocol-docs",
                 f"atomic member `{d.name}` is annotated but missing from the "
                 f"protocol table in {cfg.docs_file}"))
+    members = {d.name for d in decls if d.discipline}
+    for number, line in enumerate(docs.splitlines(), start=1):
+        row = PROTOCOL_ROW.match(line)
+        if row and row.group(1) not in members:
+            findings.append(Finding(
+                cfg.docs_file, number, "protocol-stale",
+                f"protocol table row `{row.group(1)}` names no annotated "
+                "atomic member"))
+    named = {d.discipline for d in decls}
+    try:
+        config_file = str(cfg.path.resolve().relative_to(root.resolve()))
+    except ValueError:
+        config_file = str(cfg.path)
+    for name, discipline in cfg.disciplines.items():
+        if name not in named:
+            findings.append(Finding(
+                config_file, discipline.line, "protocol-stale",
+                f"discipline '{name}' is named by no `// protocol:` "
+                "annotation"))
     return findings
 
 

@@ -28,10 +28,20 @@ sys.modules["ppscan_lint"] = ppscan_lint
 spec.loader.exec_module(ppscan_lint)
 
 
-def scoped_config(paths, *, docs_file=None, required_asserts=()):
-    """The shipped config with every rule's scope rewritten to `paths`."""
+# The disciplines the known-good tree annotates; the protocol-stale rule
+# flags any other discipline left in a config scoped to that tree.
+GOOD_DISCIPLINES = ("relaxed-counter", "release-acquire")
+
+
+def scoped_config(paths, *, docs_file=None, required_asserts=(),
+                  disciplines=None):
+    """The shipped config with every rule's scope rewritten to `paths`, and
+    its disciplines cut down to `disciplines` when given."""
     cfg = ppscan_lint.load_config(LINT_DIR / "atomics_protocol.toml")
     banned = [dict(rule, paths=list(paths)) for rule in cfg.banned]
+    if disciplines is not None:
+        cfg = dataclasses.replace(cfg, disciplines={
+            name: cfg.disciplines[name] for name in disciplines})
     return dataclasses.replace(
         cfg,
         protocol_paths=list(paths),
@@ -57,6 +67,7 @@ def rules_in(findings, path_suffix):
 class KnownGoodTest(unittest.TestCase):
     def test_good_tree_is_silent(self):
         findings = lint([GOOD], docs_file=f"{GOOD}/docs_table.md",
+                        disciplines=GOOD_DISCIPLINES,
                         required_asserts=[{
                             "file": f"{GOOD}/has_assert.cpp",
                             "function": "mirror_arc",
@@ -129,6 +140,22 @@ class KnownBadTest(unittest.TestCase):
         # Point the docs check at a table that lacks the bad tree's members.
         findings = lint([BAD], docs_file=f"{GOOD}/docs_table.md")
         self.assertIn("protocol-docs", {f.rule for f in findings})
+
+    def test_protocol_stale_fires_for_row_without_member(self):
+        findings = lint([GOOD], docs_file=f"{BAD}/stale_docs_table.md",
+                        disciplines=GOOD_DISCIPLINES)
+        hits = [f for f in findings if f.rule == "protocol-stale"]
+        self.assertEqual(1, len(hits), "\n".join(str(f) for f in findings))
+        self.assertTrue(hits[0].path.endswith("stale_docs_table.md"))
+        self.assertIn("`ghost_`", hits[0].message)
+
+    def test_protocol_stale_fires_for_unnamed_discipline(self):
+        findings = lint([GOOD], docs_file=f"{GOOD}/docs_table.md",
+                        disciplines=GOOD_DISCIPLINES + ("cancel-token",))
+        hits = [f for f in findings if f.rule == "protocol-stale"]
+        self.assertEqual(1, len(hits), "\n".join(str(f) for f in findings))
+        self.assertEqual("tools/lint/atomics_protocol.toml", hits[0].path)
+        self.assertIn("'cancel-token'", hits[0].message)
 
 
 class WaiverTest(unittest.TestCase):
