@@ -52,14 +52,16 @@ const char* to_string(AdmissionOutcome outcome) {
 QueryService::QueryService(const GsIndex& index, ServiceOptions options)
     : index_(index),
       options_(options),
-      start_time_(std::chrono::steady_clock::now()),
-      queue_(options.queue_capacity) {
+      start_time_(std::chrono::steady_clock::now()) {
   if (!index_.complete()) {
     throw std::logic_error(
         "QueryService: refusing an aborted index construction");
   }
   if (options_.num_threads < 1) {
     throw std::invalid_argument("QueryService: need at least one thread");
+  }
+  if (options_.queue_capacity == 0) {
+    throw std::invalid_argument("QueryService: need a queue capacity >= 1");
   }
   if (options_.flight_capacity > 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(options_.flight_capacity);
@@ -71,12 +73,7 @@ QueryService::QueryService(const GsIndex& index, ServiceOptions options)
   }
 }
 
-QueryService::~QueryService() {
-  // Requests that raced a concurrent submit() past the final drain are
-  // destroyed with their promise unfulfilled — the waiter sees
-  // broken_promise rather than a hang.
-  stop();
-}
+QueryService::~QueryService() { stop(); }
 
 std::future<QueryResponse> QueryService::submit(const ScanParams& params) {
   return submit(params, options_.default_limits);
@@ -84,12 +81,9 @@ std::future<QueryResponse> QueryService::submit(const ScanParams& params) {
 
 std::future<QueryResponse> QueryService::submit(const ScanParams& params,
                                                 const RunLimits& limits) {
-  Request request;
-  request.params = params;
-  request.limits = limits;
-  request.submit_time = std::chrono::steady_clock::now();
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  return enqueue(std::move(request));
+  std::future<QueryResponse> future;
+  admit(params, limits, /*blocking=*/true, &future);
+  return future;
 }
 
 bool QueryService::try_submit(const ScanParams& params,
@@ -98,206 +92,124 @@ bool QueryService::try_submit(const ScanParams& params,
   return try_submit_ex(params, limits, out).admitted();
 }
 
+AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
+                                            const RunLimits& limits,
+                                            std::future<QueryResponse>* out) {
+  return admit(params, limits, /*blocking=*/false, out);
+}
+
 AdmissionResult QueryService::admission_gate() const {
-  // The shed decision reads only one relaxed load of the workers' last
-  // sojourn observation.
-  if (options_.shed_target_delay.count() > 0) {
-    const std::uint64_t sojourn_ns =
-        queue_sojourn_ns_.load(std::memory_order_relaxed);
-    const auto target_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            options_.shed_target_delay)
-            .count());
-    if (sojourn_ns > target_ns) {
-      // Hint: come back once the current backlog has had a chance to
-      // drain — the observed sojourn itself, floored at 1ms.
-      const auto hint = std::chrono::milliseconds(
-          std::max<std::uint64_t>(1, sojourn_ns / 1'000'000));
-      return {AdmissionOutcome::Overloaded, hint};
-    }
+  const auto hint = std::chrono::milliseconds(
+      std::max<std::uint64_t>(1, sojourn_ns_ / 1'000'000));
+  const auto target_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          options_.shed_target_delay)
+          .count());
+  if (target_ns > 0 && sojourn_ns_ > target_ns) {
+    return {AdmissionOutcome::Overloaded, hint};
+  }
+  if (queue_.size() >= options_.queue_capacity) {
+    return {AdmissionOutcome::QueueFull, hint};
   }
   return {AdmissionOutcome::Admitted, std::chrono::milliseconds(0)};
 }
 
-AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
-                                            const RunLimits& limits,
-                                            std::future<QueryResponse>* out) {
-  if (stop_requested_.load(std::memory_order_acquire)) {
-    throw ServiceStoppedError("QueryService::try_submit after stop()");
-  }
+AdmissionResult QueryService::admit(const ScanParams& params,
+                                    const RunLimits& limits, bool blocking,
+                                    std::future<QueryResponse>* out) {
+  const char* const stopped_what =
+      blocking ? "QueryService::submit after stop()"
+               : "QueryService::try_submit after stop()";
   PPSCAN_FAULT_POINT("serve.admission");
   Request request;
   request.params = params;
   request.limits = limits;
   request.submit_time = std::chrono::steady_clock::now();
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   auto future = request.promise.get_future();
 
-  // Admission-side cache probe: a memoized result answers without touching
-  // the queue at all (and cannot be refused — the whole point of caching,
-  // so it also bypasses the shed).
+  // A memoized result answers without touching the queue at all (the whole
+  // point of caching), so it is probed before the admission lock.
+  std::optional<CachedResult> hit;
   if (options_.cache_results) {
-    const CacheKey key{params.eps.num, params.eps.den, params.mu};
-    if (auto hit = cache_lookup(key)) {
-      {
-        CheckedLock lock(stats_mutex_);
-        submitted_ += 1;
-        trace_query_locked(obs::TraceEventKind::SpanBegin, "serve.query",
-                           request.id);
-      }
-      Delivery delivery;
-      delivery.run = std::move(hit->run);
-      delivery.cache_hit = true;
-      delivery.num_clusters = hit->num_clusters;
-      delivery.num_cores = hit->num_cores;
-      respond(request, std::move(delivery));
-      *out = std::move(future);
-      return {AdmissionOutcome::Admitted, std::chrono::milliseconds(0)};
-    }
+    hit = cache_lookup({params.eps.num, params.eps.den, params.mu});
   }
-  const AdmissionResult gate = admission_gate();
   {
     CheckedLock lock(stats_mutex_);
-    if (gate.admitted()) {
-      submitted_ += 1;
-      trace_query_locked(obs::TraceEventKind::SpanBegin, "serve.query",
-                         request.id);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Admission,
-                        "serve.admit", request.id);
+    if (stopping_) throw ServiceStoppedError(stopped_what);
+    if (!hit && blocking) {
+      // Backpressure: blocking submission is never shed, only made to wait.
+      while (queue_.size() >= options_.queue_capacity) {
+        not_full_.wait(lock.native());
+        if (stopping_) throw ServiceStoppedError(stopped_what);
       }
-    } else {
+    }
+    const AdmissionResult gate =
+        (hit || blocking) ? AdmissionResult{} : admission_gate();
+    if (!gate.admitted()) {
+      const bool overload = gate.outcome == AdmissionOutcome::Overloaded;
+      const char* const label =
+          overload ? "serve.shed.overload" : "serve.shed.queue-full";
       rejected_ += 1;
-      shed_overload_ += 1;
+      (overload ? shed_overload_ : shed_queue_full_) += 1;
+      // A refused request gets no id: its events carry 0.
       PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "serve.shed.overload", request.id);
+                                label, 0);
       if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Refusal,
-                        "serve.shed.overload", request.id);
+        flight_->record(obs::FlightRecorder::EventKind::Refusal, label, 0);
       }
+      return gate;
     }
-  }
-  if (!gate.admitted()) return gate;
-
-  if (!queue_.try_enqueue(std::move(request))) {
-    const auto sojourn_ms = std::max<std::uint64_t>(
-        1, queue_sojourn_ns_.load(std::memory_order_relaxed) / 1'000'000);
-    CheckedLock lock(stats_mutex_);
-    submitted_ -= 1;  // refused, not admitted
-    rejected_ += 1;
-    shed_queue_full_ += 1;
-    PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                              "serve.shed.queue-full", request.id);
-    if (flight_) {
-      flight_->record(obs::FlightRecorder::EventKind::Refusal,
-                      "serve.shed.queue-full", request.id);
-    }
-    return {AdmissionOutcome::QueueFull,
-            std::chrono::milliseconds(sojourn_ms)};
-  }
-  submitted_epoch_.fetch_add(1, std::memory_order_release);
-  submitted_epoch_.notify_one();
-  drain_if_stopped();
-  *out = std::move(future);
-  return {AdmissionOutcome::Admitted, std::chrono::milliseconds(0)};
-}
-
-std::future<QueryResponse> QueryService::enqueue(Request request) {
-  if (stop_requested_.load(std::memory_order_acquire)) {
-    throw ServiceStoppedError("QueryService::submit after stop()");
-  }
-  PPSCAN_FAULT_POINT("serve.admission");
-  auto future = request.promise.get_future();
-  {
-    CheckedLock lock(stats_mutex_);
-    submitted_ += 1;
-    trace_query_locked(obs::TraceEventKind::SpanBegin, "serve.query",
-                       request.id);
+    request.id = submitted_++;
+    trace_query(obs::TraceEventKind::SpanBegin, "serve.query", request.id);
     if (flight_) {
       flight_->record(obs::FlightRecorder::EventKind::Admission,
                       "serve.admit", request.id);
     }
+    if (!hit) queue_.push_back(std::move(request));
   }
-  if (options_.cache_results) {
-    const CacheKey key{request.params.eps.num, request.params.eps.den,
-                       request.params.mu};
-    if (auto hit = cache_lookup(key)) {
-      Delivery delivery;
-      delivery.run = std::move(hit->run);
-      delivery.cache_hit = true;
-      delivery.num_clusters = hit->num_clusters;
-      delivery.num_cores = hit->num_cores;
-      respond(request, std::move(delivery));
-      return future;
-    }
+  if (hit) {
+    Delivery delivery;
+    delivery.run = std::move(hit->run);
+    delivery.cache_hit = true;
+    delivery.num_clusters = hit->num_clusters;
+    delivery.num_cores = hit->num_cores;
+    respond(request, std::move(delivery));
+  } else {
+    not_empty_.notify_one();
   }
-  for (;;) {
-    const std::uint64_t epoch =
-        drained_epoch_.load(std::memory_order_acquire);
-    if (queue_.try_enqueue(std::move(request))) break;
-    if (stop_requested_.load(std::memory_order_acquire)) {
-      CheckedLock lock(stats_mutex_);
-      submitted_ -= 1;  // refused after all, not admitted
-      throw ServiceStoppedError("QueryService::submit after stop()");
-    }
-    // Backpressure: park until a worker dequeues. The epoch was read
-    // before the failed attempt, so a dequeue that lands in between changes
-    // the word and the wait returns immediately.
-    drained_epoch_.wait(epoch, std::memory_order_acquire);
-  }
-  submitted_epoch_.fetch_add(1, std::memory_order_release);
-  submitted_epoch_.notify_one();
-  // A producer woken from the backpressure park by stop() can win the
-  // enqueue into a queue stop() already drained (its try_enqueue succeeds
-  // against freed capacity). Without the repair below that request — and
-  // its future — would hang until destruction.
-  drain_if_stopped();
-  return future;
+  *out = std::move(future);
+  return {AdmissionOutcome::Admitted, std::chrono::milliseconds(0)};
 }
 
-void QueryService::drain_if_stopped() {
-  if (!stop_requested_.load(std::memory_order_acquire)) {
-    // If stop() had completed its final drain before our enqueue, this
-    // load would see true (the flag is set before the drain): reading
-    // false proves the enqueue landed before that drain, so the request
-    // is covered by stop() itself (or by the still-running workers).
-    return;
+std::optional<QueryService::Request> QueryService::pop() {
+  std::optional<Request> request;
+  {
+    CheckedLock lock(stats_mutex_);
+    while (queue_.empty()) {
+      // Queue observed empty: clear the congestion signal so the overload
+      // shed never acts on a sojourn from a backlog that already drained.
+      sojourn_ns_ = 0;
+      if (stopping_) return std::nullopt;
+      not_empty_.wait(lock.native());
+    }
+    request.emplace(std::move(queue_.front()));
+    queue_.pop_front();
+    // CoDel signal: this request's wait is what a newly admitted request
+    // should expect to sojourn (admission compares it against
+    // shed_target_delay).
+    sojourn_ns_ =
+        ns_between(request->submit_time, std::chrono::steady_clock::now());
+    trace_query(obs::TraceEventKind::Mark, "serve.query.execute",
+                request->id);
   }
-  // Serialize with stop(): once we hold stop_mutex_, stop()'s join+drain
-  // has finished and no worker exists — whatever is still queued is ours
-  // to answer, on this thread, exactly like stop()'s own drain.
-  CheckedLock stop_lock(stop_mutex_);
-  GsIndex::QueryScratch scratch;
-  Request request;
-  while (queue_.try_dequeue(&request)) execute_guarded(request, scratch);
+  not_full_.notify_one();
+  return request;
 }
 
 void QueryService::worker_loop() {
   GsIndex::QueryScratch scratch;
-  Request request;
-  for (;;) {
-    // Read the park word first: an enqueue that lands after this load
-    // bumps the epoch and the wait falls through (no missed wakeup).
-    const std::uint64_t epoch =
-        submitted_epoch_.load(std::memory_order_acquire);
-    if (!queue_.try_dequeue(&request)) {
-      // Queue observed empty: clear the congestion signal so the overload
-      // shed never acts on a sojourn from a backlog that already drained.
-      queue_sojourn_ns_.store(0, std::memory_order_relaxed);
-      if (stop_requested_.load(std::memory_order_acquire)) return;
-      submitted_epoch_.wait(epoch, std::memory_order_acquire);
-      continue;
-    }
-    // CoDel signal: this request's wait is what a newly admitted request
-    // should expect to sojourn (admission compares it against
-    // shed_target_delay).
-    queue_sojourn_ns_.store(
-        ns_between(request.submit_time, std::chrono::steady_clock::now()),
-        std::memory_order_relaxed);
-    // Space freed: release any producer parked on backpressure.
-    drained_epoch_.fetch_add(1, std::memory_order_release);
-    drained_epoch_.notify_all();
-    execute_guarded(request, scratch);
+  while (std::optional<Request> request = pop()) {
+    execute_guarded(*request, scratch);
   }
 }
 
@@ -331,7 +243,6 @@ void QueryService::execute(Request& request,
   // queue_ms / execute_ms (docs/observability.md).
   const double queue_seconds =
       seconds_between(request.submit_time, exec_start);
-  trace_query(obs::TraceEventKind::Mark, "serve.query.execute", request.id);
   const CacheKey key{request.params.eps.num, request.params.eps.den,
                      request.params.mu};
   if (options_.cache_results) {
@@ -463,8 +374,7 @@ void QueryService::respond(Request& request, Delivery delivery) {
         recent_head_ = (recent_head_ + 1) % recent_.size();
       }
     }
-    trace_query_locked(obs::TraceEventKind::SpanEnd, "serve.query",
-                       request.id);
+    trace_query(obs::TraceEventKind::SpanEnd, "serve.query", request.id);
   }
   // Fulfill outside the lock: the waiting thread may run immediately.
   request.promise.set_value(std::move(response));
@@ -512,46 +422,35 @@ ScanRun QueryService::exception_aborted_run(const char* phase,
 }
 
 void QueryService::stop() {
-  CheckedLock stop_lock(stop_mutex_);
-  if (stopped_) return;
-  stopped_ = true;
-  stop_requested_.store(true, std::memory_order_release);
-  submitted_epoch_.fetch_add(1, std::memory_order_release);
-  submitted_epoch_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  // Unblock producers parked on backpressure; their retry observes the
-  // stop flag and throws.
-  drained_epoch_.fetch_add(1, std::memory_order_release);
-  drained_epoch_.notify_all();
-  // Lossless shutdown for everything that made it into the queue: requests
-  // no worker took are answered here, on the stopping thread, with its own
-  // scratch (no concurrency left).
-  GsIndex::QueryScratch scratch;
-  Request request;
-  while (queue_.try_dequeue(&request)) execute_guarded(request, scratch);
-  if (flight_) {
-    flight_->record(obs::FlightRecorder::EventKind::Lifecycle, "serve.stop");
-    if (!options_.flight_dump_path.empty()) {
-      flight_->dump_to_file(options_.flight_dump_path, "stop");
+  std::call_once(stopped_, [this] {
+    {
+      CheckedLock lock(stats_mutex_);
+      stopping_ = true;
     }
-  }
+    // Admission checks stopping_ under the same lock it pushes under, so
+    // nothing lands from here on, and a worker exits only on an empty
+    // queue: the join below is a lossless drain.
+    not_empty_.notify_all();
+    not_full_.notify_all();
+    for (std::thread& worker : workers_) worker.join();
+    if (flight_) {
+      flight_->record(obs::FlightRecorder::EventKind::Lifecycle,
+                      "serve.stop");
+      if (!options_.flight_dump_path.empty()) {
+        flight_->dump_to_file(options_.flight_dump_path, "stop");
+      }
+    }
+  });
 }
 
-void QueryService::trace_query_locked(obs::TraceEventKind kind,
-                                      const char* name, std::uint64_t id) {
+void QueryService::trace_query(obs::TraceEventKind kind, const char* name,
+                               std::uint64_t id) {
   PPSCAN_TRACE_MASTER_EVENT(options_.trace, kind, name, id);
 #if !PPSCAN_TRACE_ENABLED
   (void)kind;
   (void)name;
   (void)id;
 #endif
-}
-
-void QueryService::trace_query(obs::TraceEventKind kind, const char* name,
-                               std::uint64_t id) {
-  if (options_.trace == nullptr) return;
-  CheckedLock lock(stats_mutex_);
-  trace_query_locked(kind, name, id);
 }
 
 ServiceSnapshot QueryService::snapshot() const {

@@ -6,12 +6,15 @@
 // construction pass, but until this layer every caller built an index,
 // asked one question and exited. The service owns the missing machinery:
 //
-//   * Admission — submit() enqueues a request into a bounded MPMC queue
-//     (mpmc_queue.hpp) and returns a std::future. A full queue blocks the
-//     producer on a futex epoch (backpressure), or try_submit() refuses
-//     without blocking (load shedding, counted as rejected).
+//   * Admission — submit() appends a request to a bounded deque and
+//     returns a std::future. A full queue blocks the producer on a
+//     condition variable (backpressure), or try_submit() refuses without
+//     blocking (load shedding, counted as rejected). The deque, the
+//     counters and the trace/flight admission events share one mutex
+//     (stats_mutex_), so a request is either admitted whole — id, count,
+//     span and queue slot — or leaves no trace at all.
 //   * Run-to-completion execution — num_threads service-owned workers
-//     dequeue from the queue themselves and run each query to completion;
+//     pop from the queue themselves and run each query to completion;
 //     no batch barrier makes a query wait for another's straggler.
 //   * Scratch pooling — one GsIndex::QueryScratch per worker, reused
 //     across every query that worker executes: steady-state serving does
@@ -44,20 +47,19 @@
 //     answer is for the (ε, µ) that was asked.
 //
 // Threading contract: submit()/try_submit() are safe from any thread.
-// snapshot() is safe from any thread. stop() joins the workers, drains
-// queued requests, and is idempotent; submit()/try_submit() after stop()
-// throw ServiceStoppedError — including producers that were *parked on
-// backpressure* when stop() landed (they are woken, and any request a
-// racing producer slips past the final drain is executed by that producer
-// itself, so no admitted future is ever left hanging). Futures obtained
-// from requests that were still queued when the service was *destroyed*
-// (not stopped) report std::future_error(broken_promise).
+// snapshot() is safe from any thread. stop() lets the workers drain every
+// queued request, joins them, and is idempotent (the destructor calls it);
+// submit()/try_submit() after stop() throw ServiceStoppedError — including
+// producers that were *parked on backpressure* when stop() landed. Nothing
+// is admitted once stop() has begun, so every admitted future resolves.
 #pragma once
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
+#include <mutex>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,7 +73,6 @@
 #include "obs/latency_histogram.hpp"
 #include "obs/trace.hpp"
 #include "scan/scan_common.hpp"
-#include "serve/mpmc_queue.hpp"
 #include "util/thread_safety.hpp"
 
 namespace ppscan::serve {
@@ -89,7 +90,7 @@ class ServiceStoppedError : public std::runtime_error {
 struct ServiceOptions {
   /// Service workers answering queries, each running one query at a time.
   int num_threads = 1;
-  /// Bounded admission queue capacity (rounded up to a power of two).
+  /// Bounded admission queue capacity, exact; must be at least 1.
   std::size_t queue_capacity = 1024;
   /// Memoize completed runs under their exact (ε num/den, µ) key.
   bool cache_results = true;
@@ -111,7 +112,8 @@ struct ServiceOptions {
   std::chrono::milliseconds shed_target_delay{0};
   /// Optional resilience trace hook (docs/resilience.md): shed and
   /// exception events are emitted as instant Mark events into the
-  /// collector's master slot, arg = request id. Every emission happens with the
+  /// collector's master slot, arg = request id (0 on a shed mark: a
+  /// refused request gets no id). Every emission happens with the
   /// service's stats mutex held, so writers are serialized — the
   /// buffer's single-writer rule is met by mutual exclusion, and any
   /// worker count fits. The collector must outlive the service. With a
@@ -245,8 +247,9 @@ class QueryService {
                                 const RunLimits& limits,
                                 std::future<QueryResponse>* out);
 
-  /// Joins the workers, drains every queued request, idempotent.
-  void stop() PPSCAN_EXCLUDES(stop_mutex_);
+  /// Refuses new requests, lets the workers drain every queued one, joins
+  /// them. Idempotent; a concurrent caller returns only after the join.
+  void stop() PPSCAN_EXCLUDES(stats_mutex_);
 
   [[nodiscard]] ServiceSnapshot snapshot() const
       PPSCAN_EXCLUDES(stats_mutex_);
@@ -298,11 +301,17 @@ class QueryService {
     std::uint64_t num_cores = 0;
   };
 
-  std::future<QueryResponse> enqueue(Request request);
-  /// Worker: dequeue, execute to completion, repeat; parks on
-  /// submitted_epoch_ when the queue is empty and returns once it finds the
-  /// queue empty after stop().
-  void worker_loop();
+  /// The one admission path behind submit() (blocking: waits out a full
+  /// queue) and try_submit_ex() (refuses instead, CoDel gate first).
+  AdmissionResult admit(const ScanParams& params, const RunLimits& limits,
+                        bool blocking, std::future<QueryResponse>* out)
+      PPSCAN_EXCLUDES(stats_mutex_, cache_mutex_);
+  /// Worker: pop, execute to completion, repeat; waits on not_empty_ while
+  /// the queue is empty and returns once it finds it empty after stop().
+  void worker_loop() PPSCAN_EXCLUDES(stats_mutex_);
+  /// Pops the next request (nullopt: queue empty and stopping), recording
+  /// its sojourn and its execution-start mark in the same critical section.
+  std::optional<Request> pop() PPSCAN_EXCLUDES(stats_mutex_);
   /// Dispatch firewall: runs execute() and answers the request with a
   /// "QDispatch"-classified failure if anything escapes it.
   void execute_guarded(Request& request, GsIndex::QueryScratch& scratch);
@@ -316,14 +325,12 @@ class QueryService {
       PPSCAN_EXCLUDES(cache_mutex_);
   void cache_store(const CacheKey& key, CachedResult value)
       PPSCAN_EXCLUDES(cache_mutex_);
-  /// CoDel overload shed for non-blocking admission: Overloaded with a
-  /// retry-after hint when the last observed queue sojourn exceeds
-  /// shed_target_delay, else Admitted.
-  [[nodiscard]] AdmissionResult admission_gate() const;
-  /// Post-enqueue stop-race repair (see stop()): if stop() finished its
-  /// final drain before our enqueue landed, nobody will ever dequeue it —
-  /// the producer drains and executes leftovers itself.
-  void drain_if_stopped() PPSCAN_EXCLUDES(stop_mutex_);
+  /// Non-blocking admission gate: Overloaded when the last observed queue
+  /// sojourn exceeds shed_target_delay (CoDel), else QueueFull at capacity,
+  /// else Admitted. A refusal's retry-after hint is that sojourn, floored
+  /// at 1ms.
+  [[nodiscard]] AdmissionResult admission_gate() const
+      PPSCAN_REQUIRES(stats_mutex_);
   /// All-Unknown classified partial for a query whose deadline was already
   /// spent in the queue (abort phase "QAdmission").
   [[nodiscard]] ScanRun admission_aborted_run() const;
@@ -331,41 +338,15 @@ class QueryService {
   /// the firewall's per-query result (abort_reason Exception).
   [[nodiscard]] ScanRun exception_aborted_run(const char* phase,
                                               const char* what) const;
-  /// Emits one per-query trace event into the collector's master slot.
-  /// The _locked form is for call sites already inside stats_mutex_; the
-  /// unlocked form takes it (the master-slot single-writer rule is met by
-  /// mutual exclusion under stats_mutex_, see ServiceOptions::trace).
-  void trace_query_locked(obs::TraceEventKind kind, const char* name,
-                          std::uint64_t id) PPSCAN_REQUIRES(stats_mutex_);
+  /// Emits one per-query trace event into the collector's master slot (the
+  /// master-slot single-writer rule is met by mutual exclusion under
+  /// stats_mutex_, see ServiceOptions::trace).
   void trace_query(obs::TraceEventKind kind, const char* name,
-                   std::uint64_t id) PPSCAN_EXCLUDES(stats_mutex_);
+                   std::uint64_t id) PPSCAN_REQUIRES(stats_mutex_);
 
   const GsIndex& index_;
   const ServiceOptions options_;
   const std::chrono::steady_clock::time_point start_time_;
-
-  MpmcQueue<Request> queue_;
-  std::vector<std::thread> workers_;
-
-  // protocol: relaxed-counter — dense query ids, order has no consumers.
-  std::atomic<std::uint64_t> next_id_{0};
-  // protocol: futex-epoch — bumped per enqueue; the idle workers' park
-  // word.
-  std::atomic<std::uint64_t> submitted_epoch_{0};
-  // protocol: futex-epoch — bumped per dequeued request; blocked
-  // producers' park word (backpressure release).
-  std::atomic<std::uint64_t> drained_epoch_{0};
-  // protocol: release-acquire — set once by stop(); consumers are the
-  // workers' empty-queue exit check and submit()'s admission check.
-  std::atomic<bool> stop_requested_{false};
-  // Queue sojourn a worker last observed (ns): the wait of the request it
-  // just dequeued, 0 whenever a worker finds the queue empty. Admission
-  // compares it against shed_target_delay — the CoDel-style congestion
-  // signal.
-  // protocol: relaxed-guarded — N writers (the workers, last store wins),
-  // advisory readers (admission); a stale read merely sheds or admits one
-  // request on old congestion data, which the next dequeue corrects.
-  std::atomic<std::uint64_t> queue_sojourn_ns_{0};
 
   // guards: cache_ — the memoized-results map.
   mutable CheckedMutex cache_mutex_;
@@ -373,11 +354,24 @@ class QueryService {
       PPSCAN_GUARDED_BY(cache_mutex_);
 
   // Everything below is guarded by stats_mutex_ (plain fields, no atomics:
-  // the stats path is off the per-entry hot loops and a snapshot wants a
-  // consistent cut anyway).
-  // guards: the serving counters, the latency histogram and the per-query
-  // record ring.
+  // every request crosses this lock at admission, pop and delivery anyway,
+  // and a snapshot wants a consistent cut).
+  // guards: the admission queue and its stop flag, the serving counters,
+  // the latency histogram and the per-query record ring.
   mutable CheckedMutex stats_mutex_;
+  /// Admitted requests no worker has popped yet, at most queue_capacity.
+  std::deque<Request> queue_ PPSCAN_GUARDED_BY(stats_mutex_);
+  /// Set once by stop(): admission refuses, workers exit on an empty queue.
+  bool stopping_ PPSCAN_GUARDED_BY(stats_mutex_) = false;
+  /// Signalled per push (idle workers wait) and by stop().
+  std::condition_variable not_empty_;
+  /// Signalled per pop (backpressured submit() waits) and by stop().
+  std::condition_variable not_full_;
+  /// Queue sojourn a worker last observed (ns): the wait of the request it
+  /// just popped, 0 whenever a worker finds the queue empty. Admission
+  /// compares it against shed_target_delay — the CoDel congestion signal.
+  std::uint64_t sojourn_ns_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
+  /// Admitted requests; also the next request id, so ids are dense.
   std::uint64_t submitted_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t completed_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t cache_hits_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
@@ -396,10 +390,11 @@ class QueryService {
   /// record() is safe from any serving path. Null when disabled.
   std::unique_ptr<obs::FlightRecorder> flight_;
 
-  // guards: stopped_ — serializes stop() callers against each other and
-  // against drain_if_stopped()'s leftover-execution repair.
-  CheckedMutex stop_mutex_;
-  bool stopped_ PPSCAN_GUARDED_BY(stop_mutex_) = false;
+  /// stop() runs once; concurrent callers block until it has finished.
+  std::once_flag stopped_;
+
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ppscan::serve

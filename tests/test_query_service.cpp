@@ -2,22 +2,27 @@
 // threads hammering one shared immutable index must each get answers
 // bit-identical to a fresh single-threaded GsIndex::query — the serving
 // layer adds worker threads, pooled scratch and caching but must never
-// change a result. Runs under TSan in CI (the `serve` label), so the submission
-// queue, the futex epochs and the stats mutex are exercised adversarially.
+// change a result. Runs under TSan in CI (the `serve` label), so the admission
+// queue, its condition variables and the stats mutex are exercised
+// adversarially.
 #include "serve/query_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
+#include "obs/trace.hpp"
 
 namespace ppscan {
 namespace {
@@ -350,6 +355,77 @@ TEST(QueryService, RecordedClusterCountsMatchCanonicalCounts) {
     if (record.num_clusters > 0) ++with_clusters;
   }
   EXPECT_GT(with_clusters, 0u);  // the grid is not all-noise
+}
+
+// A refused request must leave nothing behind: no `serve.query` span that
+// never closes, no flight-recorder admission, no gap in the dense ids.
+// Admission, counting, tracing and the queue slot share one critical
+// section, so a refusal happens before any of them.
+TEST(QueryService, RefusedRequestsLeaveNoSpanAdmissionOrIdGap) {
+  const auto g = erdos_renyi(4000, 48000, 19);
+  const GsIndex index(g);
+  obs::TraceCollector trace(1, 1 << 15);
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.queue_capacity = 2;
+  options.cache_results = false;
+  options.flight_capacity = 4096;
+  options.trace = &trace;
+  QueryService service(index, options);
+
+  std::vector<std::future<QueryResponse>> admitted;
+  int refused = 0;
+  for (int i = 0; i < 5000 && refused < 8; ++i) {
+    ScanParams p;
+    p.eps = EpsRational{static_cast<std::uint64_t>(i % 99) + 1, 100};
+    p.mu = 2;
+    std::future<QueryResponse> f;
+    if (service.try_submit(p, RunLimits{}, &f)) {
+      admitted.push_back(std::move(f));
+    } else {
+      refused += 1;
+    }
+  }
+  ASSERT_GT(refused, 0);  // the 2-slot queue really saturated
+  service.stop();
+
+  const auto snap = service.snapshot();
+  ASSERT_EQ(snap.submitted, admitted.size());
+  std::vector<std::uint64_t> ids;
+  for (auto& f : admitted) ids.push_back(f.get().id);
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
+
+  std::uint64_t admit_events = 0;
+  for (const auto& event : service.flight()->events()) {
+    if (std::string_view(event.label) == "serve.admit") admit_events += 1;
+  }
+  EXPECT_EQ(admit_events, snap.submitted);
+
+  if (obs::kTraceEnabled) {
+    std::map<std::uint64_t, int> begins, ends;
+    for (const auto& e : trace.buffer(trace.master_slot()).snapshot()) {
+      if (std::string_view(e.name) != "serve.query") continue;
+      if (e.kind == obs::TraceEventKind::SpanBegin) begins[e.arg] += 1;
+      if (e.kind == obs::TraceEventKind::SpanEnd) ends[e.arg] += 1;
+    }
+    std::uint64_t total_begins = 0;
+    for (const auto& [id, count] : begins) {
+      EXPECT_EQ(count, 1) << "span " << id;
+      EXPECT_EQ(ends[id], 1) << "span " << id << " never closed";
+      total_begins += static_cast<std::uint64_t>(count);
+    }
+    EXPECT_EQ(ends.size(), begins.size());
+    EXPECT_EQ(total_begins, snap.submitted);
+  }
+}
+
+TEST(QueryService, RejectsAZeroQueueCapacity) {
+  const auto g = erdos_renyi(300, 1200, 3);
+  const GsIndex index(g);
+  ServiceOptions options;
+  options.queue_capacity = 0;
+  EXPECT_THROW(QueryService(index, options), std::invalid_argument);
 }
 
 // Lossless stop() with several workers and several blocking producers in

@@ -175,7 +175,7 @@ TEST(QueryServiceResilience, StoppedServiceThrowsTypedRefusal) {
                serve::ServiceStoppedError);
 }
 
-// Regression for the stop() vs futex-parked producer race: a producer
+// Regression for the stop() vs parked producer race: a producer
 // blocked on backpressure when stop() lands must be woken and given either
 // a delivered future or a ServiceStoppedError — never a hang (the ctest
 // TIMEOUT converts a regression into a failure).

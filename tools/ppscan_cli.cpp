@@ -476,6 +476,18 @@ int cmd_serve(const Flags& flags) {
     std::cerr << "serve: missing graph file\n";
     return 2;
   }
+  const std::int64_t queue = flags.get_int("queue", 1024);
+  if (queue < 1) {
+    std::cerr << "serve: --queue must be at least 1, got " << queue << "\n";
+    return 2;
+  }
+  // -1 (the default) disables the endpoint, 0 asks for an ephemeral port.
+  const std::int64_t metrics_port = flags.get_int("metrics-port", -1);
+  if (metrics_port < -1 || metrics_port > 65535) {
+    std::cerr << "serve: --metrics-port must be in [-1, 65535], got "
+              << metrics_port << "\n";
+    return 2;
+  }
   const auto graph = load_graph(flags.positionals()[1]);
   const auto threads =
       static_cast<int>(flags.get_int("threads", default_threads()));
@@ -496,14 +508,12 @@ int cmd_serve(const Flags& flags) {
 
   serve::ServiceOptions options;
   options.num_threads = threads;
-  options.queue_capacity =
-      static_cast<std::size_t>(flags.get_int("queue", 1024));
+  options.queue_capacity = static_cast<std::size_t>(queue);
   options.cache_results = !flags.get_bool("no-cache", false);
   options.default_limits = parse_limits(flags);
   options.shed_target_delay =
       std::chrono::milliseconds(flags.get_int("shed-target-ms", 0));
   // Live telemetry (docs/observability.md, "Live telemetry").
-  const long metrics_port = flags.get_int("metrics-port", -1);
   const long stats_interval_ms = flags.get_int("stats-interval-ms", 0);
   const auto flight_out = flags.get_string("flight-out", "");
   options.flight_dump_path = flight_out;
