@@ -41,6 +41,7 @@
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
 #include "obs/exposition.hpp"
+#include "obs/trace.hpp"
 #include "serve/query_service.hpp"
 #include "serve/serving_metrics.hpp"
 #include "util/timer.hpp"
@@ -69,9 +70,9 @@ struct LoadRow {
   std::uint64_t clients = 0;
   double offered_qps = 0;  // open loop only; 0 = closed loop
   double elapsed = 0;
-  /// Full telemetry stack live during the load: flight recorder on and a
-  /// /metrics scraper hitting the exposition endpoint — the overhead
-  /// BENCH_obs.json quantifies.
+  /// Full telemetry stack live during the load: a trace collector on the
+  /// service and a /metrics scraper hitting the exposition endpoint — the
+  /// overhead BENCH_obs.json quantifies.
   bool telemetry = false;
   serve::ServiceSnapshot snap;
 
@@ -81,14 +82,19 @@ struct LoadRow {
 };
 
 /// Closed loop: each client keeps exactly one query outstanding. With
-/// `telemetry` the full live stack runs during the load — flight recorder,
+/// `telemetry` the full live stack runs during the load — trace collector,
 /// exposition endpoint and a scraper pulling /metrics once per second
 /// (already 5-15x more often than a production Prometheus would) — so the
 /// ON row pays every cost an operator's dashboard would impose.
 LoadRow run_closed_loop(const GsIndex& index, serve::ServiceOptions options,
                         int clients, double duration_s, bool prewarm,
                         bool telemetry, std::string mode) {
-  if (telemetry) options.flight_capacity = 256;
+  // Declared first: the collector must outlive the service.
+  std::unique_ptr<obs::TraceCollector> trace;
+  if (telemetry) {
+    trace = std::make_unique<obs::TraceCollector>(options.num_threads);
+    options.trace = trace.get();
+  }
   serve::QueryService service(index, options);
   const auto grid = workload_grid();
   if (prewarm) {
@@ -261,7 +267,7 @@ struct OverheadResult {
 /// before/after pair cannot resolve a sub-percent effect on a shared
 /// machine (consecutive identical runs here drift by double digits), so
 /// this interleaves fixed-work rounds between two live services — one
-/// bare, one carrying the full telemetry stack (flight recorder,
+/// bare, one carrying the full telemetry stack (trace collector,
 /// exposition endpoint being scraped) — and compares the summed
 /// wall time. Drift slow relative to a round hits both sides equally.
 OverheadResult measure_hot_overhead(const GsIndex& index,
@@ -269,8 +275,9 @@ OverheadResult measure_hot_overhead(const GsIndex& index,
                                     std::uint64_t rounds,
                                     std::uint64_t queries_per_round) {
   const auto grid = workload_grid();
+  obs::TraceCollector trace(base.num_threads);
   serve::ServiceOptions on_options = base;
-  on_options.flight_capacity = 256;
+  on_options.trace = &trace;
   serve::QueryService off_service(index, base);
   serve::QueryService on_service(index, on_options);
   obs::ExpositionServer exposition(0, [&on_service] {
@@ -368,7 +375,6 @@ int main(int argc, char** argv) {
   serve::ServiceOptions base;
   base.num_threads = threads;
   base.max_recorded_queries = 16;  // keep the committed queries[] small
-  base.flight_capacity = 0;  // telemetry-off rows run bare
 
   std::vector<LoadRow> rows;
   {

@@ -63,10 +63,6 @@ QueryService::QueryService(const GsIndex& index, ServiceOptions options)
   if (options_.queue_capacity == 0) {
     throw std::invalid_argument("QueryService: need a queue capacity >= 1");
   }
-  if (options_.flight_capacity > 0) {
-    flight_ = std::make_unique<obs::FlightRecorder>(options_.flight_capacity);
-    flight_->record(obs::FlightRecorder::EventKind::Lifecycle, "serve.start");
-  }
   workers_.reserve(static_cast<std::size_t>(options_.num_threads));
   for (int w = 0; w < options_.num_threads; ++w) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -152,19 +148,11 @@ AdmissionResult QueryService::admit(const ScanParams& params,
       rejected_ += 1;
       (overload ? shed_overload_ : shed_queue_full_) += 1;
       // A refused request gets no id: its events carry 0.
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                label, 0);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Refusal, label, 0);
-      }
+      trace_query(obs::TraceEventKind::Mark, label, 0);
       return gate;
     }
     request.id = submitted_++;
     trace_query(obs::TraceEventKind::SpanBegin, "serve.query", request.id);
-    if (flight_) {
-      flight_->record(obs::FlightRecorder::EventKind::Admission,
-                      "serve.admit", request.id);
-    }
     if (!hit) queue_.push_back(std::move(request));
   }
   if (hit) {
@@ -344,13 +332,7 @@ void QueryService::respond(Request& request, Delivery delivery) {
     if (response.run->partial()) partial_ += 1;
     if (reason == AbortReason::Exception) {
       exceptions_ += 1;
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "serve.exception", request.id);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Exception,
-                        "serve.exception", request.id,
-                        response.run->stats.abort_detail.c_str());
-      }
+      trace_query(obs::TraceEventKind::Mark, "serve.exception", request.id);
     }
     if (!delivery.cache_hit) counters_ += response.run->stats.counters;
     const double ms = response.latency_seconds * 1e3;
@@ -390,7 +372,7 @@ std::optional<QueryService::CachedResult> QueryService::cache_lookup(
 
 void QueryService::cache_store(const CacheKey& key, CachedResult value) {
   CheckedLock lock(cache_mutex_);
-  if (cache_.size() >= options_.cache_capacity &&
+  if (cache_.size() >= kCacheCapacity &&
       cache_.find(key) == cache_.end()) {
     // Wholesale eviction: parameter spaces are tiny, an LRU chain would be
     // bookkeeping for its own sake.
@@ -433,13 +415,6 @@ void QueryService::stop() {
     not_empty_.notify_all();
     not_full_.notify_all();
     for (std::thread& worker : workers_) worker.join();
-    if (flight_) {
-      flight_->record(obs::FlightRecorder::EventKind::Lifecycle,
-                      "serve.stop");
-      if (!options_.flight_dump_path.empty()) {
-        flight_->dump_to_file(options_.flight_dump_path, "stop");
-      }
-    }
   });
 }
 
@@ -472,7 +447,6 @@ ServiceSnapshot QueryService::snapshot() const {
       snap.recent.push_back(recent_[(recent_head_ + i) % recent_.size()]);
     }
   }
-  if (flight_) snap.flight_recorded = flight_->recorded();
   snap.uptime_seconds =
       seconds_between(start_time_, std::chrono::steady_clock::now());
   snap.num_threads = options_.num_threads;

@@ -1,6 +1,6 @@
 // QueryService — long-lived concurrent (ε, µ) serving over one immutable
-// GS*-Index (ROADMAP item 1; after Tseng–Dhulipala–Shun's index-then-serve
-// design, PAPERS.md).
+// GS*-Index (after Tseng–Dhulipala–Shun's index-then-serve design,
+// PAPERS.md).
 //
 // The index's reason to exist is answering *many* queries against one
 // construction pass, but until this layer every caller built an index,
@@ -10,7 +10,7 @@
 //     returns a std::future. A full queue blocks the producer on a
 //     condition variable (backpressure), or try_submit() refuses without
 //     blocking (load shedding, counted as rejected). The deque, the
-//     counters and the trace/flight admission events share one mutex
+//     counters and the trace admission events share one mutex
 //     (stats_mutex_), so a request is either admitted whole — id, count,
 //     span and queue slot — or leaves no trace at all.
 //   * Run-to-completion execution — num_threads service-owned workers
@@ -69,7 +69,6 @@
 
 #include "concurrent/run_governor.hpp"
 #include "index/gs_index.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/latency_histogram.hpp"
 #include "obs/trace.hpp"
 #include "scan/scan_common.hpp"
@@ -94,9 +93,6 @@ struct ServiceOptions {
   std::size_t queue_capacity = 1024;
   /// Memoize completed runs under their exact (ε num/den, µ) key.
   bool cache_results = true;
-  /// Distinct parameter combinations kept before the cache is wholesale
-  /// cleared (parameter spaces are tiny; LRU would be ceremony).
-  std::size_t cache_capacity = 64;
   /// Limits applied to requests submitted without their own (default:
   /// ungoverned).
   RunLimits default_limits;
@@ -122,14 +118,6 @@ struct ServiceOptions {
   /// query id) plus execution-start marks, so the Perfetto export shows one
   /// swimlane per in-flight query (docs/observability.md).
   obs::TraceCollector* trace = nullptr;
-  /// Flight-recorder ring capacity (0 = recorder off): recent serving
-  /// events (admissions, refusals, exceptions) retained for post-mortem
-  /// dumps.
-  std::size_t flight_capacity = 256;
-  /// When non-empty, the flight recorder dumps schema-valid JSON here on
-  /// stop(). Fatal-signal dumps are the CLI's job:
-  /// obs::install_flight_signal_dump(service.flight(), path).
-  std::string flight_dump_path;
 };
 
 /// What a fulfilled query future carries.
@@ -207,8 +195,6 @@ struct ServiceSnapshot {
   /// of two snapshots (latency.delta_since(earlier.latency)), which is
   /// what a scraper's rate() over the exposed buckets computes.
   obs::LatencyHistogram latency;
-  /// Flight-recorder events ever recorded (0 when disabled).
-  std::uint64_t flight_recorded = 0;
   /// Most recent per-query records, oldest first.
   std::vector<QueryRecord> recent;
   double uptime_seconds = 0;
@@ -255,11 +241,6 @@ class QueryService {
       PPSCAN_EXCLUDES(stats_mutex_);
   [[nodiscard]] int num_threads() const { return options_.num_threads; }
   [[nodiscard]] const GsIndex& index() const { return index_; }
-  /// The black box (nullptr when flight_capacity == 0). Valid for the
-  /// service's lifetime; safe to hand to install_flight_signal_dump.
-  [[nodiscard]] const obs::FlightRecorder* flight() const {
-    return flight_.get();
-  }
 
  private:
   struct Request {
@@ -338,7 +319,7 @@ class QueryService {
   /// the firewall's per-query result (abort_reason Exception).
   [[nodiscard]] ScanRun exception_aborted_run(const char* phase,
                                               const char* what) const;
-  /// Emits one per-query trace event into the collector's master slot (the
+  /// Emits one trace event into the collector's master slot (the
   /// master-slot single-writer rule is met by mutual exclusion under
   /// stats_mutex_, see ServiceOptions::trace).
   void trace_query(obs::TraceEventKind kind, const char* name,
@@ -347,6 +328,10 @@ class QueryService {
   const GsIndex& index_;
   const ServiceOptions options_;
   const std::chrono::steady_clock::time_point start_time_;
+
+  /// Distinct parameter combinations kept before the cache is wholesale
+  /// cleared (parameter spaces are tiny; LRU would be ceremony).
+  static constexpr std::size_t kCacheCapacity = 64;
 
   // guards: cache_ — the memoized-results map.
   mutable CheckedMutex cache_mutex_;
@@ -385,10 +370,6 @@ class QueryService {
   /// Ring buffer of the most recent per-query records.
   std::vector<QueryRecord> recent_ PPSCAN_GUARDED_BY(stats_mutex_);
   std::size_t recent_head_ PPSCAN_GUARDED_BY(stats_mutex_) = 0;
-
-  /// The black box (obs/flight_recorder.hpp); internally synchronized, so
-  /// record() is safe from any serving path. Null when disabled.
-  std::unique_ptr<obs::FlightRecorder> flight_;
 
   /// stop() runs once; concurrent callers block until it has finished.
   std::once_flag stopped_;

@@ -105,9 +105,6 @@ constexpr Family kFamilies[] = {
     {"ppscan_serve_uptime_seconds", "Seconds since service construction",
      "gauge", nullptr,
      [](const ServiceSnapshot& s) { return s.uptime_seconds; }},
-    {"ppscan_serve_flight_events_total",
-     "Events recorded by the flight recorder", "counter", nullptr,
-     [](const ServiceSnapshot& s) { return as_sample(s.flight_recorded); }},
 };
 
 }  // namespace

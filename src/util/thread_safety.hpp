@@ -80,11 +80,6 @@
 /// functions that acquire it themselves).
 #define PPSCAN_EXCLUDES(...) PPSCAN_TSA(locks_excluded(__VA_ARGS__))
 
-/// Escape hatch: turns the analysis off for one function. Every use
-/// needs a comment saying why the analysis cannot see the invariant.
-#define PPSCAN_NO_THREAD_SAFETY_ANALYSIS \
-  PPSCAN_TSA(no_thread_safety_analysis)
-
 /// Function-attribute form for functions returning a reference to a
 /// guarded object.
 #define PPSCAN_RETURN_CAPABILITY(x) PPSCAN_TSA(lock_returned(x))

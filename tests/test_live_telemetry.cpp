@@ -1,38 +1,29 @@
 // Live-telemetry tests (docs/observability.md, "Live telemetry"): the
-// latency histogram's delta arithmetic, the flight recorder's ring and its
-// three dump paths against the ppscan-flight-v1 validator, the exposition
-// endpoint over a real loopback socket, and the /metrics body rendered
-// from QueryService snapshots. The final test is the adversarial one CI
-// runs under TSan: eight submitters, a snapshot poller and a live scraper
-// all hammering one service.
+// latency histogram's delta arithmetic, the exposition endpoint over a
+// real loopback socket, and the /metrics body rendered from QueryService
+// snapshots. The final test is the adversarial one CI runs under TSan:
+// eight submitters, a snapshot poller and a live scraper all hammering
+// one traced service.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <fcntl.h>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
 #include "obs/exposition.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/json.hpp"
 #include "obs/latency_histogram.hpp"
+#include "obs/trace.hpp"
 #include "serve/query_service.hpp"
 #include "serve/serving_metrics.hpp"
 
 namespace ppscan {
 namespace {
 
-using obs::FlightRecorder;
-using obs::JsonValue;
 using obs::LatencyHistogram;
 using serve::QueryResponse;
 using serve::QueryService;
@@ -62,117 +53,6 @@ TEST(LatencyHistogram, EmptyQuantileIsZero) {
   const LatencyHistogram empty;
   EXPECT_DOUBLE_EQ(empty.quantile_ms(0.5), 0.0);
   EXPECT_DOUBLE_EQ(empty.quantile_ms(0.99), 0.0);
-}
-
-// --- flight recorder ----------------------------------------------------
-
-TEST(FlightRecorder, RingKeepsTheMostRecentEventsOldestFirst) {
-  FlightRecorder recorder(4);
-  EXPECT_EQ(recorder.capacity(), 4u);
-  for (std::uint64_t i = 0; i < 10; ++i)
-    recorder.record(FlightRecorder::EventKind::Admission, "serve.query", i);
-  EXPECT_EQ(recorder.recorded(), 10u);
-  const auto events = recorder.events();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].id, 6u + i);  // 6,7,8,9 — oldest first
-    EXPECT_STREQ(events[i].label, "serve.query");
-  }
-}
-
-TEST(FlightRecorder, LabelsAndDetailsAreTruncatedNotOverrun) {
-  FlightRecorder recorder(2);
-  const std::string long_label(100, 'L');
-  const std::string long_detail(200, 'D');
-  recorder.record(FlightRecorder::EventKind::Exception, long_label.c_str(), 1,
-                  long_detail.c_str());
-  const auto events = recorder.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_LT(std::string(events[0].label).size(), FlightRecorder::kLabelBytes);
-  EXPECT_LT(std::string(events[0].detail).size(),
-            FlightRecorder::kDetailBytes);
-}
-
-TEST(FlightRecorder, DumpJsonValidatesAndSurvivesSerialization) {
-  FlightRecorder recorder(8);
-  recorder.record(FlightRecorder::EventKind::Lifecycle, "serve.start");
-  recorder.record(FlightRecorder::EventKind::Admission, "serve.query", 7);
-  recorder.record(FlightRecorder::EventKind::Refusal, "serve.shed.overload", 0,
-                  "sojourn over target");
-  const JsonValue doc = recorder.dump_json("stop");
-  std::string error;
-  EXPECT_TRUE(obs::validate_flight_json(doc, &error)) << error;
-  EXPECT_EQ(doc.at("schema").as_string(), "ppscan-flight-v1");
-  EXPECT_EQ(doc.at("reason").as_string(), "stop");
-  EXPECT_EQ(doc.at("events").size(), 3u);
-
-  const JsonValue back = JsonValue::parse(doc.dump(2));
-  EXPECT_TRUE(obs::validate_flight_json(back, &error)) << error;
-}
-
-TEST(FlightRecorder, ValidatorRejectsWrongSchemaAndMalformedEvents) {
-  FlightRecorder recorder(4);
-  recorder.record(FlightRecorder::EventKind::Refusal, "serve.shed", 0,
-                  "overload");
-  std::string error;
-
-  JsonValue wrong_schema = recorder.dump_json("stop");
-  wrong_schema.set("schema", JsonValue::string("ppscan-flight-v9"));
-  EXPECT_FALSE(obs::validate_flight_json(wrong_schema, &error));
-  EXPECT_NE(error.find("schema"), std::string::npos) << error;
-
-  JsonValue bad_kind = recorder.dump_json("stop");
-  auto events = JsonValue::array();
-  auto entry = JsonValue::object();
-  entry.set("t_ns", JsonValue::number_u64(1));
-  entry.set("kind", JsonValue::string("not-a-kind"));
-  entry.set("label", JsonValue::string("x"));
-  entry.set("id", JsonValue::number_u64(0));
-  entry.set("detail", JsonValue::string(""));
-  events.push(std::move(entry));
-  bad_kind.set("events", std::move(events));
-  EXPECT_FALSE(obs::validate_flight_json(bad_kind, &error));
-  EXPECT_NE(error.find("kind"), std::string::npos) << error;
-}
-
-TEST(FlightRecorder, DumpToFileWritesAValidDocument) {
-  FlightRecorder recorder(4);
-  recorder.record(FlightRecorder::EventKind::Lifecycle, "serve.start");
-  char path[] = "/tmp/ppscan_flight_XXXXXX";
-  const int fd = mkstemp(path);
-  ASSERT_GE(fd, 0);
-  ::close(fd);
-  ASSERT_TRUE(recorder.dump_to_file(path, "stop"));
-  std::ifstream in(path);
-  std::stringstream body;
-  body << in.rdbuf();
-  std::string error;
-  EXPECT_TRUE(obs::validate_flight_json(JsonValue::parse(body.str()), &error))
-      << error;
-  std::remove(path);
-}
-
-TEST(FlightRecorder, SignalSafeDumpEmitsTheSameSchema) {
-  // The crash path: no locks, no allocation — but the bytes it writes must
-  // still parse and validate as ppscan-flight-v1.
-  FlightRecorder recorder(4);
-  recorder.record(FlightRecorder::EventKind::Lifecycle, "serve.start");
-  recorder.record(FlightRecorder::EventKind::Exception, "serve.exception", 3,
-                  "boom");
-  char path[] = "/tmp/ppscan_flight_sig_XXXXXX";
-  const int fd = mkstemp(path);
-  ASSERT_GE(fd, 0);
-  recorder.dump_signal_safe(fd, "signal");
-  ::close(fd);
-  std::ifstream in(path);
-  std::stringstream body;
-  body << in.rdbuf();
-  std::string error;
-  const JsonValue doc = JsonValue::parse(body.str());
-  EXPECT_TRUE(obs::validate_flight_json(doc, &error)) << error;
-  EXPECT_EQ(doc.at("reason").as_string(), "signal");
-  EXPECT_EQ(doc.at("events").size(), 2u);
-  std::remove(path);
 }
 
 // --- exposition endpoint over a real loopback socket --------------------
@@ -247,36 +127,6 @@ TEST(LiveTelemetry, QueryResponseCarriesTheQueueSplit) {
   }
 }
 
-TEST(LiveTelemetry, ServiceFlightRecorderTracksLifecycleAndAdmissions) {
-  const auto g = erdos_renyi(400, 2500, 9);
-  const GsIndex index(g);
-  ServiceOptions options;
-  options.num_threads = 1;
-  options.flight_capacity = 32;
-  QueryService service(index, options);
-  ASSERT_NE(service.flight(), nullptr);
-  ASSERT_NE(service.submit(make_params(2, 2)).get().run, nullptr);
-  service.stop();
-
-  const auto snap = service.snapshot();
-  EXPECT_GE(snap.flight_recorded, 3u);  // start, admission, stop
-  bool saw_start = false, saw_admission = false, saw_stop = false;
-  for (const auto& event : service.flight()->events()) {
-    const std::string label = event.label;
-    if (label == "serve.start") saw_start = true;
-    if (label == "serve.admit") saw_admission = true;
-    if (label == "serve.stop") saw_stop = true;
-  }
-  EXPECT_TRUE(saw_start);
-  EXPECT_TRUE(saw_admission);
-  EXPECT_TRUE(saw_stop);
-
-  std::string error;
-  EXPECT_TRUE(
-      obs::validate_flight_json(service.flight()->dump_json("stop"), &error))
-      << error;
-}
-
 TEST(LiveTelemetry, ExpositionTextReflectsTheSnapshot) {
   const auto g = erdos_renyi(800, 6000, 13);
   const GsIndex index(g);
@@ -330,7 +180,6 @@ TEST(LiveTelemetry, ExpositionTextIsByteExact) {
   s.counters.sims_reused = 500;
   for (const double ms : {0.0005, 0.003, 0.75, 1.5, 12.0, 250.0})
     s.latency.record(ms);
-  s.flight_recorded = 17;
   s.uptime_seconds = 12.5;
   s.num_threads = 4;
 
@@ -374,9 +223,6 @@ ppscan_serve_threads 4
 # HELP ppscan_serve_uptime_seconds Seconds since service construction
 # TYPE ppscan_serve_uptime_seconds gauge
 ppscan_serve_uptime_seconds 12.5
-# HELP ppscan_serve_flight_events_total Events recorded by the flight recorder
-# TYPE ppscan_serve_flight_events_total counter
-ppscan_serve_flight_events_total 17
 # HELP ppscan_serve_latency_ms End-to-end query latency since service start (milliseconds)
 # TYPE ppscan_serve_latency_ms histogram
 ppscan_serve_latency_ms_bucket{le="0.001"} 1
@@ -422,7 +268,8 @@ TEST(LiveTelemetry, ConcurrentSubmittersPollerAndScraperStayConsistent) {
   ServiceOptions options;
   options.num_threads = 4;
   options.cache_results = true;
-  options.flight_capacity = 64;
+  obs::TraceCollector trace(options.num_threads);
+  options.trace = &trace;
   QueryService service(index, options);
 
   obs::ExpositionServer exposition(
@@ -481,7 +328,18 @@ TEST(LiveTelemetry, ConcurrentSubmittersPollerAndScraperStayConsistent) {
   EXPECT_EQ(snap.submitted, total);
   EXPECT_EQ(snap.completed, total);
   EXPECT_EQ(snap.latency.total, total);
-  EXPECT_GE(snap.flight_recorded, total);  // one admission event per query
+  if (obs::kTraceEnabled) {
+    // One serve.query span begin per admission (stop() above is the
+    // happens-before edge the buffer read needs).
+    std::uint64_t begins = 0;
+    for (const auto& e : trace.buffer(trace.master_slot()).snapshot()) {
+      if (e.kind == obs::TraceEventKind::SpanBegin &&
+          std::string_view(e.name) == "serve.query") {
+        begins += 1;
+      }
+    }
+    EXPECT_EQ(begins, total);
+  }
 
   // The final scrape renders the settled counters and still lint-clean
   // families (the CI smoke runs check_exposition.py over a live body; here

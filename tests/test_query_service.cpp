@@ -358,9 +358,9 @@ TEST(QueryService, RecordedClusterCountsMatchCanonicalCounts) {
 }
 
 // A refused request must leave nothing behind: no `serve.query` span that
-// never closes, no flight-recorder admission, no gap in the dense ids.
-// Admission, counting, tracing and the queue slot share one critical
-// section, so a refusal happens before any of them.
+// never closes and no gap in the dense ids. Admission, counting, tracing
+// and the queue slot share one critical section, so a refusal happens
+// before any of them.
 TEST(QueryService, RefusedRequestsLeaveNoSpanAdmissionOrIdGap) {
   const auto g = erdos_renyi(4000, 48000, 19);
   const GsIndex index(g);
@@ -369,7 +369,6 @@ TEST(QueryService, RefusedRequestsLeaveNoSpanAdmissionOrIdGap) {
   options.num_threads = 1;
   options.queue_capacity = 2;
   options.cache_results = false;
-  options.flight_capacity = 4096;
   options.trace = &trace;
   QueryService service(index, options);
 
@@ -395,12 +394,6 @@ TEST(QueryService, RefusedRequestsLeaveNoSpanAdmissionOrIdGap) {
   for (auto& f : admitted) ids.push_back(f.get().id);
   std::sort(ids.begin(), ids.end());
   for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
-
-  std::uint64_t admit_events = 0;
-  for (const auto& event : service.flight()->events()) {
-    if (std::string_view(event.label) == "serve.admit") admit_events += 1;
-  }
-  EXPECT_EQ(admit_events, snap.submitted);
 
   if (obs::kTraceEnabled) {
     std::map<std::uint64_t, int> begins, ends;

@@ -306,6 +306,60 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   }
 }
 
+// An execution failure reaches its caller, the counters and the trace.
+// GsIndex::query throws std::invalid_argument for mu = 0, so the failure
+// needs no fault harness: the worker's firewall classifies it, the good
+// queries around it keep their exact answers.
+TEST(QueryServiceResilience, ExecutionFailureReachesCallerCountersAndTrace) {
+  const auto g = erdos_renyi(600, 4800, 53);
+  const GsIndex index(g);
+  obs::TraceCollector trace(0);
+  ServiceOptions options;
+  options.num_threads = 2;
+  options.trace = &trace;
+  QueryService service(index, options);
+
+  ScanParams bad;
+  bad.eps = EpsRational{1, 2};
+  bad.mu = 0;
+  const std::vector<ScanParams> good = {ScanParams::make("0.3", 2),
+                                        ScanParams::make("0.5", 3),
+                                        ScanParams::make("0.7", 2)};
+  std::vector<std::future<QueryResponse>> good_futures;
+  good_futures.push_back(service.submit(good[0]));
+  std::future<QueryResponse> bad_future = service.submit(bad);
+  good_futures.push_back(service.submit(good[1]));
+  good_futures.push_back(service.submit(good[2]));
+
+  const QueryResponse failed = bad_future.get();
+  ASSERT_NE(failed.run, nullptr);
+  EXPECT_EQ(failed.run->stats.abort_reason, AbortReason::Exception);
+  EXPECT_NE(failed.run->stats.abort_detail.find("mu must be at least 1"),
+            std::string::npos)
+      << failed.run->stats.abort_detail;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    const QueryResponse r = good_futures[i].get();
+    ASSERT_NE(r.run, nullptr);
+    EXPECT_EQ(r.run->stats.abort_reason, AbortReason::None);
+    expect_identical(r.run->result, index.query(good[i]).result, good[i]);
+  }
+
+  // stop() joins the workers: the happens-before edge the trace read needs.
+  service.stop();
+  EXPECT_EQ(service.snapshot().exceptions, 1u);
+  if (obs::kTraceEnabled) {
+    std::vector<std::uint64_t> exception_ids;
+    for (const auto& e : trace.buffer(trace.master_slot()).snapshot()) {
+      if (e.kind == obs::TraceEventKind::Mark &&
+          std::string_view(e.name) == "serve.exception") {
+        exception_ids.push_back(e.arg);
+      }
+    }
+    ASSERT_EQ(exception_ids.size(), 1u);
+    EXPECT_EQ(exception_ids[0], failed.id);
+  }
+}
+
 TEST(QueryServiceResilience, ServingMetricsRowCarriesResilienceBlock) {
   const auto g = erdos_renyi(600, 4800, 47);
   const GsIndex index(g);

@@ -22,7 +22,6 @@
 //
 // Graph files: text edge lists ("u v" per line, SNAP style) or the binary
 // CSR snapshot format; the suffix ".bin"/".csrbin" selects binary.
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -33,6 +32,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <utility>
@@ -41,7 +41,6 @@
 #include "bench_support/algorithms.hpp"
 #include "bench_support/metrics.hpp"
 #include "obs/exposition.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_json.hpp"
 #include "graph/edge_list_io.hpp"
@@ -260,6 +259,35 @@ int cmd_convert(const Flags& flags) {
   return 0;
 }
 
+/// `--trace-out FILE` (cluster and serve): a collector with one slot per
+/// worker plus the master's, or nullptr when the flag is absent. Warns
+/// when tracing was compiled out, since the file will then hold no events.
+std::unique_ptr<obs::TraceCollector> make_trace_collector(
+    const char* command, const std::string& path, int num_workers) {
+  if (path.empty()) return nullptr;
+  if (!obs::kTraceEnabled) {
+    std::cerr << command << ": warning: tracing was compiled out "
+                 "(PPSCAN_TRACE=OFF); " << path << " will contain no events\n";
+  }
+  return std::make_unique<obs::TraceCollector>(num_workers);
+}
+
+/// Writes the Chrome/Perfetto trace; false (after a message) when `path`
+/// cannot be opened. Every thread that recorded into `collector` must have
+/// been joined first: the join is the happens-before edge the read needs.
+bool write_trace_file(const char* command, const std::string& path,
+                      const obs::TraceCollector& collector) {
+  std::ofstream stream(path);
+  if (!stream) {
+    std::cerr << command << ": cannot open " << path << " for writing\n";
+    return false;
+  }
+  write_chrome_trace(stream, collector);
+  std::cout << "trace -> " << path
+            << " (load in ui.perfetto.dev or chrome://tracing)\n";
+  return true;
+}
+
 int cmd_cluster(const Flags& flags) {
   if (flags.positionals().size() < 2) {
     std::cerr << "cluster: missing graph file\n";
@@ -278,17 +306,9 @@ int cmd_cluster(const Flags& flags) {
 
   // Per-worker event tracing, exported in Chrome/Perfetto trace format.
   const auto trace_out = flags.get_string("trace-out", "");
-  std::unique_ptr<obs::TraceCollector> collector;
-  if (!trace_out.empty()) {
-    if (!obs::kTraceEnabled) {
-      std::cerr << "cluster: warning: tracing was compiled out "
-                   "(PPSCAN_TRACE=OFF); " << trace_out
-                << " will contain no events\n";
-    }
-    collector =
-        std::make_unique<obs::TraceCollector>(config.num_threads);
-    config.trace = collector.get();
-  }
+  const auto collector =
+      make_trace_collector("cluster", trace_out, config.num_threads);
+  config.trace = collector.get();
 
   const ScopedCancelSignals signals;
   const auto run = run_algorithm(algorithm, graph, params, config);
@@ -311,15 +331,8 @@ int cmd_cluster(const Flags& flags) {
     std::cout << "result -> " << out << "\n";
   }
 
-  if (collector) {
-    std::ofstream stream(trace_out);
-    if (!stream) {
-      std::cerr << "cluster: cannot open " << trace_out << " for writing\n";
-      return 1;
-    }
-    write_chrome_trace(stream, *collector);
-    std::cout << "trace -> " << trace_out
-              << " (load in ui.perfetto.dev or chrome://tracing)\n";
+  if (collector && !write_trace_file("cluster", trace_out, *collector)) {
+    return 1;
   }
 
   const auto metrics_out = flags.get_string("metrics-json", "");
@@ -513,10 +526,13 @@ int cmd_serve(const Flags& flags) {
   options.default_limits = parse_limits(flags);
   options.shed_target_delay =
       std::chrono::milliseconds(flags.get_int("shed-target-ms", 0));
-  // Live telemetry (docs/observability.md, "Live telemetry").
+  // Live telemetry (docs/observability.md, "Live telemetry"). The
+  // service records every event into the collector's master slot, so it
+  // needs no worker slots.
   const long stats_interval_ms = flags.get_int("stats-interval-ms", 0);
-  const auto flight_out = flags.get_string("flight-out", "");
-  options.flight_dump_path = flight_out;
+  const auto trace_out = flags.get_string("trace-out", "");
+  const auto collector = make_trace_collector("serve", trace_out, 0);
+  options.trace = collector.get();
   serve::QueryService service(index, options);
 
   std::unique_ptr<obs::ExpositionServer> exposition;
@@ -529,22 +545,21 @@ int cmd_serve(const Flags& flags) {
     std::cerr << "[serve] metrics exposition on 127.0.0.1:"
               << exposition->port() << "\n";
   }
-  if (!flight_out.empty()) {
-    obs::install_flight_signal_dump(service.flight(), flight_out.c_str());
-  }
 
   // Status line: one stderr line per --stats-interval-ms, only when that
   // flag asked for it. Each line covers the interval since the previous
   // one: qps from the completed-count delta, p99 from the histogram delta.
-  std::atomic<bool> status_stop{false};
-  std::thread status;
+  // A jthread is joined on every exit path, a malformed stdin line's
+  // exception included.
+  std::jthread status;
   if (stats_interval_ms > 0) {
-    status = std::thread([&service, &status_stop, stats_interval_ms] {
+    status = std::jthread([&service, stats_interval_ms](
+                              const std::stop_token& stop) {
       serve::ServiceSnapshot prev = service.snapshot();
-      while (!status_stop.load(std::memory_order_relaxed)) {
+      while (!stop.stop_requested()) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(stats_interval_ms));
-        if (status_stop.load(std::memory_order_relaxed)) break;
+        if (stop.stop_requested()) break;
         serve::ServiceSnapshot s = service.snapshot();
         const double seconds = s.uptime_seconds - prev.uptime_seconds;
         const double qps =
@@ -607,14 +622,11 @@ int cmd_serve(const Flags& flags) {
   }
   const double elapsed = serve_timer.elapsed_s();
   if (status.joinable()) {
-    status_stop.store(true, std::memory_order_relaxed);
+    status.request_stop();
     status.join();
   }
   service.stop();
   if (exposition) exposition->stop();
-  // The recorder dies with the service at end of scope; disarm the global
-  // handler before that happens.
-  if (!flight_out.empty()) obs::install_flight_signal_dump(nullptr, nullptr);
   table.print(std::cout, "QueryService session");
 
   const auto snap = service.snapshot();
@@ -626,6 +638,10 @@ int cmd_serve(const Flags& flags) {
             << snap.shed_queue_full + snap.shed_overload << " shed ("
             << snap.shed_queue_full << " queue-full, " << snap.shed_overload
             << " overload)\n";
+  // stop() joined the workers, so the service's events are readable.
+  if (collector && !write_trace_file("serve", trace_out, *collector)) {
+    return 1;
+  }
 
   const auto metrics_out = flags.get_string("metrics-json", "");
   if (!metrics_out.empty()) {
@@ -690,8 +706,8 @@ void usage() {
          "        [--stats-interval-ms M] one stderr status line per M ms:\n"
          "                                the interval's qps, p99 and\n"
          "                                sheds so far (default off)\n"
-         "        [--flight-out FILE]     flight-recorder JSON on stop\n"
-         "                                and fatal signals\n"
+         "        [--trace-out FILE]      Perfetto trace of the session\n"
+         "                                (one serve.query span per query)\n"
          "an unknown flag exits 2\n";
 }
 
@@ -724,7 +740,7 @@ const Command* find_command(const std::string& name) {
       {"serve",
        {cmd_serve,
         {"threads", "queue", "no-cache", "shed-target-ms", "metrics-port",
-         "stats-interval-ms", "flight-out", "metrics-json", "eps",
+         "stats-interval-ms", "trace-out", "metrics-json", "eps",
          "timeout-ms", "mem-budget-mb", "cancel-at-phase"}}},
   };
   const auto it = kCommands.find(name);
